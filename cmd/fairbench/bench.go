@@ -25,13 +25,16 @@ import (
 // are machine-dependent by nature — the artifact documents a
 // trajectory on comparable hardware, it is not a determinism surface.
 
-// benchResult is one benchmark's figures.
+// benchResult is one benchmark's figures. Allocation figures are
+// fractional (total over N): testing.BenchmarkResult.AllocsPerOp
+// truncates to an integer, which records a path allocating 0.9 times
+// per op as allocation-free.
 type benchResult struct {
 	Name        string  `json:"name"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	OpsPerSec   float64 `json:"ops_per_sec"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
+	AllocsPerOp float64 `json:"allocs_per_op"`
+	BytesPerOp  float64 `json:"bytes_per_op"`
 }
 
 // benchDoc is the emitted document.
@@ -253,8 +256,8 @@ func benchJSON(cases map[string]func(b *testing.B), out, progress io.Writer) err
 		res := benchResult{
 			Name:        name,
 			NsPerOp:     ns,
-			AllocsPerOp: r.AllocsPerOp(),
-			BytesPerOp:  r.AllocedBytesPerOp(),
+			AllocsPerOp: float64(r.MemAllocs) / float64(r.N),
+			BytesPerOp:  float64(r.MemBytes) / float64(r.N),
 		}
 		if ns > 0 {
 			res.OpsPerSec = 1e9 / ns

@@ -31,11 +31,20 @@ type compareOptions struct {
 	// NOT covered: allocation counts are deterministic on a given Go
 	// version, so they fail the gate even under WarnOnly.
 	WarnOnly bool
-	// MaxAllocGrowth is the allowed absolute growth in allocs_per_op
-	// (default 0: any new allocation on a hot path fails). Negative
-	// disables the alloc gate.
-	MaxAllocGrowth int64
+	// MaxAllocGrowth is the allowed absolute growth in allocs_per_op.
+	// The figure is fractional, and per-run setup amortized over a
+	// benchmark's N moves it by a small fraction of an allocation; the
+	// default absorbs that while any new per-op allocation fails.
+	// Negative disables the allocation gate, bytes_per_op included.
+	MaxAllocGrowth float64
 }
+
+// Allocation budgets for -compare: a tenth of an allocation and eight
+// bytes per op, both below the cost of one real allocation.
+const (
+	defaultMaxAllocGrowth = 0.1
+	maxByteGrowth         = 8
+)
 
 // parseCaseThresholds parses "name=ratio,name=ratio".
 func parseCaseThresholds(s string) (map[string]float64, error) {
@@ -79,12 +88,12 @@ func loadBenchDoc(path string) (*benchDoc, error) {
 // runCompare diffs old against new and returns a non-nil error (the
 // nonzero exit) when any case regressed and WarnOnly is off. Cases
 // missing from the new document also fail — a silently dropped
-// benchmark is how trajectories go dark. allocs_per_op is gated
-// separately and strictly: allocation counts don't wobble with runner
-// load the way wall-clock does, so growth past MaxAllocGrowth fails
-// even under WarnOnly — but only when both documents come from the
-// same Go version (the compiler's escape analysis moves counts across
-// releases).
+// benchmark is how trajectories go dark. allocs_per_op and bytes_per_op
+// are gated separately and strictly: allocation figures don't wobble
+// with runner load the way wall-clock does, so growth past
+// MaxAllocGrowth or maxByteGrowth fails even under WarnOnly — but only
+// when both documents come from the same Go version (the compiler's
+// escape analysis moves counts across releases).
 func runCompare(stdout io.Writer, oldPath, newPath string, o compareOptions) error {
 	oldDoc, err := loadBenchDoc(oldPath)
 	if err != nil {
@@ -131,10 +140,21 @@ func runCompare(stdout io.Writer, oldPath, newPath string, o compareOptions) err
 		}
 		fmt.Fprintf(stdout, "  %-9s %-28s %12.0f -> %12.0f ns/op  %5.2fx (limit %.2fx)\n",
 			verdict, old.Name, old.NsPerOp, nw.NsPerOp, ratio, limit)
-		if gateAllocs && nw.AllocsPerOp > old.AllocsPerOp+o.MaxAllocGrowth {
-			allocGrew = append(allocGrew, old.Name)
-			fmt.Fprintf(stdout, "  ALLOCS    %-28s %12d -> %12d allocs/op (limit +%d)\n",
+		if !gateAllocs {
+			continue
+		}
+		allocs := nw.AllocsPerOp > old.AllocsPerOp+o.MaxAllocGrowth
+		if allocs {
+			fmt.Fprintf(stdout, "  ALLOCS    %-28s %12.3f -> %12.3f allocs/op (limit +%g)\n",
 				old.Name, old.AllocsPerOp, nw.AllocsPerOp, o.MaxAllocGrowth)
+		}
+		bytes := nw.BytesPerOp > old.BytesPerOp+maxByteGrowth
+		if bytes {
+			fmt.Fprintf(stdout, "  BYTES     %-28s %12.1f -> %12.1f B/op (limit +%d)\n",
+				old.Name, old.BytesPerOp, nw.BytesPerOp, maxByteGrowth)
+		}
+		if allocs || bytes {
+			allocGrew = append(allocGrew, old.Name)
 		}
 	}
 	extra := make([]string, 0, len(newByName))

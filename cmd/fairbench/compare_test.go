@@ -263,3 +263,41 @@ func TestCompareAllocGateNeedsMatchingGoVersion(t *testing.T) {
 		t.Errorf("report missing the cross-version notice:\n%s", out.String())
 	}
 }
+
+// TestCompareFractionalAllocGate pins the truthful gate: allocs_per_op
+// is a fraction, so one new allocation per op on a path the baseline
+// records as allocation-free fails, while amortized setup noise well
+// under one allocation passes. bytes_per_op is gated the same way.
+func TestCompareFractionalAllocGate(t *testing.T) {
+	dir := t.TempDir()
+	old := writeBenchDoc(t, dir, "old.json", []benchResult{
+		{Name: "sim-event-throughput", NsPerOp: 50, AllocsPerOp: 0.0, BytesPerOp: 0},
+	})
+	for _, c := range []struct {
+		name          string
+		allocs, bytes float64
+		fail          string
+	}{
+		{"one new allocation per op", 1.0, 24, "ALLOCS"},
+		{"amortized setup noise", 0.02, 3, ""},
+		{"bytes grow without a new allocation count", 0.05, 40, "BYTES"},
+	} {
+		nw := writeBenchDoc(t, dir, "new.json", []benchResult{
+			{Name: "sim-event-throughput", NsPerOp: 50, AllocsPerOp: c.allocs, BytesPerOp: c.bytes},
+		})
+		var out bytes.Buffer
+		err := run([]string{"-compare", "-warn-only", old, nw}, strings.NewReader(""), &out, &bytes.Buffer{})
+		if c.fail == "" {
+			if err != nil {
+				t.Errorf("%s: must pass: %v\n%s", c.name, err, out.String())
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "sim-event-throughput") {
+			t.Errorf("%s: must fail naming the case, got %v", c.name, err)
+		}
+		if !strings.Contains(out.String(), c.fail) {
+			t.Errorf("%s: report missing the %s line:\n%s", c.name, c.fail, out.String())
+		}
+	}
+}

@@ -23,11 +23,12 @@
 //
 // With -compare, fairbench diffs two such documents and exits nonzero
 // when any case regressed past its threshold — the bench-trajectory
-// gate CI runs against BENCH_baseline.json. allocs_per_op is gated
-// strictly: counts are deterministic within a Go version, so any
-// growth past -max-alloc-growth (default 0) fails even under
-// -warn-only; the gate relaxes to a notice when the two documents were
-// measured on different Go versions.
+// gate CI runs against BENCH_baseline.json. allocs_per_op and
+// bytes_per_op are recorded as fractions (total over N) and gated
+// strictly: they are deterministic within a Go version up to amortized
+// setup, so growth past -max-alloc-growth (default 0.1 allocs/op) or
+// 8 B/op fails even under -warn-only; the gate relaxes to a notice
+// when the two documents were measured on different Go versions.
 package main
 
 import (
@@ -68,7 +69,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {
 	caseThresholds := fs.String("case-thresholds", "",
 		`with -compare: per-case overrides as "name=ratio,name=ratio"`)
 	warnOnly := fs.Bool("warn-only", false, "with -compare: report ns_per_op regressions but exit zero (alloc growth still fails)")
-	maxAllocGrowth := fs.Int64("max-alloc-growth", 0,
+	maxAllocGrowth := fs.Float64("max-alloc-growth", defaultMaxAllocGrowth,
 		"with -compare: allowed allocs_per_op growth per case (negative disables the alloc gate)")
 	fs.SetOutput(stderr)
 	fs.Usage = func() {

@@ -185,6 +185,7 @@ type FPGA struct {
 	nextFree sim.Time
 	busy     float64
 	table    *nf.FlowTable
+	pending  completions
 	// Served, Overflowed and Unavailable count pipeline outcomes:
 	// served packets, ingress-buffer overflows, and packets arriving
 	// while the pipeline was down.
@@ -197,11 +198,15 @@ type FPGA struct {
 // NewFPGA builds an FPGA accelerator attached to simulator s.
 func NewFPGA(name string, s *sim.Sim, cfg FPGAConfig) *FPGA {
 	f := &FPGA{name: name, cfg: cfg.withDefaults(), s: s}
+	f.pending = newCompletions(s, f.complete)
 	if f.cfg.FlowTableSize > 0 {
 		f.table = nf.NewFlowTable(f.cfg.FlowTableSize, f.cfg.TableEvict, f.cfg.EvictSeed)
 	}
 	return f
 }
+
+// complete retires the oldest packet in the pipeline.
+func (f *FPGA) complete() { f.pending.pop().run() }
 
 // Name implements Device.
 func (f *FPGA) Name() string { return f.name }
@@ -238,11 +243,7 @@ func (f *FPGA) Submit(done func(Sojourn)) bool {
 		ServiceSeconds: service,
 		FixedSeconds:   f.cfg.PipelineLatencySeconds,
 	}
-	if err := f.s.At(finish, func() {
-		if done != nil {
-			done(sojourn)
-		}
-	}); err != nil {
+	if err := f.pending.schedule(finish, sojourn, done); err != nil {
 		panic(err)
 	}
 	return true

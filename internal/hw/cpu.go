@@ -73,13 +73,24 @@ type Core struct {
 	nextFree sim.Time
 	queued   int
 	busy     float64 // accumulated busy seconds
+	pending  completions
 	// Served and Dropped count packets.
 	Served, Dropped uint64
 }
 
 // NewCore builds a core attached to simulator s.
 func NewCore(name string, s *sim.Sim, cfg CPUConfig) *Core {
-	return &Core{name: name, cfg: cfg.withDefaults(), s: s}
+	c := &Core{name: name, cfg: cfg.withDefaults(), s: s}
+	c.pending = newCompletions(s, c.complete)
+	return c
+}
+
+// complete retires the oldest packet in service.
+func (c *Core) complete() {
+	p := c.pending.pop()
+	c.queued--
+	c.Served++
+	p.run()
 }
 
 // Name implements Device.
@@ -126,13 +137,7 @@ func (c *Core) Submit(cycles uint64, done func(Sojourn)) bool {
 		ServiceSeconds: service,
 		FixedSeconds:   c.cfg.FixedLatencySeconds,
 	}
-	if err := c.s.At(finish, func() {
-		c.queued--
-		c.Served++
-		if done != nil {
-			done(sojourn)
-		}
-	}); err != nil {
+	if err := c.pending.schedule(finish, sojourn, done); err != nil {
 		// Scheduling can only fail for a past/invalid time, which the
 		// max() above prevents; treat as a bug.
 		panic(fmt.Sprintf("hw: core %s: %v", c.name, err))

@@ -61,6 +61,76 @@ func (s Sojourn) Total() float64 {
 	return s.WaitSeconds + s.ServiceSeconds + s.FixedSeconds
 }
 
+// completion is a packet a FIFO device has accepted and not yet
+// finished: its sojourn breakdown and the caller's callback.
+type completion struct {
+	so   Sojourn
+	done func(Sojourn)
+}
+
+// completions is the pending-completion ring shared by the FIFO device
+// models (Core, SmartNIC, FPGA). Each of them serves packets in
+// submission order — finish = max(nextFree, now) + service, then
+// nextFree = finish — so completion times never decrease in submission
+// order, and the kernel breaks equal times by schedule sequence. The
+// kernel therefore fires a device's completion events in exactly the
+// order they were pushed here, and every event can run one callback
+// bound at construction that pops the ring head, instead of a closure
+// allocated per packet.
+type completions struct {
+	s    *sim.Sim
+	fire func() // the owning device's completion method, bound once
+	ring []completion
+	head int
+	n    int
+}
+
+// initialRing is the pending ring's starting size; it must be a power
+// of two (grow doubles it, and slots are found by masking).
+const initialRing = 16
+
+func newCompletions(s *sim.Sim, fire func()) completions {
+	return completions{s: s, fire: fire, ring: make([]completion, initialRing)}
+}
+
+// schedule queues a completion at finish, which must not precede the
+// previous one.
+func (c *completions) schedule(finish sim.Time, so Sojourn, done func(Sojourn)) error {
+	if c.n == len(c.ring) {
+		c.grow()
+	}
+	c.ring[(c.head+c.n)&(len(c.ring)-1)] = completion{so: so, done: done}
+	c.n++
+	return c.s.At(finish, c.fire)
+}
+
+// grow doubles the ring. Appending the ring to itself leaves the live
+// entries contiguous from head, wrapping into the second copy; the
+// stale duplicates around them are cleared.
+func (c *completions) grow() {
+	n := len(c.ring)
+	//fairlint:allow hotalloc the ring doubles until it holds the device's peak backlog; later completions reuse its slots
+	c.ring = append(c.ring[:n:n], c.ring...)
+	clear(c.ring[:c.head])
+	clear(c.ring[n+c.head:])
+}
+
+// pop removes the oldest pending completion.
+func (c *completions) pop() completion {
+	p := c.ring[c.head]
+	c.ring[c.head] = completion{}
+	c.head = (c.head + 1) & (len(c.ring) - 1)
+	c.n--
+	return p
+}
+
+// run delivers the completion to its callback, if any.
+func (p completion) run() {
+	if p.done != nil {
+		p.done(p.so)
+	}
+}
+
 // AveragePowerWatts computes mean power of a device over [0, end).
 func AveragePowerWatts(d Device, end sim.Time) float64 {
 	if end <= 0 {

@@ -110,6 +110,7 @@ type SmartNIC struct {
 	table    *nf.FlowTable
 	nextFree sim.Time
 	busy     float64
+	pending  completions
 	// Offloaded, ToHost and TableMisses count dispatch outcomes.
 	Offloaded, ToHost uint64
 	// Saturated counts fast-path packets that found the NIC dataplane
@@ -124,13 +125,18 @@ type SmartNIC struct {
 // NewSmartNIC builds a SmartNIC attached to simulator s.
 func NewSmartNIC(name string, s *sim.Sim, cfg SmartNICConfig) *SmartNIC {
 	cfg = cfg.withDefaults()
-	return &SmartNIC{
+	sn := &SmartNIC{
 		name:  name,
 		cfg:   cfg,
 		s:     s,
 		table: nf.NewFlowTable(cfg.FlowTableSize, cfg.TableEvict, cfg.EvictSeed),
 	}
+	sn.pending = newCompletions(s, sn.complete)
+	return sn
 }
+
+// complete retires the oldest fast-path packet.
+func (sn *SmartNIC) complete() { sn.pending.pop().run() }
 
 // Name implements Device.
 func (sn *SmartNIC) Name() string { return sn.name }
@@ -202,11 +208,7 @@ func (sn *SmartNIC) Offload(ft packet.FiveTuple, done func(Sojourn)) bool {
 		ServiceSeconds: service,
 		FixedSeconds:   sn.cfg.OffloadLatencySeconds,
 	}
-	if err := sn.s.At(finish, func() {
-		if done != nil {
-			done(sojourn)
-		}
-	}); err != nil {
+	if err := sn.pending.schedule(finish, sojourn, done); err != nil {
 		panic(err)
 	}
 	return true

@@ -59,7 +59,9 @@ func (a *AvailabilityMeter) bucket(at float64) int {
 
 func (a *AvailabilityMeter) grow(i int) {
 	for len(a.offered) <= i {
+		//fairlint:allow hotalloc one bucket per window: the series grows to the run's window count, not per packet
 		a.offered = append(a.offered, 0)
+		//fairlint:allow hotalloc grows in step with offered
 		a.resolved = append(a.resolved, 0)
 	}
 }

@@ -86,6 +86,7 @@ func (m *StateMeter) class(name string) *StateClassCounts {
 	}
 	c := m.classes[name]
 	if c == nil {
+		//fairlint:allow hotalloc one record per traffic class, created when the class is first seen
 		c = &StateClassCounts{}
 		m.classes[name] = c
 	}

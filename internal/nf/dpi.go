@@ -132,6 +132,11 @@ type DPI struct {
 	Alerts map[int]uint64
 	// Inspected counts total payload bytes scanned.
 	Inspected uint64
+
+	// onMatch is the Search callback, bound once; matched records
+	// whether the current packet hit a signature.
+	onMatch func(pattern, end int) bool
+	matched bool
 }
 
 // NewDPI builds an inline DPI engine for the given signatures.
@@ -140,7 +145,16 @@ func NewDPI(name string, signatures []string) (*DPI, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &DPI{name: name, ac: ac, Alerts: make(map[int]uint64)}, nil
+	d := &DPI{name: name, ac: ac, Alerts: make(map[int]uint64)}
+	d.onMatch = d.alert
+	return d, nil
+}
+
+// alert counts the first signature a packet matches and stops the scan.
+func (d *DPI) alert(pattern, _ int) bool {
+	d.Alerts[pattern]++
+	d.matched = true
+	return false
 }
 
 // Name implements Func.
@@ -151,12 +165,12 @@ func (d *DPI) Process(p *packet.Parser, _ []byte) (Result, error) {
 	payload := p.Payload
 	d.Inspected += uint64(len(payload))
 	cycles := uint64(CyclesParse) + uint64(len(payload))*CyclesPerPayloadByte
+	d.matched = false
+	d.ac.Search(payload, d.onMatch)
 	verdict := Accept
-	d.ac.Search(payload, func(pattern, _ int) bool {
-		d.Alerts[pattern]++
+	if d.matched {
 		verdict = Drop
-		return false
-	})
+	}
 	return Result{Verdict: verdict, Cycles: cycles}, nil
 }
 

@@ -139,8 +139,17 @@ func (lb *LoadBalancer) Pick(ft packet.FiveTuple) (Backend, error) {
 		return Backend{}, ErrNoBackends
 	}
 	h := ft.FastHash()
-	// First ring entry with hash >= h, wrapping.
-	i := sort.Search(len(lb.ring), func(i int) bool { return lb.ring[i].hash >= h })
+	// First ring entry with hash >= h (a binary search over the sorted
+	// ring), wrapping.
+	i, j := 0, len(lb.ring)
+	for i < j {
+		m := int(uint(i+j) >> 1)
+		if lb.ring[m].hash >= h {
+			j = m
+		} else {
+			i = m + 1
+		}
+	}
 	if i == len(lb.ring) {
 		i = 0
 	}

@@ -11,7 +11,6 @@
 package sim
 
 import (
-	"container/heap"
 	"errors"
 	"fmt"
 	"math"
@@ -32,34 +31,76 @@ func (t Time) Duration() time.Duration {
 // Seconds returns the time as a float64 second count.
 func (t Time) Seconds() float64 { return float64(t) }
 
-// Event is a scheduled callback.
+// event is a scheduled callback. Events are stored by value in the
+// queue, so scheduling one allocates nothing once the queue has grown to
+// the run's peak depth.
 type event struct {
 	at  Time
 	seq uint64
 	fn  func()
 }
 
-// eventQueue is a binary min-heap ordered by (time, sequence).
-type eventQueue []*event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+// before orders events by (time, sequence). Sequence numbers are unique,
+// so this is a strict total order and the pop order is independent of
+// the heap's shape.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return q[i].seq < q[j].seq
+	return e.seq < o.seq
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
 
-//fairlint:allow hotalloc event queue reaches steady-state capacity; heap growth is amortized across the run
-func (q *eventQueue) Push(x any) { *q = append(*q, x.(*event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return e
+// eventQueue is a binary min-heap of events stored by value, ordered by
+// before.
+type eventQueue []event
+
+// push inserts e, sifting a hole up from the new leaf.
+func (q *eventQueue) push(e event) {
+	//fairlint:allow hotalloc event queue reaches steady-state capacity; heap growth is amortized across the run
+	*q = append(*q, e)
+	h := *q
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !e.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = e
+}
+
+// pop removes and returns the earliest event, sifting the last leaf
+// down from the root. The queue must be non-empty.
+func (q *eventQueue) pop() event {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = event{} // release the callback for the collector
+	h = h[:n]
+	*q = h
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= n {
+			break
+		}
+		if r := child + 1; r < n && h[r].before(&h[child]) {
+			child = r
+		}
+		if !h[child].before(&last) {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	h[i] = last
+	return top
 }
 
 // TraceFunc observes kernel progress: it receives the virtual clock,
@@ -106,9 +147,8 @@ func (s *Sim) At(t Time, fn func()) error {
 	if math.IsNaN(float64(t)) || math.IsInf(float64(t), 0) {
 		return fmt.Errorf("sim: invalid event time %v", t)
 	}
-	e := &event{at: t, seq: s.seq, fn: fn}
+	s.queue.push(event{at: t, seq: s.seq, fn: fn})
 	s.seq++
-	heap.Push(&s.queue, e)
 	return nil
 }
 
@@ -149,11 +189,10 @@ func (s *Sim) Halt() { s.halted = true }
 func (s *Sim) Run(horizon Time) {
 	s.halted = false
 	for len(s.queue) > 0 && !s.halted {
-		next := s.queue[0]
-		if next.at > horizon {
+		if s.queue[0].at > horizon {
 			break
 		}
-		heap.Pop(&s.queue)
+		next := s.queue.pop()
 		s.now = next.at
 		s.events++
 		next.fn()
@@ -172,7 +211,7 @@ func (s *Sim) Run(horizon Time) {
 func (s *Sim) RunAll() {
 	s.halted = false
 	for len(s.queue) > 0 && !s.halted {
-		next := heap.Pop(&s.queue).(*event)
+		next := s.queue.pop()
 		s.now = next.at
 		s.events++
 		next.fn()

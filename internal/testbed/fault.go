@@ -148,7 +148,7 @@ func (d *Deployment) RunWithFaults(gen *workload.Generator, arrival workload.Arr
 		rateFactor: inj.RateFactor,
 	}
 	res, err := d.runInjected(arrival, offeredPps, durationSeconds, gen.ArrivalRNG(),
-		func(tput *measure.ThroughputMeter, lat *measure.LatencyMeter, fair *measure.FairnessMeter) error {
+		func() error {
 			var pk workload.Pkt
 			var err error
 			if needCopy {
@@ -159,10 +159,10 @@ func (d *Deployment) RunWithFaults(gen *workload.Generator, arrival workload.Arr
 			if err != nil {
 				return err
 			}
-			tput.Offer(len(pk.Frame))
+			d.tput.Offer(len(pk.Frame))
 			if inj.DropArrival() {
 				rep.LinkDropped++
-				tput.Lose()
+				d.tput.Lose()
 				// Offered but never resolvable: the arrival window
 				// records it as lost service.
 				d.avail.Offer(d.s.Now().Seconds())
@@ -172,7 +172,7 @@ func (d *Deployment) RunWithFaults(gen *workload.Generator, arrival workload.Arr
 				rep.LinkCorrupted++
 				pk.Frame[idx] ^= 0xff
 			}
-			d.dispatch(pk, tput, lat, fair)
+			d.dispatch(pk)
 			return nil
 		}, hooks)
 	if err != nil {

@@ -74,28 +74,28 @@ func (d *Deployment) RunWithImpairments(gen *workload.Generator, arrival workloa
 		return res, stats, err
 	}
 	rng := im.rng()
-	res, err := d.runInjected(arrival, offeredPps, durationSeconds, gen.ArrivalRNG(), func(tput *measure.ThroughputMeter, lat *measure.LatencyMeter, fair *measure.FairnessMeter) error {
+	res, err := d.runInjected(arrival, offeredPps, durationSeconds, gen.ArrivalRNG(), func() error {
 		pk, err := gen.NextCopy()
 		if err != nil {
 			return err
 		}
-		tput.Offer(len(pk.Frame))
+		d.tput.Offer(len(pk.Frame))
 		if rng.Float64() < im.DropProb {
 			stats.Dropped++
-			tput.Lose()
+			d.tput.Lose()
 			return nil
 		}
 		if rng.Float64() < im.CorruptProb {
 			stats.Corrupted++
 			pk.Frame[rng.Intn(len(pk.Frame))] ^= 0xff
 		}
-		d.dispatch(pk, tput, lat, fair)
+		d.dispatch(pk)
 		if rng.Float64() < im.DupProb {
 			stats.Duplicated++
 			dup := pk
 			dup.Frame = append([]byte(nil), pk.Frame...)
-			tput.Offer(len(dup.Frame))
-			d.dispatch(dup, tput, lat, fair)
+			d.tput.Offer(len(dup.Frame))
+			d.dispatch(dup)
 		}
 		return nil
 	}, nil)
@@ -135,14 +135,8 @@ func (d *Deployment) runTrace(tr *workload.TraceReader, stretch float64, inj *fa
 	}
 	horizon := recs[len(recs)-1].at + 1e-6
 
-	var (
-		tput measure.ThroughputMeter
-		lat  = measure.NewLatencyMeter()
-		fair = measure.NewFairnessMeter()
-		rep  = FaultReport{Spec: spec}
-	)
-	tput.Start(0)
-	d.armObs(horizon)
+	rep := FaultReport{Spec: spec}
+	d.beginRun(horizon)
 	if inj != nil {
 		if err := d.armFaults(inj, horizon); err != nil {
 			return Result{}, FaultReport{}, err
@@ -152,12 +146,12 @@ func (d *Deployment) runTrace(tr *workload.TraceReader, stretch float64, inj *fa
 	for _, r := range recs {
 		r := r
 		if err := d.s.At(r.at, func() {
-			tput.Offer(len(r.frame))
+			d.tput.Offer(len(r.frame))
 			frame := r.frame
 			if inj != nil {
 				if inj.DropArrival() {
 					rep.LinkDropped++
-					tput.Lose()
+					d.tput.Lose()
 					d.avail.Offer(d.s.Now().Seconds())
 					return
 				}
@@ -173,14 +167,13 @@ func (d *Deployment) runTrace(tr *workload.TraceReader, stretch float64, inj *fa
 					pk.Flow = ft
 				}
 			}
-			d.dispatch(pk, &tput, lat, fair)
+			d.dispatch(pk)
 		}); err != nil {
 			return Result{}, FaultReport{}, err
 		}
 	}
 	d.s.Run(horizon + 1)
-	tput.Stop(horizon)
-	res, err := d.collect(&tput, lat, fair, horizon)
+	res, err := d.collect(horizon)
 	if err != nil {
 		return Result{}, FaultReport{}, err
 	}

@@ -227,6 +227,7 @@ func tracedFaultRun(t *testing.T, seed uint64, specStr string, buf *bytes.Buffer
 	if tr.Err() != nil {
 		t.Fatalf("trace error: %v", tr.Err())
 	}
+	requireNoLatencyRejects(t, d)
 	return res, rep
 }
 
@@ -290,6 +291,7 @@ func TestReplayWithFaultsDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		requireNoLatencyRejects(t, d)
 		return res, rep
 	}
 	resA, repA := run()

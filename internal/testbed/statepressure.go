@@ -62,7 +62,7 @@ func (d *Deployment) RunScenario(sg *workload.ScenarioGen, arrival workload.Arri
 		hooks.prep = func(horizon sim.Time) error { return d.armStateSampler(horizon) }
 	}
 	return d.runInjected(arrival, offeredPps, durationSeconds, sg.ArrivalRNG(),
-		func(tput *measure.ThroughputMeter, lat *measure.LatencyMeter, fair *measure.FairnessMeter) error {
+		func() error {
 			pk, class, err := sg.NextAt(d.s.Now().Seconds())
 			if err != nil {
 				return err
@@ -70,9 +70,9 @@ func (d *Deployment) RunScenario(sg *workload.ScenarioGen, arrival workload.Arri
 			if d.cfg.MutatesFrames {
 				pk.Frame = append([]byte(nil), pk.Frame...)
 			}
-			tput.Offer(len(pk.Frame))
+			d.tput.Offer(len(pk.Frame))
 			d.state.Offer(string(class), len(pk.Frame))
-			d.dispatch(pk, tput, lat, fair)
+			d.dispatch(pk)
 			return nil
 		}, hooks)
 }

@@ -92,6 +92,7 @@ func TestRunScenarioDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		requireNoLatencyRejects(t, d)
 		s, err := sm.Summarize(testDuration)
 		if err != nil {
 			t.Fatal(err)
@@ -229,6 +230,7 @@ func TestRunScenarioMillionFlowsBoundedAndDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		requireNoLatencyRejects(t, d)
 		s, err := sm.Summarize(testDuration)
 		if err != nil {
 			t.Fatal(err)

@@ -158,6 +158,18 @@ type Deployment struct {
 	// state is the optional per-class state-pressure meter scenario
 	// runs attach; nil (the default) keeps the hot path class-blind.
 	state *measure.StateMeter
+
+	// The run's meters, reset by beginRun.
+	tput measure.ThroughputMeter
+	lat  *measure.LatencyMeter
+	fair *measure.FairnessMeter
+
+	// free lists recycled packet records; inFlight counts records handed
+	// out and not yet finished.
+	free     *pktInFlight
+	inFlight uint64
+	// latRejects counts latency samples the histogram refused.
+	latRejects uint64
 }
 
 // New assembles a deployment.
@@ -367,6 +379,12 @@ func verdictLabel(forwarded bool) string {
 	return "drop"
 }
 
+// LatencyRejects returns how many latency samples of the last run the
+// latency histogram refused (non-finite or out of range). Every
+// rejected sample is a packet missing from the reported percentiles, so
+// a healthy run has none.
+func (d *Deployment) LatencyRejects() uint64 { return d.latRejects }
+
 // Result is the measured outcome of a Run.
 type Result struct {
 	Name     string
@@ -395,7 +413,7 @@ func (d *Deployment) Run(gen *workload.Generator, arrival workload.Arrival, offe
 		return Result{}, fmt.Errorf("testbed: invalid run params pps=%v duration=%v", offeredPps, durationSeconds)
 	}
 	return d.runInjected(arrival, offeredPps, durationSeconds, gen.ArrivalRNG(),
-		func(tput *measure.ThroughputMeter, lat *measure.LatencyMeter, fair *measure.FairnessMeter) error {
+		func() error {
 			var pk workload.Pkt
 			var err error
 			if d.cfg.MutatesFrames {
@@ -406,14 +424,11 @@ func (d *Deployment) Run(gen *workload.Generator, arrival workload.Arrival, offe
 			if err != nil {
 				return err
 			}
-			tput.Offer(len(pk.Frame))
-			d.dispatch(pk, tput, lat, fair)
+			d.tput.Offer(len(pk.Frame))
+			d.dispatch(pk)
 			return nil
 		}, nil)
 }
-
-// injector produces and offers one packet per arrival event.
-type injector func(*measure.ThroughputMeter, *measure.LatencyMeter, *measure.FairnessMeter) error
 
 // runHooks customises runInjected for faulted runs.
 type runHooks struct {
@@ -425,18 +440,23 @@ type runHooks struct {
 	rateFactor func() float64
 }
 
-// runInjected drives the arrival process, calling inject per arrival,
-// then drains and collects the measurement. hooks may be nil.
-func (d *Deployment) runInjected(arrival workload.Arrival, offeredPps, durationSeconds float64, arrRng *sim.RNG, inject injector, hooks *runHooks) (Result, error) {
-	var (
-		tput    measure.ThroughputMeter
-		lat     = measure.NewLatencyMeter()
-		fair    = measure.NewFairnessMeter()
-		horizon = sim.Time(durationSeconds)
-		injErr  error
-	)
-	tput.Start(0)
+// beginRun resets the run's meters and arms observability for a run
+// measured over [0, horizon).
+func (d *Deployment) beginRun(horizon sim.Time) {
+	d.tput = measure.ThroughputMeter{}
+	d.tput.Start(0)
+	d.lat = measure.NewLatencyMeter()
+	d.fair = measure.NewFairnessMeter()
+	d.latRejects = 0
 	d.armObs(horizon)
+}
+
+// runInjected drives the arrival process, calling inject per arrival
+// to offer one packet, then drains and collects the measurement. hooks
+// may be nil.
+func (d *Deployment) runInjected(arrival workload.Arrival, offeredPps, durationSeconds float64, arrRng *sim.RNG, inject func() error, hooks *runHooks) (Result, error) {
+	horizon := sim.Time(durationSeconds)
+	d.beginRun(horizon)
 	if hooks != nil && hooks.prep != nil {
 		if err := hooks.prep(horizon); err != nil {
 			return Result{}, err
@@ -447,23 +467,28 @@ func (d *Deployment) runInjected(arrival workload.Arrival, offeredPps, durationS
 		rate = func() float64 { return offeredPps * hooks.rateFactor() }
 	}
 
-	var schedule func(at sim.Time)
-	schedule = func(at sim.Time) {
+	// One arrival callback serves the whole run: it fires at an arrival
+	// time, offers a packet, and reschedules itself one gap later.
+	var injErr error
+	var arrive func()
+	scheduleNext := func() {
+		at := d.s.Now() + sim.Time(arrival.NextGap(arrRng, rate()))
 		if at > horizon {
 			return
 		}
-		if err := d.s.At(at, func() {
-			if err := inject(&tput, lat, fair); err != nil && injErr == nil {
-				injErr = err
-				d.s.Halt()
-				return
-			}
-			schedule(at + sim.Time(arrival.NextGap(arrRng, rate())))
-		}); err != nil && injErr == nil {
+		if err := d.s.At(at, arrive); err != nil && injErr == nil {
 			injErr = err
 		}
 	}
-	schedule(sim.Time(arrival.NextGap(arrRng, rate())))
+	arrive = func() {
+		if err := inject(); err != nil && injErr == nil {
+			injErr = err
+			d.s.Halt()
+			return
+		}
+		scheduleNext()
+	}
+	scheduleNext()
 
 	// Run past the horizon so in-flight packets drain (bounded by the
 	// largest plausible queueing delay).
@@ -471,17 +496,36 @@ func (d *Deployment) runInjected(arrival workload.Arrival, offeredPps, durationS
 	if injErr != nil {
 		return Result{}, injErr
 	}
-	tput.Stop(horizon)
-	return d.collect(&tput, lat, fair, horizon)
+	return d.collect(horizon)
 }
 
-// collect assembles the Result from the meters and device energy.
-func (d *Deployment) collect(tput *measure.ThroughputMeter, lat *measure.LatencyMeter, fair *measure.FairnessMeter, end sim.Time) (Result, error) {
+// ConservationError reports a run whose packet accounting does not
+// balance: every offered packet must end processed (forwarded or
+// policy-dropped), lost, or still in flight at the drain cutoff.
+type ConservationError struct {
+	Deployment                         string
+	Offered, Processed, Lost, InFlight uint64
+}
+
+func (e *ConservationError) Error() string {
+	return fmt.Sprintf("testbed: %s: packet conservation violated: offered %d != processed %d + lost %d + in flight %d",
+		e.Deployment, e.Offered, e.Processed, e.Lost, e.InFlight)
+}
+
+// collect checks packet conservation and assembles the Result of a run
+// measured over [0, end) from the meters and device energy.
+func (d *Deployment) collect(end sim.Time) (Result, error) {
 	if end <= 0 {
 		// Run/RunTrace validate durations, so this is defensive: a
 		// zero-length window must not divide energy by zero below.
 		return Result{}, fmt.Errorf("testbed: %s: empty measurement window", d.cfg.Name)
 	}
+	tput := &d.tput
+	if tput.OfferedPackets != tput.ProcessedPackets+tput.LostPackets+d.inFlight {
+		return Result{}, &ConservationError{Deployment: d.cfg.Name, Offered: tput.OfferedPackets,
+			Processed: tput.ProcessedPackets, Lost: tput.LostPackets, InFlight: d.inFlight}
+	}
+	tput.Stop(end)
 	d.finishObs(end)
 	res := Result{
 		Name:          d.cfg.Name,
@@ -490,10 +534,10 @@ func (d *Deployment) collect(tput *measure.ThroughputMeter, lat *measure.Latency
 		Processed:     tput.Processed(),
 		Forwarded:     tput.Forwarded(),
 		LossFraction:  tput.LossFraction(),
-		LatencyMeanUs: lat.Summary().Mean / 1e3,
-		LatencyP50Us:  lat.P50Micros(),
-		LatencyP99Us:  lat.P99Micros(),
-		JFI:           fair.JFI(),
+		LatencyMeanUs: d.lat.Summary().Mean / 1e3,
+		LatencyP50Us:  d.lat.P50Micros(),
+		LatencyP99Us:  d.lat.P99Micros(),
+		JFI:           d.fair.JFI(),
 	}
 	var energy float64
 	res.PerDeviceAvgWatts = make(map[string]float64)
@@ -511,6 +555,115 @@ func (d *Deployment) collect(tput *measure.ThroughputMeter, lat *measure.Latency
 	return res, nil
 }
 
+// outcome is a packet's terminal fate.
+type outcome uint8
+
+const (
+	// forwarded and dropped are device completions: the packet was
+	// processed and left the system, or was dropped by NF policy.
+	forwarded outcome = iota
+	dropped
+	// predropped is an in-network drop by the switch pipeline.
+	predropped
+	// lost means no component could take the packet.
+	lost
+)
+
+// pktInFlight is one offered packet between dispatch and its terminal
+// outcome. Records are recycled through the deployment's free list and
+// each binds its device completion callback (done) once, so the
+// steady-state packet path allocates nothing.
+type pktInFlight struct {
+	d    *Deployment
+	done func(hw.Sojourn)
+	next *pktInFlight // free-list link
+
+	sp      *obs.Span
+	flow    packet.FiveTuple
+	class   string
+	size    int
+	arrived float64
+	// extra is latency accrued before the device that finishes the
+	// packet (the switch stage).
+	extra float64
+	// device, fwd and install describe the pending device completion:
+	// who completes the packet, its verdict, and whether a forwarded
+	// flow is then installed on the SmartNIC.
+	device  string
+	fwd     bool
+	install bool
+}
+
+// acquire hands out a packet record for pk arriving now.
+func (d *Deployment) acquire(pk workload.Pkt) *pktInFlight {
+	p := d.free
+	if p != nil {
+		d.free = p.next
+	} else {
+		//fairlint:allow hotalloc pool miss: records are recycled, so the pool grows once to the run's peak in-flight count
+		p = &pktInFlight{}
+		p.done = p.complete
+	}
+	d.inFlight++
+	*p = pktInFlight{
+		d: d, done: p.done,
+		sp:   d.startSpan(),
+		flow: pk.Flow, class: string(pk.Class), size: len(pk.Frame),
+		arrived: d.s.Now().Seconds(),
+	}
+	d.avail.Offer(p.arrived)
+	return p
+}
+
+// complete is a device's completion callback, bound once per record.
+func (p *pktInFlight) complete(so hw.Sojourn) {
+	out := dropped
+	if p.fwd {
+		out = forwarded
+	}
+	p.finish(out, p.device, so)
+}
+
+// finish records the packet's terminal outcome in every meter, the
+// latency histogram and its trace span, then recycles the record. It is
+// the one place a packet leaves the deployment. device names the
+// component that decided the outcome; so is its sojourn breakdown for
+// device completions.
+func (p *pktInFlight) finish(out outcome, device string, so hw.Sojourn) {
+	d := p.d
+	if out == lost {
+		d.tput.Lose()
+		d.avail.Resolve(p.arrived, false)
+		d.state.Lose(p.class)
+		p.sp.End(device, "loss")
+	} else {
+		fwd := out == forwarded
+		d.tput.Process(p.size, fwd)
+		d.avail.Resolve(p.arrived, true)
+		if fwd {
+			d.state.Deliver(p.class, p.size)
+			d.fair.Record(p.flow, p.size)
+		} else {
+			d.state.Drop(p.class)
+		}
+		if err := d.lat.RecordSeconds(so.Total() + p.extra); err != nil {
+			d.latRejects++
+		}
+		if out != predropped {
+			spanSojourn(p.sp, so)
+		}
+		p.sp.End(device, verdictLabel(fwd))
+		if p.install {
+			// Install the offload entry once the host has vetted the flow.
+			d.smartnic.Install(p.flow)
+		}
+	}
+	p.sp = nil
+	p.next = d.free
+	d.free = p
+	d.inFlight--
+}
+
 // dispatch pushes one offered packet through the deployment's path.
 // When a tracer is attached, every packet gets a lifecycle span whose
 // stage durations sum to the latency the meters record. Offload devices
@@ -518,57 +671,37 @@ func (d *Deployment) collect(tput *measure.ThroughputMeter, lat *measure.Latency
 // still holds the full rule set), and FPGA overflow or outage spills to
 // the host cores when there are any — traffic is only lost when no
 // component can take it.
-func (d *Deployment) dispatch(pk workload.Pkt, tput *measure.ThroughputMeter, lat *measure.LatencyMeter, fair *measure.FairnessMeter) {
-	size := len(pk.Frame)
-	arrived := d.s.Now().Seconds()
-	d.avail.Offer(arrived)
-	extraLatency := 0.0
-	sp := d.startSpan()
+//
+//fairbench:hotpath fairbench case testbed-smartnic-packet
+func (d *Deployment) dispatch(pk workload.Pkt) {
+	p := d.acquire(pk)
 
 	// Stage 1: programmable switch preprocessing at line rate. A downed
 	// switch is bypassed (fail-open), leaving all classification to the
 	// host.
 	if d.sw != nil && !d.offSwitch && !d.sw.Down() {
 		verdict, swLat := d.sw.Process(pk.Flow)
-		sp.Stage("switch", swLat)
+		p.sp.Stage("switch", swLat)
+		p.extra += swLat
 		if verdict == nf.Drop {
 			// Pre-dropped in-network: processed work, not forwarded.
-			tput.Process(size, false)
-			d.avail.Resolve(arrived, true)
-			d.state.Drop(string(pk.Class))
-			_ = lat.RecordSeconds(swLat)
-			sp.End(d.sw.Name(), "drop")
+			p.finish(predropped, d.sw.Name(), hw.Sojourn{})
 			return
 		}
-		extraLatency += swLat
 	}
 
 	// Stage 2: FPGA full offload; overflow, flow-table punts and outage
 	// fail over to the host slow path when cores exist.
 	if d.fpga != nil {
-		verdict := d.functionalVerdict(pk)
-		if !d.fpga.SubmitFlow(pk.Flow, func(so hw.Sojourn) {
-			forwarded := verdict != nf.Drop
-			tput.Process(size, forwarded)
-			d.avail.Resolve(arrived, true)
-			if forwarded {
-				d.state.Deliver(string(pk.Class), size)
-				fair.Record(pk.Flow, size)
-			} else {
-				d.state.Drop(string(pk.Class))
-			}
-			_ = lat.RecordSeconds(so.Total() + extraLatency)
-			spanSojourn(sp, so)
-			sp.End(d.fpga.Name(), verdictLabel(forwarded))
-		}) {
-			if len(d.cores) > 0 {
-				d.hostPath(pk, size, extraLatency, sp, tput, lat, fair)
-				return
-			}
-			tput.Lose()
-			d.avail.Resolve(arrived, false)
-			d.state.Lose(string(pk.Class))
-			sp.End(d.fpga.Name(), "loss")
+		p.fwd = d.functionalVerdict(pk) != nf.Drop
+		p.device = d.fpga.Name()
+		if d.fpga.SubmitFlow(pk.Flow, p.done) {
+			return
+		}
+		if len(d.cores) > 0 {
+			d.hostPath(p, pk.Frame)
+		} else {
+			p.finish(lost, d.fpga.Name(), hw.Sojourn{})
 		}
 		return
 	}
@@ -576,77 +709,40 @@ func (d *Deployment) dispatch(pk workload.Pkt, tput *measure.ThroughputMeter, la
 	// Stage 3: SmartNIC fast path for established flows. Saturation,
 	// table misses and outages all punt to the host slow path.
 	if d.smartnic != nil && !d.offSmartNIC {
-		flow := pk.Flow
-		if d.smartnic.Offload(flow, func(so hw.Sojourn) {
-			tput.Process(size, true)
-			d.avail.Resolve(arrived, true)
-			d.state.Deliver(string(pk.Class), size)
-			fair.Record(flow, size)
-			_ = lat.RecordSeconds(so.Total() + extraLatency)
-			spanSojourn(sp, so)
-			sp.End(d.smartnic.Name(), "forward")
-		}) {
+		p.fwd = true
+		p.device = d.smartnic.Name()
+		if d.smartnic.Offload(pk.Flow, p.done) {
 			return
 		}
 	}
 
 	// Stage 4: host slow path.
-	d.hostPath(pk, size, extraLatency, sp, tput, lat, fair)
+	d.hostPath(p, pk.Frame)
 }
 
 // hostPath runs the NF on the packet's RSS core.
-func (d *Deployment) hostPath(pk workload.Pkt, size int, extraLatency float64, sp *obs.Span, tput *measure.ThroughputMeter, lat *measure.LatencyMeter, fair *measure.FairnessMeter) {
-	arrived := d.s.Now().Seconds()
+func (d *Deployment) hostPath(p *pktInFlight, frame []byte) {
 	if len(d.cores) == 0 {
-		tput.Lose()
-		d.avail.Resolve(arrived, false)
-		d.state.Lose(string(pk.Class))
-		sp.End("host", "loss")
+		p.finish(lost, "host", hw.Sojourn{})
 		return
 	}
-	coreID := hw.RSS(pk.Flow, len(d.cores))
+	coreID := hw.RSS(p.flow, len(d.cores))
 	core := d.cores[coreID]
 	parser := d.parsers[coreID]
-	if err := parser.Parse(pk.Frame); err != nil {
-		tput.Lose()
-		d.avail.Resolve(arrived, false)
-		d.state.Lose(string(pk.Class))
-		sp.End(core.Name(), "loss")
+	if err := parser.Parse(frame); err != nil {
+		p.finish(lost, core.Name(), hw.Sojourn{})
 		return
 	}
-	res, err := d.nfs[coreID].Process(parser, pk.Frame)
+	res, err := d.nfs[coreID].Process(parser, frame)
 	if err != nil {
-		tput.Lose()
-		d.avail.Resolve(arrived, false)
-		d.state.Lose(string(pk.Class))
-		sp.End(core.Name(), "loss")
+		p.finish(lost, core.Name(), hw.Sojourn{})
 		return
 	}
-	flow := pk.Flow
-	class := string(pk.Class)
-	ok := core.Submit(res.Cycles, func(so hw.Sojourn) {
-		forwarded := res.Verdict != nf.Drop
-		tput.Process(size, forwarded)
-		d.avail.Resolve(arrived, true)
-		if forwarded {
-			d.state.Deliver(class, size)
-			fair.Record(flow, size)
-		} else {
-			d.state.Drop(class)
-		}
-		_ = lat.RecordSeconds(so.Total() + extraLatency)
-		spanSojourn(sp, so)
-		sp.End(core.Name(), verdictLabel(forwarded))
-		// Install the offload entry once the host has vetted the flow.
-		if d.smartnic != nil && !d.offSmartNIC && forwarded {
-			d.smartnic.Install(flow)
-		}
-	})
-	if !ok {
-		tput.Lose()
-		d.avail.Resolve(arrived, false)
-		d.state.Lose(class)
-		sp.End(core.Name(), "loss")
+	p.fwd = res.Verdict != nf.Drop
+	p.install = p.fwd && d.smartnic != nil && !d.offSmartNIC
+	p.device = core.Name()
+	if !core.Submit(res.Cycles, p.done) {
+		p.finish(lost, core.Name(), hw.Sojourn{})
 	}
 }
 

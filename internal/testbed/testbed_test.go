@@ -229,6 +229,7 @@ func TestDeterministicRuns(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		requireNoLatencyRejects(t, d)
 		return res
 	}
 	a, b := run(), run()

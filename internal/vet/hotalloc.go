@@ -21,6 +21,10 @@ import (
 // an abort path that never runs at steady state and is skipped.
 //
 //   - make of anything
+//   - new(T) and &T{...}: the compiler keeps them on the stack only
+//     when they provably do not escape, and on a hot path they usually
+//     do (stored in a queue, handed to a callback) — the per-event
+//     &event{} the kernel once allocated in sim.At is the case in point
 //   - append, unless the target was rebound to an array-backed
 //     reslice (t = a[:0] with a array-typed) in the same function —
 //     the idiom internal/packet uses for its fixed-capacity scratch
@@ -88,6 +92,10 @@ func checkAllocs(g *graph, n *fnode, root *fnode, report reportFunc) {
 				report(nd.Pos(), RuleHotAlloc,
 					"make allocates on the hot path",
 					hint("hoist the allocation into construction/reset"))
+			case "new":
+				report(nd.Pos(), RuleHotAlloc,
+					"new may heap-allocate on the hot path",
+					hint("store the value inline, or recycle records through a free list"))
 			case "append":
 				if len(nd.Args) > 0 && !bounded[exprKey(nd.Args[0])] && !isScratchReslice(nd.Args[0]) {
 					report(nd.Pos(), RuleHotAlloc,
@@ -96,6 +104,12 @@ func checkAllocs(g *graph, n *fnode, root *fnode, report reportFunc) {
 				}
 			case "":
 				checkCallBoxing(info, nd, report, hint)
+			}
+		case *ast.UnaryExpr:
+			if _, lit := ast.Unparen(nd.X).(*ast.CompositeLit); lit && nd.Op == token.AND {
+				report(nd.Pos(), RuleHotAlloc,
+					"&"+types.TypeString(info.TypeOf(nd.X), types.RelativeTo(n.pkg.Types))+"{...} may heap-allocate on the hot path",
+					hint("store the value inline, or recycle records through a free list"))
 			}
 		case *ast.FuncLit:
 			if cap := captured(info, n.decl, nd); cap != "" {

@@ -79,6 +79,7 @@ func TestHotpathsAnnotated(t *testing.T) {
 		"internal/nf.(*Firewall).Process":         false,
 		"internal/nf.(*Conntrack).Process":        false,
 		"internal/workload.(*ScenarioGen).NextAt": false,
+		"internal/testbed.(*Deployment).dispatch": false,
 	}
 	cfg := Config{Dir: root, Patterns: []string{"./..."}}
 	cfg.fillDefaults()

@@ -78,3 +78,30 @@ func (r *Ring) label(parts []string) string {
 // Cold is not annotated and not reached from any hot root: its make is
 // not a finding.
 func Cold() []int { return make([]int, 4) }
+
+// event is a heap record like the one the simulation kernel once
+// allocated per scheduled callback.
+type event struct {
+	at float64
+	fn func()
+}
+
+// Queue is a pointer heap: every scheduled event is a fresh allocation.
+type Queue struct {
+	items []*event
+	spare *event
+}
+
+// At reproduces the kernel's old schedule path.
+//
+//fairbench:hotpath corpus schedule path
+func (q *Queue) At(at float64, fn func()) {
+	// Positive: &T{} escapes into the queue on every call.
+	e := &event{at: at, fn: fn}
+	//fairlint:allow hotalloc corpus demo of amortized queue growth
+	q.items = append(q.items, e)
+	// Positive: new(T) allocates just the same.
+	q.spare = new(event)
+	// Negative: a composite literal stored by value allocates nothing.
+	*q.spare = event{at: at}
+}

@@ -120,9 +120,10 @@ func DefaultSimBoundary() []string {
 
 // DefaultHotpathScope is where hotalloc findings propagate: the sim
 // boundary plus internal/packet, whose parser is on the per-packet
-// fast path of every deployment.
+// fast path of every deployment, and internal/testbed, whose dispatch
+// path carries every simulated packet through the device models.
 func DefaultHotpathScope() []string {
-	return append(DefaultSimBoundary(), "internal/packet")
+	return append(DefaultSimBoundary(), "internal/packet", "internal/testbed")
 }
 
 func (c *Config) fillDefaults() {

@@ -732,10 +732,9 @@ func (g *ScenarioGen) emit(ft packet.FiveTuple, size int, syn bool) ([]byte, err
 		if err != nil {
 			return nil, err
 		}
-		tp = &scnTemplate{proto: ft.Proto, size: size, syn: syn, frame: frame, cur: ft}
 		//fairlint:allow hotalloc template cache miss path; steady state serves patched cached frames
-		g.templates = append(g.templates, tp)
-		return tp.frame, nil
+		g.templates = append(g.templates, &scnTemplate{proto: ft.Proto, size: size, syn: syn, frame: frame, cur: ft})
+		return frame, nil
 	}
 	if tp.cur != ft {
 		patchTuple(tp.frame, tp.cur, ft)
