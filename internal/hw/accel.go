@@ -256,13 +256,11 @@ func (f *FPGA) Submit(done func(Sojourn)) bool {
 // semantics, distinct from the ingress-buffer Overflowed outcome.
 func (f *FPGA) SubmitFlow(ft packet.FiveTuple, done func(Sojourn)) bool {
 	if f.table != nil && !f.Down() {
-		if _, known := f.table.Get(ft); !known {
+		if _, known := f.table.Use(ft); !known {
 			if _, _, _, ok := f.table.Put(ft, 1); !ok {
 				f.TablePunts++
 				return false
 			}
-		} else {
-			f.table.Touch(ft)
 		}
 	}
 	return f.Submit(done)

@@ -181,16 +181,20 @@ func (c *Conntrack) Process(p *packet.Parser, _ []byte) (Result, error) {
 		return Result{Verdict: Drop, Cycles: CyclesParse}, nil
 	}
 
-	// Fast path: known flow in either direction.
-	if state, known := c.State(ft); known {
-		res := Result{Verdict: Accept, Cycles: CyclesParse + CyclesConntrackHit}
-		c.table.Touch(ft)
-		c.table.Touch(ft.Reverse())
+	// Fast path: known flow in either direction. Only the direction that
+	// opened the connection is stored, so one hit is the whole lookup.
+	key := ft
+	v, known := c.table.Use(key)
+	if !known {
+		key = ft.Reverse()
+		v, known = c.table.Use(key)
+	}
+	if known {
 		if ft.Proto == packet.ProtoTCP {
-			c.advance(ft, state, p.TCP.Flags)
+			c.advance(key, ConnState(v), p.TCP.Flags)
 		}
 		c.FastPath++
-		return res, nil
+		return Result{Verdict: Accept, Cycles: CyclesParse + CyclesConntrackHit}, nil
 	}
 
 	// Slow path: classify the new flow against the rule set.
@@ -255,13 +259,9 @@ func (c *Conntrack) Process(p *packet.Parser, _ []byte) (Result, error) {
 	return res, nil
 }
 
-// advance moves a TCP connection through its lifecycle and removes
-// finished connections from the table.
-func (c *Conntrack) advance(ft packet.FiveTuple, state ConnState, flags packet.TCPFlags) {
-	key := ft
-	if _, ok := c.table.Get(key); !ok {
-		key = ft.Reverse()
-	}
+// advance moves the TCP connection stored under key through its
+// lifecycle and removes finished connections from the table.
+func (c *Conntrack) advance(key packet.FiveTuple, state ConnState, flags packet.TCPFlags) {
 	switch {
 	case flags.Has(packet.FlagRST):
 		c.table.Delete(key)

@@ -123,6 +123,17 @@ func (t *FlowTable) Get(ft packet.FiveTuple) (uint32, bool) {
 	return t.entries[slot].val, true
 }
 
+// Use looks up ft and, when present, marks it most recently used: Get
+// and Touch in one probe.
+func (t *FlowTable) Use(ft packet.FiveTuple) (uint32, bool) {
+	slot, ok := t.idx[ft]
+	if !ok {
+		return 0, false
+	}
+	t.moveToFront(slot)
+	return t.entries[slot].val, true
+}
+
 // Touch marks ft as most recently used (no-op if absent).
 func (t *FlowTable) Touch(ft packet.FiveTuple) {
 	if slot, ok := t.idx[ft]; ok {

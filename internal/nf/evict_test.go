@@ -2,6 +2,7 @@ package nf
 
 import (
 	"errors"
+	"math/rand"
 	"testing"
 
 	"fairbench/internal/packet"
@@ -378,5 +379,59 @@ func TestLBAffinityOverflowFallsBackToRing(t *testing.T) {
 	}
 	if lb.AffinityBroken != 6 {
 		t.Errorf("AffinityBroken = %d, want 6", lb.AffinityBroken)
+	}
+}
+
+// recency lists a table's keys from most to least recently used.
+func recency(t *FlowTable) []packet.FiveTuple {
+	var out []packet.FiveTuple
+	for s := t.head; s != noSlot; s = t.entries[s].next {
+		out = append(out, t.entries[s].ft)
+	}
+	return out
+}
+
+// TestFlowTableUseMatchesGetTouch drives two identically seeded tables
+// through the same random operations, one looking entries up with Use
+// and the other with the Get+Touch pair it replaced: every result,
+// eviction victim and the final recency order must agree.
+func TestFlowTableUseMatchesGetTouch(t *testing.T) {
+	for _, policy := range []EvictPolicy{EvictNone, EvictRandom, EvictLRU} {
+		a, b := NewFlowTable(16, policy, 5), NewFlowTable(16, policy, 5)
+		ops := rand.New(rand.NewSource(int64(policy) + 1))
+		for i := 0; i < 20_000; i++ {
+			k, v := evFlow(ops.Intn(40)), uint32(i)
+			switch op := ops.Intn(10); {
+			case op < 5:
+				va, oka := a.Use(k)
+				vb, okb := b.Get(k)
+				b.Touch(k)
+				if va != vb || oka != okb {
+					t.Fatalf("%v op %d: Use = %d,%v, Get = %d,%v", policy, i, va, oka, vb, okb)
+				}
+			case op < 9:
+				victimA, valA, evA, okA := a.Put(k, v)
+				victimB, valB, evB, okB := b.Put(k, v)
+				if victimA != victimB || valA != valB || evA != evB || okA != okB {
+					t.Fatalf("%v op %d: Put diverged", policy, i)
+				}
+			default:
+				if a.Delete(k) != b.Delete(k) {
+					t.Fatalf("%v op %d: Delete diverged", policy, i)
+				}
+			}
+		}
+		ra, rb := recency(a), recency(b)
+		if len(ra) != len(rb) {
+			t.Fatalf("%v: %d vs %d entries", policy, len(ra), len(rb))
+		}
+		for i := range ra {
+			if ra[i] != rb[i] {
+				t.Fatalf("%v: recency order differs at %d", policy, i)
+			}
+		}
+		if a.Evictions != b.Evictions {
+			t.Errorf("%v: evictions %d vs %d", policy, a.Evictions, b.Evictions)
+		}
 	}
 }

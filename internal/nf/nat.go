@@ -109,7 +109,7 @@ func (n *NAT) Process(p *packet.Parser, frame []byte) (Result, error) {
 	if !ok {
 		return Result{Verdict: Accept, Cycles: CyclesParse}, nil
 	}
-	port, hit := n.bindings.Get(ft)
+	port, hit := n.bindings.Use(ft)
 	cycles := uint64(CyclesParse + CyclesNATHit)
 	if !hit {
 		newPort, err := n.allocPort()
@@ -135,7 +135,6 @@ func (n *NAT) Process(p *packet.Parser, frame []byte) (Result, error) {
 		cycles += CyclesNATMiss
 		n.Misses++
 	} else {
-		n.bindings.Touch(ft)
 		n.Hits++
 	}
 

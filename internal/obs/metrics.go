@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strings"
 )
@@ -59,47 +58,6 @@ func (g *Gauge) Value() float64 {
 	return g.v
 }
 
-// Histogram counts observations into fixed buckets with upper bounds
-// (the last, implicit bucket is +Inf). A nil *Histogram is a no-op.
-type Histogram struct {
-	bounds []float64
-	counts []uint64
-	sum    float64
-	count  uint64
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	h.sum += v
-	h.count++
-	for i, b := range h.bounds {
-		if v <= b {
-			h.counts[i]++
-			return
-		}
-	}
-	h.counts[len(h.bounds)]++
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.count
-}
-
-// Sum returns the total of all observations.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum
-}
-
 // metric is one registered series of any kind.
 type metric struct {
 	name   string
@@ -107,7 +65,6 @@ type metric struct {
 	kind   string
 	c      *Counter
 	g      *Gauge
-	h      *Histogram
 }
 
 // Registry holds labeled metrics and exports deterministic snapshots.
@@ -176,37 +133,15 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 	return m.g
 }
 
-// Histogram returns the histogram for name+labels, creating it with the
-// given bucket upper bounds (sorted ascending) on first use. Later
-// calls reuse the existing buckets.
-func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Histogram {
-	if r == nil {
-		return nil
-	}
-	m := r.lookup(name, "histogram", labels)
-	if m.h == nil {
-		bs := append([]float64(nil), bounds...)
-		sort.Float64s(bs)
-		m.h = &Histogram{bounds: bs, counts: make([]uint64, len(bs)+1)}
-	}
-	return m.h
-}
-
-// Bucket is one histogram bucket in a snapshot (Le = upper bound;
-// +Inf is rendered as "inf").
-type Bucket struct {
-	Le    string `json:"le"`
-	Count uint64 `json:"count"`
-}
-
-// Point is one metric series in a snapshot.
+// Point is one metric series in a snapshot. Count backs the CSV's count
+// column, kept so the export format stays stable; counters and gauges
+// leave it 0.
 type Point struct {
-	Name    string            `json:"name"`
-	Labels  map[string]string `json:"labels,omitempty"`
-	Kind    string            `json:"kind"`
-	Value   float64           `json:"value"`
-	Count   uint64            `json:"count,omitempty"`
-	Buckets []Bucket          `json:"buckets,omitempty"`
+	Name   string            `json:"name"`
+	Labels map[string]string `json:"labels,omitempty"`
+	Kind   string            `json:"kind"`
+	Value  float64           `json:"value"`
+	Count  uint64            `json:"count,omitempty"`
 }
 
 // Snapshot returns every series, sorted by name then labels, so exports
@@ -235,24 +170,10 @@ func (r *Registry) Snapshot() []Point {
 			p.Value = m.c.Value()
 		case "gauge":
 			p.Value = m.g.Value()
-		case "histogram":
-			p.Value = m.h.Sum()
-			p.Count = m.h.Count()
-			for i, b := range m.h.bounds {
-				p.Buckets = append(p.Buckets, Bucket{Le: formatBound(b), Count: m.h.counts[i]})
-			}
-			p.Buckets = append(p.Buckets, Bucket{Le: "inf", Count: m.h.counts[len(m.h.bounds)]})
 		}
 		out = append(out, p)
 	}
 	return out
-}
-
-func formatBound(b float64) string {
-	if math.IsInf(b, 1) {
-		return "inf"
-	}
-	return fmt.Sprintf("%g", b)
 }
 
 // ExportJSONL writes the snapshot as one JSON object per line.
@@ -269,9 +190,8 @@ func (r *Registry) ExportJSONL(w io.Writer) error {
 	return nil
 }
 
-// ExportCSV writes the snapshot as CSV (name,labels,kind,value,count).
-// Histogram buckets are carried by the JSONL export only; the CSV keeps
-// one row per series with its sum and count.
+// ExportCSV writes the snapshot as CSV (name,labels,kind,value,count),
+// one row per series.
 func (r *Registry) ExportCSV(w io.Writer) error {
 	if _, err := io.WriteString(w, "name,labels,kind,value,count\n"); err != nil {
 		return err

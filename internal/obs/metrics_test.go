@@ -19,11 +19,6 @@ func TestNilRegistryAndInstruments(t *testing.T) {
 	if g.Value() != 0 {
 		t.Error("nil gauge should stay 0")
 	}
-	h := r.Histogram("z", []float64{1})
-	h.Observe(0.5)
-	if h.Count() != 0 || h.Sum() != 0 {
-		t.Error("nil histogram should record nothing")
-	}
 	if r.Snapshot() != nil {
 		t.Error("nil registry snapshot should be nil")
 	}
@@ -47,37 +42,6 @@ func TestCounterSemantics(t *testing.T) {
 	multi.Inc()
 	if got := r.Counter("m", L("a", "1"), L("b", "2")).Value(); got != 1 {
 		t.Errorf("label order should not split series; got %v", got)
-	}
-}
-
-func TestHistogramBuckets(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat", []float64{1e-6, 1e-5, 1e-4})
-	for _, v := range []float64{5e-7, 5e-6, 5e-5, 5e-3} {
-		h.Observe(v)
-	}
-	if h.Count() != 4 {
-		t.Errorf("count = %d, want 4", h.Count())
-	}
-	pts := r.Snapshot()
-	if len(pts) != 1 {
-		t.Fatalf("snapshot has %d points, want 1", len(pts))
-	}
-	p := pts[0]
-	if p.Kind != "histogram" || p.Count != 4 {
-		t.Errorf("point = %+v", p)
-	}
-	if len(p.Buckets) != 4 {
-		t.Fatalf("buckets = %+v, want 4 incl. inf", p.Buckets)
-	}
-	wantCounts := []uint64{1, 1, 1, 1}
-	for i, b := range p.Buckets {
-		if b.Count != wantCounts[i] {
-			t.Errorf("bucket %d (le %s) count = %d, want %d", i, b.Le, b.Count, wantCounts[i])
-		}
-	}
-	if p.Buckets[3].Le != "inf" {
-		t.Errorf("last bucket le = %q, want inf", p.Buckets[3].Le)
 	}
 }
 

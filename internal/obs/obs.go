@@ -1,6 +1,6 @@
 // Package obs is the observability layer of the measurement pipeline:
 // structured event tracing with per-packet lifecycle spans, a labeled
-// counter/gauge/histogram metrics registry with deterministic snapshot
+// counter/gauge metrics registry with deterministic snapshot
 // export, and a virtual-time periodic sampler.
 //
 // The paper's §5 call to action asks for "tools and approaches for

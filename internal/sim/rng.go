@@ -68,11 +68,16 @@ func (r *RNG) Exp(rate float64) float64 {
 }
 
 // Zipf draws from a Zipf distribution over {0, ..., n-1} with exponent
-// s > 0 by inverse-transform over precomputed cumulative weights. Use
-// NewZipf to amortise the table across draws.
+// s > 0 by inverse-transform over precomputed cumulative weights. A
+// guide table narrows each draw's binary search to the ranks whose
+// cumulative weight can bracket it. Use NewZipf to amortise the tables
+// across draws.
 type Zipf struct {
 	cum []float64
-	rng *RNG
+	// guide[j] is the first rank with cum >= j/n (n-1 if none), so a
+	// draw u in [j/n, (j+1)/n) lands in [guide[j], guide[j+1]].
+	guide []int32
+	rng   *RNG
 }
 
 // NewZipf builds a Zipf sampler over n elements with exponent s.
@@ -90,14 +95,39 @@ func NewZipf(rng *RNG, n int, s float64) *Zipf {
 	for i := range cum {
 		cum[i] /= total
 	}
-	return &Zipf{cum: cum, rng: rng}
+	return &Zipf{cum: cum, guide: newGuide(cum), rng: rng}
+}
+
+// newGuide builds the guide table over a non-decreasing cum in one pass.
+func newGuide(cum []float64) []int32 {
+	n := len(cum)
+	step := 1 / float64(n)
+	guide := make([]int32, n+1)
+	i := 0
+	for j := range guide {
+		for i < n-1 && cum[i] < float64(j)*step {
+			i++
+		}
+		guide[j] = int32(i)
+	}
+	return guide
 }
 
 // Draw returns the next Zipf-distributed rank in [0, n).
-func (z *Zipf) Draw() int {
-	u := z.rng.Float64()
-	// Binary search for the first cumulative weight >= u.
-	lo, hi := 0, len(z.cum)-1
+func (z *Zipf) Draw() int { return z.rank(z.rng.Float64()) }
+
+// rank returns the first rank whose cumulative weight is >= u, for u in
+// [0, 1).
+func (z *Zipf) rank(u float64) int {
+	// u < 1, so u·n rounds to at most n-1 and guide[j+1] exists.
+	j := int(u * float64(len(z.cum)))
+	lo, hi := int(z.guide[j]), int(z.guide[j+1])
+	// Rounding in u·n or j/n can move u out of its slice. When the
+	// bracket cum[lo-1] < u <= cum[hi] fails, search every rank, so each
+	// draw returns exactly the first rank with cum >= u.
+	if (lo > 0 && z.cum[lo-1] >= u) || z.cum[hi] < u {
+		lo, hi = 0, len(z.cum)-1
+	}
 	for lo < hi {
 		mid := (lo + hi) / 2
 		if z.cum[mid] < u {

@@ -140,3 +140,61 @@ func TestZipfPanicsOnBadParams(t *testing.T) {
 	}()
 	NewZipf(NewRNG(1), 0, 1)
 }
+
+// searchAll is Zipf's inverse transform without the guide table: a
+// binary search over every rank for the first cumulative weight >= u.
+func searchAll(cum []float64, u float64) int {
+	lo, hi := 0, len(cum)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cum[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestZipfGuideMatchesFullSearch pins the guide table to the plain
+// search it replaced: seeded draws, and the slice and weight
+// boundaries where rounding can push u out of its guide bracket, must
+// return the identical rank.
+func TestZipfGuideMatchesFullSearch(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 1024, 5000} {
+		for _, s := range []float64{0.5, 1.1, 2} {
+			z := NewZipf(NewRNG(uint64(n)), n, s)
+			ref := NewRNG(uint64(n))
+			for i := 0; i < 100_000; i++ {
+				want := searchAll(z.cum, ref.Float64())
+				if got := z.Draw(); got != want {
+					t.Fatalf("n=%d s=%v draw %d: rank %d, full search %d", n, s, i, got, want)
+				}
+			}
+			var edges []float64
+			for j := 0; j < n; j++ {
+				edges = append(edges, float64(j)/float64(n))
+			}
+			edges = append(edges, z.cum...)
+			for _, e := range edges {
+				for _, u := range []float64{math.Nextafter(e, 0), e, math.Nextafter(e, 1)} {
+					if u < 0 || u >= 1 {
+						continue
+					}
+					if got, want := z.rank(u), searchAll(z.cum, u); got != want {
+						t.Fatalf("n=%d s=%v u=%v: rank %d, full search %d", n, s, u, got, want)
+					}
+				}
+			}
+		}
+	}
+
+	// u just below 0.9 rounds up to slice 9 (u·10 == 9), whose guide
+	// bracket starts past the rank that holds u: only the full-range
+	// fallback finds rank 8.
+	cum := []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, math.Nextafter(0.9, 0), 1}
+	z := &Zipf{cum: cum, guide: newGuide(cum)}
+	if got := z.rank(cum[8]); got != 8 {
+		t.Errorf("rank(%v) = %d, want 8", cum[8], got)
+	}
+}

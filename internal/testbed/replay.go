@@ -1,9 +1,11 @@
 package testbed
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"fairbench/internal/fault"
 	"fairbench/internal/measure"
@@ -134,6 +136,11 @@ func (d *Deployment) runTrace(tr *workload.TraceReader, stretch float64, inj *fa
 		return Result{}, FaultReport{}, fmt.Errorf("testbed: empty trace")
 	}
 	horizon := recs[len(recs)-1].at + 1e-6
+	// The kernel fires equal times in scheduling order, so scheduling the
+	// records stably sorted by time fires them in the order scheduling
+	// them in file order would, and one callback walking the sorted slice
+	// serves every record.
+	slices.SortStableFunc(recs, func(a, b rec) int { return cmp.Compare(a.at, b.at) })
 
 	rep := FaultReport{Spec: spec}
 	d.beginRun(horizon)
@@ -143,32 +150,34 @@ func (d *Deployment) runTrace(tr *workload.TraceReader, stretch float64, inj *fa
 		}
 	}
 	scratch := packet.NewParser()
+	next := 0
+	arrive := func() {
+		frame := recs[next].frame
+		next++
+		d.tput.Offer(len(frame))
+		if inj != nil {
+			if inj.DropArrival() {
+				rep.LinkDropped++
+				d.tput.Lose()
+				d.avail.Offer(d.s.Now().Seconds())
+				return
+			}
+			if idx, corrupt := inj.CorruptArrival(len(frame)); corrupt {
+				rep.LinkCorrupted++
+				frame = append([]byte(nil), frame...)
+				frame[idx] ^= 0xff
+			}
+		}
+		pk := workload.Pkt{Frame: frame}
+		if err := scratch.Parse(frame); err == nil {
+			if ft, ok := scratch.FiveTuple(); ok {
+				pk.Flow = ft
+			}
+		}
+		d.dispatch(pk)
+	}
 	for _, r := range recs {
-		r := r
-		if err := d.s.At(r.at, func() {
-			d.tput.Offer(len(r.frame))
-			frame := r.frame
-			if inj != nil {
-				if inj.DropArrival() {
-					rep.LinkDropped++
-					d.tput.Lose()
-					d.avail.Offer(d.s.Now().Seconds())
-					return
-				}
-				if idx, corrupt := inj.CorruptArrival(len(frame)); corrupt {
-					rep.LinkCorrupted++
-					frame = append([]byte(nil), frame...)
-					frame[idx] ^= 0xff
-				}
-			}
-			pk := workload.Pkt{Frame: frame}
-			if err := scratch.Parse(frame); err == nil {
-				if ft, ok := scratch.FiveTuple(); ok {
-					pk.Flow = ft
-				}
-			}
-			d.dispatch(pk)
-		}); err != nil {
+		if err := d.s.At(r.at, arrive); err != nil {
 			return Result{}, FaultReport{}, err
 		}
 	}

@@ -3,6 +3,7 @@ package testbed
 import (
 	"bytes"
 	"reflect"
+	"sort"
 	"testing"
 
 	"fairbench/internal/fault"
@@ -171,6 +172,90 @@ func TestRunTraceStretch(t *testing.T) {
 	}
 	if res.LossFraction < 0.05 {
 		t.Errorf("4x-accelerated replay should overload the core: loss = %v", res.LossFraction)
+	}
+}
+
+// TestRunTraceOutOfOrder replays a trace whose timestamps run backwards
+// in places and repeat in others. Replay orders records by (time, file
+// position), so the result must equal that of the same records written
+// already in that order, with and without link faults drawing coins per
+// arrival.
+func TestRunTraceOutOfOrder(t *testing.T) {
+	g := e6gen(t)
+	const n = 6000
+	recs := make([]workload.TraceRecord, n)
+	for i := range recs {
+		pk, err := g.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		// 300 ns apart (≈3.3 Mpps, enough to queue at the core), each
+		// block of ten reversed, every seventh sharing its predecessor's
+		// time; the last record stays the latest, as the horizon is taken
+		// from it.
+		ts := uint64(i/10*10+9-i%10) * 300
+		if i%7 == 0 && i > 0 {
+			ts = recs[i-1].TimestampNanos
+		}
+		if i == n-1 {
+			ts = n * 300
+		}
+		recs[i] = workload.TraceRecord{TimestampNanos: ts, Frame: pk.Frame}
+	}
+	sorted := append([]workload.TraceRecord(nil), recs...)
+	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].TimestampNanos < sorted[j].TimestampNanos })
+	encode := func(rs []workload.TraceRecord) []byte {
+		var buf bytes.Buffer
+		tw, err := workload.NewTraceWriter(&buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rs {
+			if err := tw.Write(r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := tw.Close(); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	spec, err := fault.ParseSpec("linkloss:prob=0.05;seed:3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	replay := func(raw []byte, faulted bool) (Result, FaultReport) {
+		tr, err := workload.NewTraceReader(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer tr.Close()
+		d, err := BaselineFirewall(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res Result
+		var rep FaultReport
+		if faulted {
+			res, rep, err = d.RunTraceWithFaults(tr, 1, spec)
+		} else {
+			res, err = d.RunTrace(tr, 1)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, rep
+	}
+	shuffled, inOrder := encode(recs), encode(sorted)
+	for _, faulted := range []bool{false, true} {
+		resA, repA := replay(shuffled, faulted)
+		resB, repB := replay(inOrder, faulted)
+		if resA.Offered.Packets != n {
+			t.Errorf("faulted=%v: offered %d, want %d", faulted, resA.Offered.Packets, n)
+		}
+		if !reflect.DeepEqual(resA, resB) || !reflect.DeepEqual(repA, repB) {
+			t.Errorf("faulted=%v: out-of-order replay differs from in-order replay:\n%+v\n%+v", faulted, resA, resB)
+		}
 	}
 }
 

@@ -22,6 +22,9 @@ type SizeDist interface {
 	Mean() float64
 	// Name labels the distribution in reports.
 	Name() string
+	// Sizes returns the support: every size Next can return. Callers
+	// must not modify it.
+	Sizes() []int
 }
 
 // FixedSize is a constant frame size — RFC 2544 throughput tests use
@@ -37,18 +40,15 @@ func (f FixedSize) Mean() float64 { return float64(f) }
 // Name implements SizeDist.
 func (f FixedSize) Name() string { return fmt.Sprintf("fixed-%d", int(f)) }
 
-// imixEntry is one component of a mixture distribution.
-type imixEntry struct {
-	size   int
-	weight float64
-}
+// Sizes implements SizeDist.
+func (f FixedSize) Sizes() []int { return []int{int(f)} }
 
 // Mix is a weighted mixture of frame sizes.
 type Mix struct {
-	name    string
-	entries []imixEntry
-	cum     []float64
-	mean    float64
+	name  string
+	sizes []int
+	cum   []float64
+	mean  float64
 }
 
 // NewMix builds a mixture from (size, weight) pairs; weights are
@@ -67,13 +67,13 @@ func NewMix(name string, sizes []int, weights []float64) (*Mix, error) {
 			return nil, fmt.Errorf("workload: non-positive weight %v", weights[i])
 		}
 		total += weights[i]
-		m.entries = append(m.entries, imixEntry{size: s, weight: weights[i]})
 	}
+	m.sizes = append([]int(nil), sizes...)
 	var cum float64
-	for _, e := range m.entries {
-		cum += e.weight / total
+	for i, w := range weights {
+		cum += w / total
 		m.cum = append(m.cum, cum)
-		m.mean += e.weight / total * float64(e.size)
+		m.mean += w / total * float64(sizes[i])
 	}
 	return m, nil
 }
@@ -95,10 +95,10 @@ func (m *Mix) Next(rng *sim.RNG) int {
 	u := rng.Float64()
 	for i, c := range m.cum {
 		if u <= c {
-			return m.entries[i].size
+			return m.sizes[i]
 		}
 	}
-	return m.entries[len(m.entries)-1].size
+	return m.sizes[len(m.sizes)-1]
 }
 
 // Mean implements SizeDist.
@@ -106,6 +106,9 @@ func (m *Mix) Mean() float64 { return m.mean }
 
 // Name implements SizeDist.
 func (m *Mix) Name() string { return m.name }
+
+// Sizes implements SizeDist.
+func (m *Mix) Sizes() []int { return m.sizes }
 
 // Spec configures a traffic generator.
 type Spec struct {
@@ -162,22 +165,20 @@ type Pkt struct {
 type Generator struct {
 	spec  Spec
 	flows []flowState
+	sizes []int // the size distribution's support
 	zipf  *sim.Zipf
 	rng   *sim.RNG
 	// Generated counts packets produced.
 	Generated uint64
-	// templates caches built frames per flow index and size.
-	templates map[templateKey][]byte
+	// templates holds the built frame of flow f and size sizes[i] at
+	// f*len(sizes)+i. It is allocated on the first Next, so generators
+	// that are built but never drawn from cost nothing.
+	templates [][]byte
 }
 
 type flowState struct {
 	ft     packet.FiveTuple
 	attack bool
-}
-
-type templateKey struct {
-	flow int
-	size int
 }
 
 // NewGenerator builds a generator.
@@ -186,7 +187,12 @@ func NewGenerator(spec Spec) (*Generator, error) {
 	if spec.Flows < 0 || spec.AttackFraction < 0 || spec.AttackFraction > 1 || spec.TCPFraction < 0 || spec.TCPFraction > 1 {
 		return nil, fmt.Errorf("workload: invalid spec %+v", spec)
 	}
-	g := &Generator{spec: spec, rng: sim.NewRNG(spec.Seed), templates: make(map[templateKey][]byte)}
+	g := &Generator{spec: spec, sizes: spec.Sizes.Sizes(), rng: sim.NewRNG(spec.Seed)}
+	for _, s := range g.sizes {
+		if s > packet.MaxFrameLen {
+			return nil, fmt.Errorf("workload: frame size %d above %d", s, packet.MaxFrameLen)
+		}
+	}
 	flowRng := g.rng.Derive("flows")
 	for i := 0; i < spec.Flows; i++ {
 		attack := flowRng.Float64() < spec.AttackFraction
@@ -240,6 +246,8 @@ func (g *Generator) Flows() int { return len(g.flows) }
 
 // Next produces the next packet. The frame aliases an internal
 // template; copy before mutating.
+//
+//fairbench:hotpath fairbench case testbed-smartnic-packet
 func (g *Generator) Next() (Pkt, error) {
 	if len(g.flows) == 0 {
 		return Pkt{}, fmt.Errorf("workload: generator has no flows")
@@ -252,16 +260,26 @@ func (g *Generator) Next() (Pkt, error) {
 	}
 	fs := g.flows[idx]
 	size := g.spec.Sizes.Next(g.rng)
-	key := templateKey{flow: idx, size: size}
-	frame, ok := g.templates[key]
-	if !ok {
-		var err error
-		frame, err = buildFrame(fs.ft, size)
+	si := 0
+	for si < len(g.sizes) && g.sizes[si] != size {
+		si++
+	}
+	if si == len(g.sizes) {
+		return Pkt{}, fmt.Errorf("workload: drew size %d outside the size distribution's support", size)
+	}
+	if g.templates == nil {
+		//fairlint:allow hotalloc the template table is allocated once, on a generator's first draw
+		g.templates = make([][]byte, len(g.flows)*len(g.sizes))
+	}
+	slot := &g.templates[idx*len(g.sizes)+si]
+	if *slot == nil {
+		frame, err := buildFrame(fs.ft, size)
 		if err != nil {
 			return Pkt{}, err
 		}
-		g.templates[key] = frame
+		*slot = frame
 	}
+	frame := *slot
 	g.Generated++
 	return Pkt{Flow: fs.ft, Frame: frame, Attack: fs.attack}, nil
 }
@@ -284,7 +302,18 @@ var genOpts = packet.BuildOpts{
 	DstMAC: packet.MAC{0x02, 0xfa, 0x1b, 0, 0, 2},
 }
 
-// buildFrame constructs a frame of exactly size bytes for the flow.
+// filler is the payload of every generated frame: benign bytes with no
+// DPI signatures. The builders copy the payload into the new frame, so
+// all frames share this one read-only array.
+var filler = func() (f [packet.MaxFrameLen]byte) {
+	for i := range f {
+		f[i] = byte('a' + i%26)
+	}
+	return f
+}()
+
+// buildFrame constructs a frame of exactly size bytes for the flow,
+// which must not exceed packet.MaxFrameLen.
 func buildFrame(ft packet.FiveTuple, size int) ([]byte, error) {
 	var overhead int
 	switch ft.Proto {
@@ -299,11 +328,7 @@ func buildFrame(ft packet.FiveTuple, size int) ([]byte, error) {
 	if payLen < 0 {
 		payLen = 0
 	}
-	//fairlint:allow hotalloc template payload is built once per flow signature, then cached
-	payload := make([]byte, payLen)
-	for i := range payload {
-		payload[i] = byte('a' + i%26) // benign filler, no DPI signatures
-	}
+	payload := filler[:payLen]
 	if ft.Proto == packet.ProtoUDP {
 		return packet.BuildUDP4(genOpts, ft, payload)
 	}

@@ -178,6 +178,88 @@ func TestGeneratorSpecValidation(t *testing.T) {
 	}
 }
 
+// refFrame builds the frame the generator must emit for ft at size from
+// scratch: a fresh payload filled byte by byte with the benign filler.
+func refFrame(t *testing.T, ft packet.FiveTuple, size int) []byte {
+	t.Helper()
+	overhead := packet.EthernetHeaderLen + packet.IPv4MinHeaderLen + packet.UDPHeaderLen
+	if ft.Proto == packet.ProtoTCP {
+		overhead = packet.EthernetHeaderLen + packet.IPv4MinHeaderLen + packet.TCPMinHeaderLen
+	}
+	payload := make([]byte, max(size-overhead, 0))
+	for i := range payload {
+		payload[i] = byte('a' + i%26)
+	}
+	var f []byte
+	var err error
+	if ft.Proto == packet.ProtoUDP {
+		f, err = packet.BuildUDP4(genOpts, ft, payload)
+	} else {
+		f, err = packet.BuildTCP4(genOpts, ft, packet.FlagACK, 1, 1, payload)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return f
+}
+
+// TestGeneratorTemplates checks the dense template table: every frame
+// equals one built from scratch, and a repeated (flow, size) draw
+// returns the same backing array instead of building it again.
+func TestGeneratorTemplates(t *testing.T) {
+	for _, sizes := range []SizeDist{FixedSize(60), FixedSize(200), FixedSize(packet.MaxFrameLen), IMIX()} {
+		g, err := NewGenerator(Spec{Flows: 8, ZipfSkew: 1.1, TCPFraction: 0.5, Sizes: sizes, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		type key struct {
+			ft   packet.FiveTuple
+			size int
+		}
+		seen := map[key]*byte{}
+		for i := 0; i < 2000; i++ {
+			pk, err := g.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			k := key{pk.Flow, len(pk.Frame)}
+			if first, ok := seen[k]; ok {
+				if first != &pk.Frame[0] {
+					t.Fatalf("%s: repeated draw of %v rebuilt its template", sizes.Name(), k)
+				}
+				continue
+			}
+			seen[k] = &pk.Frame[0]
+			if !bytes.Equal(pk.Frame, refFrame(t, pk.Flow, len(pk.Frame))) {
+				t.Fatalf("%s: frame for %v differs from a scratch build", sizes.Name(), k)
+			}
+		}
+		if want := 8 * len(sizes.Sizes()); len(seen) != want {
+			t.Errorf("%s: %d templates drawn, want all %d", sizes.Name(), len(seen), want)
+		}
+	}
+	if _, err := NewGenerator(Spec{Sizes: FixedSize(packet.MaxFrameLen + 1)}); err == nil {
+		t.Error("a frame size above MaxFrameLen should fail")
+	}
+}
+
+// TestGeneratorNextAllocs pins the steady state: once every template
+// exists, drawing a packet allocates nothing.
+func TestGeneratorNextAllocs(t *testing.T) {
+	g, err := NewGenerator(Spec{Flows: 64, ZipfSkew: 1.1, TCPFraction: 0.3, Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 50_000; i++ {
+		if _, err := g.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(1000, func() { _, _ = g.Next() }); allocs != 0 {
+		t.Errorf("Next allocates %v times per packet after warm-up", allocs)
+	}
+}
+
 func TestNextCopyIsPrivate(t *testing.T) {
 	g, _ := NewGenerator(Spec{Flows: 1, Seed: 7})
 	a, err := g.NextCopy()
