@@ -1,7 +1,11 @@
 // Command fairlint machine-checks the determinism invariants of the
 // fairbench pipeline: no wall clock, no global RNG, no map-order leaks
 // into artifacts, no concurrency in event-loop packages, typed and
-// %w-wrapped error sentinels. See internal/lint for the rule catalog.
+// %w-wrapped error sentinels — and, over a whole-program call graph, no
+// nondeterminism laundered into the sim boundary through wrappers, no
+// hardcoded RNG seeds, no allocations on //fairbench:hotpath paths, and
+// no map order escaping through returns or struct fields into writers.
+// See internal/lint for the rule catalog.
 //
 // Usage:
 //

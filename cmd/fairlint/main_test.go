@@ -22,10 +22,12 @@ func TestFindingsExitNonzero(t *testing.T) {
 	if code := run([]string{"-dir", "testdata/dirty", "./..."}, &out, &errBuf); code != 1 {
 		t.Fatalf("exit = %d, want 1 (stderr: %s)", code, errBuf.String())
 	}
-	if !strings.Contains(out.String(), "wallclock") || !strings.Contains(out.String(), "bad.go:7") {
-		t.Errorf("finding not reported with position: %s", out.String())
+	for _, want := range []string{"bad.go:11:14: wallclock", "bad.go:16:33: seedprov"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("finding %q not reported: %s", want, out.String())
+		}
 	}
-	if !strings.Contains(errBuf.String(), "1 finding(s)") {
+	if !strings.Contains(errBuf.String(), "2 finding(s)") {
 		t.Errorf("summary missing from stderr: %s", errBuf.String())
 	}
 }
@@ -43,7 +45,7 @@ func TestJSONOutputDeterministic(t *testing.T) {
 	if err := json.Unmarshal([]byte(first), &findings); err != nil {
 		t.Fatalf("output is not JSON: %v\n%s", err, first)
 	}
-	if len(findings) != 1 || findings[0]["rule"] != "wallclock" {
+	if len(findings) != 2 || findings[0]["rule"] != "wallclock" || findings[1]["rule"] != "seedprov" {
 		t.Errorf("unexpected findings: %s", first)
 	}
 	if second := render(); second != first {
@@ -58,5 +60,11 @@ func TestUsageErrorExitsTwo(t *testing.T) {
 	}
 	if !strings.Contains(errBuf.String(), "usage: fairlint") {
 		t.Errorf("usage missing: %s", errBuf.String())
+	}
+	for _, rule := range []string{"wallclock", "globalrand", "maporder", "simconc", "errtype",
+		"taintreach", "seedprov", "hotalloc", "orderflow"} {
+		if !strings.Contains(errBuf.String(), rule) {
+			t.Errorf("usage does not list rule %s: %s", rule, errBuf.String())
+		}
 	}
 }

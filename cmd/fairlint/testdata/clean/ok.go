@@ -1,10 +1,12 @@
-// A fairlint-clean fixture: deterministic, sorted, sentinel-correct.
+// A fairlint-clean fixture: deterministic, sorted, sentinel-correct,
+// with parameter-seeded randomness.
 package clean
 
 import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"sort"
 )
 
@@ -25,4 +27,10 @@ func render(w io.Writer, m map[string]int) error {
 		}
 	}
 	return nil
+}
+
+// Draw samples from a caller-seeded generator.
+func Draw(seed int64, n int) int {
+	r := rand.New(rand.NewSource(seed))
+	return r.Intn(n)
 }

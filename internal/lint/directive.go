@@ -1,4 +1,4 @@
-package vet
+package lint
 
 import (
 	"go/ast"
@@ -27,10 +27,6 @@ func ParseHotpath(text string) (note string, ok bool) {
 		return "", false
 	}
 	return strings.Join(strings.Fields(rest), " "), true
-}
-
-func isSpace(b byte) bool {
-	return b == ' ' || b == '\t' || b == '\r' || b == '\n'
 }
 
 // hotpathLines returns, per file, the set of lines carrying a

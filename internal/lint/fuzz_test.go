@@ -41,3 +41,37 @@ func FuzzParseAllow(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParseHotpath hammers the //fairbench:hotpath directive parser:
+// it must never panic, must only accept exact-prefix directives with a
+// word boundary after the marker, and must return a space-normalized
+// note.
+func FuzzParseHotpath(f *testing.F) {
+	f.Add("//fairbench:hotpath")
+	f.Add("//fairbench:hotpath fairbench case packet-parse")
+	f.Add("//fairbench:hotpath\ttabbed note")
+	f.Add("//fairbench:hotpathology not a directive")
+	f.Add("// fairbench:hotpath leading space")
+	f.Add("//fairbench:hotpath   many    spaces   ")
+	f.Add("/* block */")
+	f.Add("//fairbench:hotpath \x00 nul")
+	f.Add("//fairbench:hotpath é üñí note")
+	f.Fuzz(func(t *testing.T, text string) {
+		note, ok := ParseHotpath(text)
+		if !ok {
+			if note != "" {
+				t.Fatalf("rejected input returned data: note=%q", note)
+			}
+			return
+		}
+		if !strings.HasPrefix(text, hotpathPrefix) {
+			t.Fatalf("accepted text without directive prefix: %q", text)
+		}
+		if rest := strings.TrimPrefix(text, hotpathPrefix); rest != "" && !isSpace(rest[0]) {
+			t.Fatalf("accepted text without word boundary after marker: %q", text)
+		}
+		if note != strings.Join(strings.Fields(note), " ") {
+			t.Fatalf("note not space-normalized: %q", note)
+		}
+	})
+}

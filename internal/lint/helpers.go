@@ -63,30 +63,23 @@ var ioWriterIface = func() *types.Interface {
 
 // implementsWriter reports whether t (or *t) satisfies io.Writer.
 func implementsWriter(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if types.Implements(t, ioWriterIface) {
-		return true
-	}
-	if _, isPtr := t.Underlying().(*types.Pointer); !isPtr {
-		return types.Implements(types.NewPointer(t), ioWriterIface)
-	}
-	return false
+	return t != nil && implementsEither(t, ioWriterIface)
 }
 
 var errorIface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
 
 // implementsError reports whether t (or *t) satisfies the error interface.
 func implementsError(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if types.Implements(t, errorIface) {
+	return t != nil && implementsEither(t, errorIface)
+}
+
+// implementsEither reports whether t or *t satisfies iface.
+func implementsEither(t types.Type, iface *types.Interface) bool {
+	if types.Implements(t, iface) {
 		return true
 	}
 	if _, isPtr := t.Underlying().(*types.Pointer); !isPtr {
-		return types.Implements(types.NewPointer(t), errorIface)
+		return types.Implements(types.NewPointer(t), iface)
 	}
 	return false
 }

@@ -1,4 +1,4 @@
-package vet
+package lint
 
 import (
 	"go/ast"
@@ -8,11 +8,11 @@ import (
 
 // hotAlloc enforces allocation discipline on measured hot paths. A
 // function annotated //fairbench:hotpath, and everything it reaches
-// through the call graph inside cfg.HotpathScope, must not allocate at
+// through the call graph inside hotpathScope, must not allocate at
 // steady state: the zero-alloc numbers in BENCH_baseline.json are load-
 // bearing (an allocation on the per-packet path shows up as noise in
 // every comparison the paper's methodology depends on), so the gate
-// runs at vet time instead of waiting for a benchmark regression.
+// runs at lint time instead of waiting for a benchmark regression.
 //
 // The model is AST-level and intentionally conservative about what it
 // flags (each pattern below allocates or may allocate) and about what
@@ -34,7 +34,7 @@ import (
 //   - string concatenation inside a loop
 func hotAlloc(g *graph, report reportFunc) {
 	// Hot set: BFS from annotated roots; propagation continues only
-	// through packages in HotpathScope so annotating a command's bench
+	// through packages in hotpathScope so annotating a command's bench
 	// harness does not drag fmt into the gate.
 	rootOf := map[*fnode]*fnode{}
 	var queue []*fnode
@@ -48,7 +48,7 @@ func hotAlloc(g *graph, report reportFunc) {
 		n := queue[0]
 		queue = queue[1:]
 		for _, c := range n.out {
-			if _, seen := rootOf[c]; !seen && inDirs(c.rel, g.cfg.HotpathScope) {
+			if _, seen := rootOf[c]; !seen && inDirs(c.rel, hotpathScope) {
 				rootOf[c] = rootOf[n]
 				queue = append(queue, c)
 			}
@@ -65,7 +65,7 @@ func hotAlloc(g *graph, report reportFunc) {
 // stack (ast.Inspect's post-order nil callback pops it) so every site
 // can consult its enclosing statements for exemptions.
 func checkAllocs(g *graph, n *fnode, root *fnode, report reportFunc) {
-	info := n.pkg.Info
+	info := n.pkg.info
 	via := "on hot path from " + root.key
 	if root == n {
 		via = "in a //fairbench:hotpath function"
@@ -108,7 +108,7 @@ func checkAllocs(g *graph, n *fnode, root *fnode, report reportFunc) {
 		case *ast.UnaryExpr:
 			if _, lit := ast.Unparen(nd.X).(*ast.CompositeLit); lit && nd.Op == token.AND {
 				report(nd.Pos(), RuleHotAlloc,
-					"&"+types.TypeString(info.TypeOf(nd.X), types.RelativeTo(n.pkg.Types))+"{...} may heap-allocate on the hot path",
+					"&"+types.TypeString(info.TypeOf(nd.X), types.RelativeTo(n.pkg.types))+"{...} may heap-allocate on the hot path",
 					hint("store the value inline, or recycle records through a free list"))
 			}
 		case *ast.FuncLit:
@@ -335,7 +335,8 @@ func onAbortPath(info *types.Info, stack []ast.Node) bool {
 			if id, ok := ast.Unparen(last).(*ast.Ident); ok && id.Name == "nil" {
 				return false
 			}
-			return implementsError(info.TypeOf(last))
+			t := info.TypeOf(last)
+			return t != nil && types.Implements(t, errorIface)
 		case *ast.CallExpr:
 			if id, ok := ast.Unparen(anc.Fun).(*ast.Ident); ok && id.Name == "panic" {
 				if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
@@ -347,10 +348,4 @@ func onAbortPath(info *types.Info, stack []ast.Node) bool {
 		}
 	}
 	return false
-}
-
-var errorIface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)
-
-func implementsError(t types.Type) bool {
-	return t != nil && types.Implements(t, errorIface)
 }

@@ -2,7 +2,9 @@
 // that machine-checks the determinism invariants the fairbench pipeline
 // rests on. Every verdict this reproduction emits is only credible because
 // the sim → testbed → verdict pipeline replays byte-identically from a
-// seed; fairlint enforces the conventions that keep it that way:
+// seed; fairlint enforces the conventions that keep it that way.
+//
+// Five rules inspect one type-checked package at a time:
 //
 //   - wallclock:  no time.Now/Since/Sleep outside allowlisted packages —
 //     virtual time must come from the sim clock.
@@ -11,10 +13,30 @@
 //   - maporder:   no map iteration that writes to an io.Writer or escapes
 //     through an unsorted append — map order would leak into artifacts.
 //   - simconc:    no goroutines, channels, or sync primitives inside the
-//     single-threaded deterministic event-loop packages.
+//     single-threaded deterministic sim-boundary packages.
 //   - errtype:    exported Err* variables are stable sentinels built with
 //     errors.New (or a dedicated error type), and fmt.Errorf chains that
 //     mention one wrap it with %w.
+//
+// Four rules walk an interprocedural call graph over the whole module,
+// closing the loopholes a per-package check leaves open (a one-line
+// wrapper in an allowed package launders time.Now into the sim):
+//
+//   - taintreach: wall-clock reads, global math/rand draws, and
+//     goroutine spawns reachable *transitively* from any function in the
+//     sim boundary are findings, with the full call chain as the hint.
+//   - seedprov: every RNG construction (rand.New/NewSource family,
+//     sim.NewRNG, stats.NewRNG) must take a seed that dataflows from a
+//     parameter — a Spec field, a TrialSeed, an operator flag — never a
+//     bare literal or package variable.
+//   - hotalloc: functions annotated //fairbench:hotpath, and everything
+//     they reach inside the hot-path scope, must satisfy an AST-level
+//     allocation model (no make, growing append, interface boxing,
+//     capturing closures, or string concatenation in loops). Error-return
+//     and panic paths are exempt.
+//   - orderflow: map iteration order that escapes a function through a
+//     return value or a struct field and reaches a writer in another
+//     function — the flow maporder's intra-function check cannot see.
 //
 // Findings can be suppressed with a `//fairlint:allow <rule> <reason>`
 // comment on the offending line or the line above; an allow with no
@@ -30,7 +52,9 @@ import (
 	"fmt"
 	"go/token"
 	"io"
+	"slices"
 	"sort"
+	"strings"
 )
 
 // Rule identifiers, stable across releases; these are the names accepted
@@ -41,50 +65,42 @@ const (
 	RuleMapOrder   = "maporder"
 	RuleSimConc    = "simconc"
 	RuleErrType    = "errtype"
+	RuleTaintReach = "taintreach"
+	RuleSeedProv   = "seedprov"
+	RuleHotAlloc   = "hotalloc"
+	RuleOrderFlow  = "orderflow"
 	// RuleAllow reports defective suppression comments. It is emitted by
 	// the allow machinery itself and cannot be suppressed.
 	RuleAllow = "allow"
 )
 
-// knownRules is the set of rule names a //fairlint:allow comment may name.
-var knownRules = map[string]bool{
-	RuleWallclock:  true,
-	RuleGlobalRand: true,
-	RuleMapOrder:   true,
-	RuleSimConc:    true,
-	RuleErrType:    true,
-}
+// reportFunc is how analyzers surface findings; Run wires it to the
+// finding accumulator.
+type reportFunc func(pos token.Pos, rule, msg, hint string)
 
-// foreignRules are rule names owned by fairvet (internal/vet), which
-// shares the //fairlint:allow grammar. fairlint accepts directives
-// naming them without further checks — reason and usage policing for
-// these rules happens in fairvet, which symmetrically ignores
-// directives naming fairlint's rules. internal/vet has a test pinning
-// this list to its actual rule set (lint cannot import vet: vet is
-// built on this package's loader).
-var foreignRules = map[string]bool{
-	"taintreach": true,
-	"seedprov":   true,
-	"hotalloc":   true,
-	"orderflow":  true,
-}
-
-// ForeignRules returns the fairvet-owned rule names fairlint accepts
-// in allow directives, sorted.
-func ForeignRules() []string {
-	names := make([]string, 0, len(foreignRules))
-	for name := range foreignRules {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
+// rules is the registry: every suppressible rule with its analyzer,
+// either per-package (pkg) or whole-program (prog).
+var rules = []struct {
+	name string
+	pkg  func(*pass)
+	prog func(*graph, reportFunc)
+}{
+	{name: RuleWallclock, pkg: wallclock},
+	{name: RuleGlobalRand, pkg: globalrand},
+	{name: RuleMapOrder, pkg: maporder},
+	{name: RuleSimConc, pkg: simconc},
+	{name: RuleErrType, pkg: errtype},
+	{name: RuleTaintReach, prog: taintReach},
+	{name: RuleSeedProv, prog: seedProv},
+	{name: RuleHotAlloc, prog: hotAlloc},
+	{name: RuleOrderFlow, prog: orderFlow},
 }
 
 // KnownRules returns the suppressible rule names in sorted order.
 func KnownRules() []string {
-	names := make([]string, 0, len(knownRules))
-	for name := range knownRules {
-		names = append(names, name)
+	names := make([]string, 0, len(rules))
+	for _, r := range rules {
+		names = append(names, r.name)
 	}
 	sort.Strings(names)
 	return names
@@ -111,109 +127,88 @@ func (f Finding) String() string {
 	return s
 }
 
-// Config selects what to analyze and which packages are exempt from
-// which rules. Zero-value fields take the documented defaults.
+// Config selects what to analyze.
 type Config struct {
 	// Dir is the root of the tree to analyze (the module root). Required.
 	Dir string
 	// Patterns are package patterns relative to Dir: "./..." (everything),
 	// "./sub/..." (a subtree), or "./sub" (one package). Defaults to ./...
 	Patterns []string
-	// WallclockAllow lists module-relative package dirs where wall-clock
-	// time is legitimate (operational deadlines, not measurement).
-	// Defaults to DefaultWallclockAllow.
-	WallclockAllow []string
-	// SimPackages lists module-relative package dirs whose event loops
-	// must stay single-threaded deterministic (rule simconc). Defaults to
-	// DefaultSimPackages.
-	SimPackages []string
 }
 
-// DefaultWallclockAllow exempts the experiment runner, whose
-// deadline/retry machinery legitimately needs wall time, and the
-// telemetry package, whose entire purpose is recording wall-clock
-// execution history outside the determinism surface. Command binaries
-// are deliberately NOT allowlisted: each wall-clock use there must
-// carry a //fairlint:allow with a recorded reason.
-func DefaultWallclockAllow() []string { return []string{"internal/runner", "internal/telemetry"} }
+// wallclockAllow exempts the experiment runner, whose deadline/retry
+// machinery legitimately needs wall time, and the telemetry package,
+// whose entire purpose is recording wall-clock execution history outside
+// the determinism surface. Command binaries are deliberately NOT
+// allowlisted: each wall-clock use there must carry a //fairlint:allow
+// with a recorded reason.
+var wallclockAllow = []string{"internal/runner", "internal/telemetry"}
 
-// DefaultSimPackages is the set of packages whose event loops replay
-// deterministically and therefore must not spawn goroutines, use
-// channels, or touch sync primitives.
-func DefaultSimPackages() []string {
-	return []string{
-		"internal/sim",
-		"internal/hw",
-		"internal/measure",
-		"internal/fault",
-		"internal/nf",
-	}
+// simBoundary is the determinism boundary: the packages whose code runs
+// inside seeded, replayed simulations. Their event loops must stay
+// single-threaded (simconc), and no function in them may transitively
+// reach nondeterminism (taintreach).
+var simBoundary = []string{
+	"internal/sim",
+	"internal/hw",
+	"internal/measure",
+	"internal/fault",
+	"internal/nf",
+	"internal/workload",
 }
 
-func (c *Config) fillDefaults() {
-	if len(c.Patterns) == 0 {
-		c.Patterns = []string{"./..."}
-	}
-	if c.WallclockAllow == nil {
-		c.WallclockAllow = DefaultWallclockAllow()
-	}
-	if c.SimPackages == nil {
-		c.SimPackages = DefaultSimPackages()
-	}
-}
+// hotpathScope is where hotalloc findings propagate from an annotated
+// root: the sim boundary plus internal/packet, whose parser is on the
+// per-packet fast path of every deployment, and internal/testbed, whose
+// dispatch path carries every simulated packet through the device models.
+var hotpathScope = append(append([]string(nil), simBoundary...), "internal/packet", "internal/testbed")
 
-// Run loads every package matched by cfg.Patterns under cfg.Dir, runs all
-// analyzers, applies //fairlint:allow suppressions, and returns findings
-// sorted by (file, line, col, rule, msg). The process working directory
-// must be inside a Go module for module-internal imports to resolve (the
-// stdlib source importer shells out to the go command for resolution).
+// Run loads every package matched by cfg.Patterns under cfg.Dir once, runs
+// the per-package rules on each, builds the whole-program call graph and
+// runs the whole-program rules on it, applies //fairlint:allow
+// suppressions, and returns findings sorted by (file, line, col, rule,
+// msg). The process working directory must be inside a Go module for
+// module-internal imports to resolve (the stdlib source importer shells
+// out to the go command for resolution).
 func Run(cfg Config) ([]Finding, error) {
-	cfg.fillDefaults()
+	if len(cfg.Patterns) == 0 {
+		cfg.Patterns = []string{"./..."}
+	}
 	pkgs, fset, err := load(&cfg)
 	if err != nil {
 		return nil, err
 	}
 
 	var findings []Finding
+	report := func(pos token.Pos, rule, msg, hint string) {
+		position := fset.Position(pos)
+		findings = append(findings, Finding{
+			File: relFile(cfg.Dir, position.Filename),
+			Line: position.Line,
+			Col:  position.Column,
+			Rule: rule,
+			Msg:  msg,
+			Hint: hint,
+		})
+	}
 	var allows []*allowDirective
-	allowIdx := map[string]map[int]*allowDirective{}
 	for _, pkg := range pkgs {
-		p := &pass{
-			cfg:  &cfg,
-			fset: fset,
-			rel:  pkg.rel,
-			pkg:  pkg.types,
-			info: pkg.info,
-		}
-		p.files = pkg.files
-		p.report = func(pos token.Pos, rule, msg, hint string) {
-			position := fset.Position(pos)
-			findings = append(findings, Finding{
-				File: relFile(cfg.Dir, position.Filename),
-				Line: position.Line,
-				Col:  position.Column,
-				Rule: rule,
-				Msg:  msg,
-				Hint: hint,
-			})
-		}
-		for _, a := range collectAllows(fset, cfg.Dir, pkg.files) {
-			allows = append(allows, a)
-			byLine := allowIdx[a.file]
-			if byLine == nil {
-				byLine = map[int]*allowDirective{}
-				allowIdx[a.file] = byLine
+		p := &pass{loadedPkg: pkg, report: report}
+		for _, r := range rules {
+			if r.pkg != nil {
+				r.pkg(p)
 			}
-			byLine[a.line] = a
 		}
-		wallclock(p)
-		globalrand(p)
-		maporder(p)
-		simconc(p)
-		errtype(p)
+		allows = append(allows, collectAllows(fset, cfg.Dir, pkg.files)...)
+	}
+	g := buildGraph(cfg.Dir, pkgs, fset)
+	for _, r := range rules {
+		if r.prog != nil {
+			r.prog(g, report)
+		}
 	}
 
-	findings = applyAllows(findings, allows, allowIdx)
+	findings = applyAllows(findings, allows)
 	sortFindings(findings)
 	return findings, nil
 }
@@ -221,25 +216,34 @@ func Run(cfg Config) ([]Finding, error) {
 // applyAllows drops findings covered by a matching //fairlint:allow on the
 // same line or the line above, then appends RuleAllow findings for
 // defective directives (unknown rule, missing reason, suppresses nothing).
-func applyAllows(findings []Finding, allows []*allowDirective, idx map[string]map[int]*allowDirective) []Finding {
+func applyAllows(findings []Finding, allows []*allowDirective) []Finding {
+	idx := map[string]map[int]*allowDirective{} // file -> line -> directive
+	for _, a := range allows {
+		byLine := idx[a.file]
+		if byLine == nil {
+			byLine = map[int]*allowDirective{}
+			idx[a.file] = byLine
+		}
+		byLine[a.line] = a
+	}
 	kept := findings[:0]
 	for _, f := range findings {
-		if a := matchAllow(idx, f); a != nil {
+		if a := idx[f.File][f.Line]; a != nil && a.rule == f.Rule {
 			a.used = true
-			continue
+		} else if a := idx[f.File][f.Line-1]; a != nil && a.rule == f.Rule {
+			a.used = true
+		} else {
+			kept = append(kept, f)
 		}
-		kept = append(kept, f)
 	}
+	known := KnownRules()
 	for _, a := range allows {
 		switch {
-		case foreignRules[a.rule]:
-			// Owned by fairvet: it applies the reason/usage policy for
-			// its rules over the same directives.
-		case !knownRules[a.rule]:
+		case !slices.Contains(known, a.rule):
 			kept = append(kept, Finding{
 				File: a.file, Line: a.line, Col: a.col, Rule: RuleAllow,
 				Msg:  fmt.Sprintf("fairlint:allow names unknown rule %q", a.rule),
-				Hint: "known rules: " + joinRules() + " (fairvet rules: " + joinForeignRules() + ")",
+				Hint: "known rules: " + strings.Join(known, ", "),
 			})
 		case a.reason == "":
 			kept = append(kept, Finding{
@@ -256,42 +260,6 @@ func applyAllows(findings []Finding, allows []*allowDirective, idx map[string]ma
 		}
 	}
 	return kept
-}
-
-func matchAllow(idx map[string]map[int]*allowDirective, f Finding) *allowDirective {
-	byLine := idx[f.File]
-	if byLine == nil {
-		return nil
-	}
-	if a := byLine[f.Line]; a != nil && a.rule == f.Rule {
-		return a
-	}
-	if a := byLine[f.Line-1]; a != nil && a.rule == f.Rule {
-		return a
-	}
-	return nil
-}
-
-func joinRules() string {
-	out := ""
-	for i, name := range KnownRules() {
-		if i > 0 {
-			out += ", "
-		}
-		out += name
-	}
-	return out
-}
-
-func joinForeignRules() string {
-	out := ""
-	for i, name := range ForeignRules() {
-		if i > 0 {
-			out += ", "
-		}
-		out += name
-	}
-	return out
 }
 
 func sortFindings(fs []Finding) {

@@ -8,23 +8,51 @@ import (
 	"testing"
 )
 
-// TestAnalyzerGoldens runs each rule's testdata corpus (positive,
-// negative, and suppressed cases) and asserts the exact findings —
-// positions, messages, and fix hints — against the expect.txt golden.
+// corpora lists every testdata corpus: one dir per rule, plus allowmeta
+// for the allow meta-rule.
+func corpora(t *testing.T) []string {
+	t.Helper()
+	ents, err := os.ReadDir("testdata")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range ents {
+		names = append(names, e.Name())
+	}
+	return names
+}
+
+// corpusRuns memoizes Run per corpus: each run type-checks the stdlib
+// packages its corpus imports from source, so the golden and suppression
+// tests share one run per corpus.
+var corpusRuns = map[string][]Finding{}
+
+func runCorpus(t *testing.T, name string) []Finding {
+	t.Helper()
+	findings, ok := corpusRuns[name]
+	if !ok {
+		var err error
+		if findings, err = Run(Config{Dir: filepath.Join("testdata", name)}); err != nil {
+			t.Fatalf("Run(%s): %v", name, err)
+		}
+		corpusRuns[name] = findings
+	}
+	return findings
+}
+
+// TestAnalyzerGoldens runs all nine rules over each testdata corpus
+// (positive, negative, and suppressed cases) and asserts the exact
+// findings — positions, messages, and fix hints — against the expect.txt
+// golden, so a corpus also pins what the other rules say about it.
 func TestAnalyzerGoldens(t *testing.T) {
-	rules := []string{"wallclock", "globalrand", "maporder", "simconc", "errtype", "allowmeta"}
-	for _, rule := range rules {
-		t.Run(rule, func(t *testing.T) {
-			dir := filepath.Join("testdata", rule)
-			findings, err := Run(Config{Dir: dir})
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
+	for _, name := range corpora(t) {
+		t.Run(name, func(t *testing.T) {
 			var buf bytes.Buffer
-			if err := WriteText(&buf, findings); err != nil {
+			if err := WriteText(&buf, runCorpus(t, name)); err != nil {
 				t.Fatal(err)
 			}
-			want, err := os.ReadFile(filepath.Join(dir, "expect.txt"))
+			want, err := os.ReadFile(filepath.Join("testdata", name, "expect.txt"))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -40,12 +68,8 @@ func TestAnalyzerGoldens(t *testing.T) {
 // here rather than in production.
 func TestGoldensCoverEveryRule(t *testing.T) {
 	seen := map[string]bool{}
-	dirs, err := os.ReadDir("testdata")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range dirs {
-		data, err := os.ReadFile(filepath.Join("testdata", d.Name(), "expect.txt"))
+	for _, name := range corpora(t) {
+		data, err := os.ReadFile(filepath.Join("testdata", name, "expect.txt"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,18 +134,40 @@ func TestMatchPattern(t *testing.T) {
 }
 
 // TestSuppressedFindingsStaySuppressed pins the allow semantics: the
-// corpus contains suppressed positives (same-line and line-above allows)
-// and none of them may reappear as findings.
+// corpora contain suppressed positives (same-line and line-above allows)
+// and none of them may reappear as findings, nor may a working
+// suppression itself be flagged.
 func TestSuppressedFindingsStaySuppressed(t *testing.T) {
-	for _, dir := range []string{"wallclock", "globalrand", "maporder", "errtype"} {
-		findings, err := Run(Config{Dir: filepath.Join("testdata", dir)})
-		if err != nil {
-			t.Fatal(err)
+	for _, name := range corpora(t) {
+		if name == "allowmeta" {
+			continue // its RuleAllow findings are the point
 		}
-		for _, f := range findings {
+		for _, f := range runCorpus(t, name) {
 			if f.Rule == RuleAllow {
-				t.Errorf("%s corpus: allow machinery flagged a defective suppression: %s", dir, f)
+				t.Errorf("%s corpus: allow machinery flagged a working suppression: %s", name, f)
 			}
+		}
+	}
+}
+
+func TestParseHotpath(t *testing.T) {
+	cases := []struct {
+		text, note string
+		ok         bool
+	}{
+		{"//fairbench:hotpath", "", true},
+		{"//fairbench:hotpath fairbench case packet-parse", "fairbench case packet-parse", true},
+		{"//fairbench:hotpath   spaced   note  ", "spaced note", true},
+		{"//fairbench:hotpath\tnote", "note", true},
+		{"//fairbench:hotpathology", "", false},
+		{"// fairbench:hotpath spaced marker is not a directive", "", false},
+		{"//fairbench:coldpath", "", false},
+		{"// ordinary comment", "", false},
+	}
+	for _, c := range cases {
+		note, ok := ParseHotpath(c.text)
+		if note != c.note || ok != c.ok {
+			t.Errorf("ParseHotpath(%q) = (%q, %v), want (%q, %v)", c.text, note, ok, c.note, c.ok)
 		}
 	}
 }

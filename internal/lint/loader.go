@@ -22,15 +22,10 @@ type loadedPkg struct {
 	info       *types.Info
 }
 
-// pass is the per-package context handed to each analyzer.
+// pass is the per-package context handed to each per-package rule.
 type pass struct {
-	cfg    *Config
-	fset   *token.FileSet
-	rel    string
-	pkg    *types.Package
-	files  []*ast.File
-	info   *types.Info
-	report func(pos token.Pos, rule, msg, hint string)
+	*loadedPkg
+	report reportFunc
 }
 
 // load discovers, parses, and type-checks every package under cfg.Dir

@@ -55,7 +55,7 @@ func checkMapRange(p *pass, file *ast.File, rs *ast.RangeStmt) {
 		case *ast.AssignStmt:
 			for i, rhs := range n.Rhs {
 				call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-				if !ok || !isBuiltinAppend(p.info, call) || i >= len(n.Lhs) {
+				if !ok || builtinName(p.info, call) != "append" || i >= len(n.Lhs) {
 					continue
 				}
 				id, ok := ast.Unparen(n.Lhs[i]).(*ast.Ident)
@@ -124,25 +124,13 @@ func sensitiveWrite(p *pass, call *ast.CallExpr) (string, bool) {
 	return "", false
 }
 
-func isBuiltinAppend(info *types.Info, call *ast.CallExpr) bool {
-	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != "append" {
-		return false
-	}
-	_, isBuiltin := info.Uses[id].(*types.Builtin)
-	return isBuiltin
-}
-
 // sortFuncs are the stdlib sorting entry points that establish a
-// deterministic order on a slice.
-var sortFuncs = map[string]map[string]bool{
-	"sort": {
-		"Strings": true, "Ints": true, "Float64s": true,
-		"Slice": true, "SliceStable": true, "Sort": true, "Stable": true,
-	},
-	"slices": {
-		"Sort": true, "SortFunc": true, "SortStableFunc": true,
-	},
+// deterministic order on a slice, keyed by "pkgpath.Func".
+var sortFuncs = map[string]bool{
+	"sort.Strings": true, "sort.Ints": true, "sort.Float64s": true,
+	"sort.Slice": true, "sort.SliceStable": true,
+	"sort.Sort": true, "sort.Stable": true,
+	"slices.Sort": true, "slices.SortFunc": true, "slices.SortStableFunc": true,
 }
 
 // sortedAfter reports whether, later in the function enclosing rs, a
@@ -166,8 +154,7 @@ func sortedAfter(p *pass, file *ast.File, rs *ast.RangeStmt, obj types.Object) b
 		if fn == nil || fn.Pkg() == nil {
 			return true
 		}
-		byName := sortFuncs[fn.Pkg().Path()]
-		if byName == nil || !byName[fn.Name()] || !isPkgFunc(fn, fn.Pkg().Path()) {
+		if !sortFuncs[fn.Pkg().Path()+"."+fn.Name()] || !isPkgFunc(fn, fn.Pkg().Path()) {
 			return true
 		}
 		for _, arg := range call.Args {

@@ -28,7 +28,9 @@ func moduleRoot(t *testing.T) string {
 // TestModuleSelfLint is the linter's own acceptance gate: the tree must
 // be clean (every historical violation fixed or justified with an
 // explained allow), and two independent full runs must emit byte-identical
-// JSON — the linter cannot demand determinism it does not itself have.
+// JSON — the linter cannot demand determinism it does not itself have,
+// so call-graph construction, taint propagation, and fixpoint iteration
+// may not leak map order or pointer identity into the output.
 func TestModuleSelfLint(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-module type-check is not short")
@@ -54,6 +56,43 @@ func TestModuleSelfLint(t *testing.T) {
 	_, second := run()
 	if !bytes.Equal(first, second) {
 		t.Errorf("fairlint -json is not byte-identical across runs\n--- first ---\n%s--- second ---\n%s", first, second)
+	}
+}
+
+// TestHotpathsAnnotated guards the annotation policy: every zero-alloc
+// steady-state product function exercised by the benchmark suite must
+// carry //fairbench:hotpath, so the static gate stays armed for the
+// functions whose BENCH_baseline.json numbers claim zero allocations.
+func TestHotpathsAnnotated(t *testing.T) {
+	if testing.Short() {
+		t.Skip("whole-module type-check is not short")
+	}
+	root := moduleRoot(t)
+	want := map[string]bool{
+		"internal/sim.(*Sim).At":                  false,
+		"internal/sim.(*Sim).Run":                 false,
+		"internal/sim.(*Sim).RunAll":              false,
+		"internal/packet.(*Parser).Parse":         false,
+		"internal/nf.(*LinearMatcher).Match":      false,
+		"internal/nf.(*Firewall).Process":         false,
+		"internal/nf.(*Conntrack).Process":        false,
+		"internal/workload.(*ScenarioGen).NextAt": false,
+		"internal/workload.(*Generator).Next":     false,
+		"internal/testbed.(*Deployment).dispatch": false,
+	}
+	pkgs, fset, err := load(&Config{Dir: root, Patterns: []string{"./..."}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range buildGraph(root, pkgs, fset).nodes {
+		if _, tracked := want[n.key]; tracked && n.hot {
+			want[n.key] = true
+		}
+	}
+	for key, hot := range want {
+		if !hot {
+			t.Errorf("%s lost its //fairbench:hotpath annotation", key)
+		}
 	}
 }
 

@@ -1,4 +1,4 @@
-package vet
+package lint
 
 import (
 	"go/ast"
@@ -8,7 +8,7 @@ import (
 )
 
 // orderFlow tracks map iteration order across function boundaries.
-// fairlint's maporder rule is intra-function: it sees a map range that
+// The maporder rule is intra-function: it sees a map range that
 // prints, and appends to a plain identifier that is printed later in
 // the same function. It provably cannot see the two interprocedural
 // shapes this analyzer covers:
@@ -26,9 +26,9 @@ import (
 // returns. Sinks are fmt print calls, io.WriteString, and Write /
 // WriteString methods on io.Writer implementations. A sort of the
 // carrier (sort.Strings and friends) before the sink clears the taint,
-// mirroring fairlint. Only taint that crossed a function boundary is
-// reported here — purely local flows stay fairlint's to report, so the
-// two tools never double-report one defect.
+// mirroring maporder. Only taint that crossed a function boundary is
+// reported here — purely local flows stay maporder's to report, so the
+// two rules never double-report one defect.
 func orderFlow(g *graph, report reportFunc) {
 	of := &ofState{
 		g:     g,
@@ -95,7 +95,7 @@ func (of *ofState) setField(k ofFieldKey, t ofTaint) bool {
 // when report is non-nil — emits findings at sinks fed by taint that
 // crossed a function boundary.
 func (of *ofState) analyze(n *fnode, report reportFunc) bool {
-	info := n.pkg.Info
+	info := n.pkg.info
 	changed := false
 	local := map[types.Object]ofTaint{}
 	clearedField := map[ofFieldKey]bool{}
@@ -218,7 +218,7 @@ func (of *ofState) analyze(n *fnode, report reportFunc) bool {
 				}
 			}
 		case *ast.CallExpr:
-			if name, pkgPath, ok := pkgCall(info, nd); ok && sortClears[pkgPath+"."+name] && len(nd.Args) > 0 {
+			if name, pkgPath, ok := pkgCall(info, nd); ok && sortFuncs[pkgPath+"."+name] && len(nd.Args) > 0 {
 				arg := ast.Unparen(nd.Args[0])
 				if id, isIdent := arg.(*ast.Ident); isIdent {
 					if obj := identObj(info, id); obj != nil {
@@ -249,7 +249,7 @@ func (of *ofState) analyze(n *fnode, report reportFunc) bool {
 }
 
 // checkSink reports tainted arguments reaching a writer, but only when
-// the taint crossed a function boundary (local flows are fairlint's).
+// the taint crossed a function boundary (local flows are maporder's).
 func (of *ofState) checkSink(info *types.Info, call *ast.CallExpr, taintOf func(ast.Expr) (ofTaint, bool), report reportFunc) {
 	if !isWriteSink(info, call) {
 		return
@@ -324,15 +324,6 @@ func isOrderPropagator(fn *types.Func) bool {
 	return false
 }
 
-// sortClears are the calls that fix a carrier's order, keyed by
-// "pkgpath.Func" (mirrors fairlint's sorted-after set).
-var sortClears = map[string]bool{
-	"sort.Strings": true, "sort.Ints": true, "sort.Float64s": true,
-	"sort.Slice": true, "sort.SliceStable": true,
-	"sort.Sort": true, "sort.Stable": true,
-	"slices.Sort": true, "slices.SortFunc": true, "slices.SortStableFunc": true,
-}
-
 // fmt print functions that write rather than return.
 var printSinks = map[string]bool{
 	"Fprint": true, "Fprintf": true, "Fprintln": true,
@@ -378,18 +369,3 @@ func pkgCall(info *types.Info, call *ast.CallExpr) (string, string, bool) {
 	}
 	return callee.Name(), callee.Pkg().Path(), true
 }
-
-// ioWriterIface is io.Writer built structurally, so implementation
-// checks need no import of io's type data at analysis time.
-var ioWriterIface = func() *types.Interface {
-	byteSlice := types.NewSlice(types.Typ[types.Byte])
-	params := types.NewTuple(types.NewVar(token.NoPos, nil, "p", byteSlice))
-	results := types.NewTuple(
-		types.NewVar(token.NoPos, nil, "n", types.Typ[types.Int]),
-		types.NewVar(token.NoPos, nil, "err", types.Universe.Lookup("error").Type()),
-	)
-	sig := types.NewSignatureType(nil, nil, nil, params, results, false)
-	iface := types.NewInterfaceType([]*types.Func{types.NewFunc(token.NoPos, nil, "Write", sig)}, nil)
-	iface.Complete()
-	return iface
-}()

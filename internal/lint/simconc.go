@@ -6,13 +6,13 @@ import (
 	"go/types"
 )
 
-// simconc forbids concurrency constructs inside the deterministic
-// event-loop packages (cfg.SimPackages): go statements, channel types and
+// simconc forbids concurrency constructs inside the sim boundary's
+// deterministic event-loop packages: go statements, channel types and
 // operations (send, receive, close, select), and any use of sync or
 // sync/atomic. Those packages replay seeded virtual-time schedules; a
 // single goroutine or channel would reintroduce scheduler nondeterminism.
 func simconc(p *pass) {
-	if !inDirs(p.rel, p.cfg.SimPackages) {
+	if !inDirs(p.rel, simBoundary) {
 		return
 	}
 	const hint = "keep event-loop packages single-threaded; concurrency belongs in cmd/ drivers"

@@ -1,5 +1,6 @@
 // Corpus for the allow meta-rule: a suppression must name a known rule,
-// carry a reason, and actually suppress something.
+// carry a reason, and actually suppress something. The policy is the same
+// for per-package and whole-program rules.
 package allowmetacase
 
 import "time"
@@ -19,8 +20,12 @@ func unused() {
 	//fairlint:allow wallclock nothing on this line reads the clock
 }
 
-// A directive naming a fairvet-owned rule is not fairlint's to police:
-// no reason, nothing suppressed, and still no finding from fairlint.
+// A whole-program rule without a reason.
 //
 //fairlint:allow taintreach
-func foreignRuleDeferred() {}
+func missingReasonWholeProgram() {}
+
+// A whole-program rule with a reason that suppresses nothing.
+//
+//fairlint:allow seedprov corpus demo with nothing underneath
+func unusedWholeProgram() {}

@@ -1,7 +1,7 @@
 // Corpus for the hotalloc rule: a //fairbench:hotpath function and
 // everything it reaches inside the hot-path scope must not allocate at
-// steady state. The golden runs with HotpathScope {"."} so propagation
-// stays inside this package.
+// steady state. The corpus sits in internal/packet, inside the default
+// hot-path scope, so propagation from the annotated roots is exercised.
 package hotcase
 
 import "fmt"

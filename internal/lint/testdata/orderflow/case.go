@@ -1,6 +1,6 @@
 // Corpus for the orderflow rule: map iteration order that crosses a
 // function boundary — through a return value or a struct field — and
-// then reaches a writer. fairlint's intra-function maporder rule
+// then reaches a writer. The intra-function maporder rule
 // cannot see any of the positives here from the sink side.
 package ordercase
 
@@ -49,7 +49,7 @@ func DumpSortedHere(w io.Writer, m map[string]int) {
 	fmt.Fprintln(w, ks)
 }
 
-// Report carries map order in a struct field. fairlint's escape check
+// Report carries map order in a struct field. maporder's escape check
 // only models appends to plain identifiers, so the selector append in
 // Collect is provably invisible to it.
 type Report struct {

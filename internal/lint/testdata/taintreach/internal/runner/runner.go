@@ -1,6 +1,6 @@
 // The laundering package: it sits OUTSIDE the sim boundary (and inside
-// fairlint's wallclock allowlist), so per-file analysis sees nothing
-// wrong with any function here. Each wrapper hands nondeterminism to
+// the wallclock allowlist), so per-package rules see nothing wrong here
+// but the global rand.Int. Each wrapper hands nondeterminism to
 // whoever calls it.
 package runner
 

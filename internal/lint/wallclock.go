@@ -24,7 +24,7 @@ var wallclockFuncs = map[string]bool{
 // byte-identical; wall time is operational only (runner deadlines), and
 // each exception elsewhere needs a //fairlint:allow wallclock <reason>.
 func wallclock(p *pass) {
-	if inDirs(p.rel, p.cfg.WallclockAllow) {
+	if inDirs(p.rel, wallclockAllow) {
 		return
 	}
 	for id, obj := range p.info.Uses {
