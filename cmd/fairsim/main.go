@@ -9,16 +9,15 @@
 //	fairsim -system {host|smartnic|switch|fpga} [-cores N] [-pps RATE]
 //	        [-seconds S] [-attack FRAC] [-poisson] [-seed N] [-search]
 //	        [-profile] [-trials K] [-ci LEVEL]
-//	        [-impair-drop P] [-impair-corrupt P] [-impair-dup P]
 //	        [-faults SPEC] [-scenario SPEC]
 //	        [-record FILE -count N] [-replay FILE -stretch X]
 //	        [-trace FILE [-sample-every DT] [-metrics FILE]]
 //	        [-telemetry FILE] [-pprof-dir DIR]
 //
 // With -search, an RFC 2544 binary search for the zero-loss throughput
-// replaces the single fixed-rate run. The -impair-* flags inject
-// ingress faults; -record captures a trace and -replay runs one through
-// the deployment at its recorded (optionally stretched) timestamps.
+// replaces the single fixed-rate run. -record captures a trace and
+// -replay runs one through the deployment at its recorded (optionally
+// stretched) timestamps.
 //
 // With -profile, the run becomes a saturation-delta bottleneck profile
 // of the deployment's canonical scenario: the RFC 2544 saturation
@@ -35,20 +34,23 @@
 // (median-throughput) result is printed alongside per-metric bootstrap
 // confidence intervals at level -ci (default 0.95). Replication applies
 // to generated traffic only, so -trials conflicts with -record,
-// -replay, -trace and -faults.
+// -replay and -trace.
 //
 // With -faults, the run injects a deterministic fault schedule —
-// device outages with failover, brownout derating, link loss and
-// corruption, burst overload — and reports per-window availability,
-// degradation depth and recovery time alongside the measurement. The
-// spec grammar is internal/fault's, e.g.:
+// device outages with failover, brownout derating, link loss,
+// corruption and duplication, burst overload — and reports per-window
+// availability, degradation depth and recovery time alongside the
+// measurement. The spec grammar is internal/fault's, e.g.:
 //
 //	fairsim -system smartnic -faults 'outage:dev=smartnic,at=10ms,for=10ms'
 //	fairsim -system host -faults 'brownout:dev=cores,at=0,for=20ms,factor=0.5;seed:17'
+//	fairsim -system smartnic -faults 'linkloss:prob=0.02;linkcorrupt:prob=0.01;linkdup:prob=0.02'
 //
 // -faults composes with -trace (fault windows appear as spans in the
-// trace) and with -replay (faults strike the replayed traffic; burst
-// clauses are ignored because replay pacing is the trace's).
+// trace), with -replay (faults strike the replayed traffic; burst
+// clauses are ignored because replay pacing is the trace's) and with
+// -trials (every trial runs under the same spec; the fault report is
+// trial 0's).
 //
 // With -scenario, the run drives an internet-scale overload scenario —
 // Zipf flow populations up to 10^7 concurrent flows, diurnal load
@@ -123,9 +125,6 @@ func run(args []string, stdout io.Writer) (err error) {
 	profileFlag := fs.Bool("profile", false, "saturation-delta bottleneck profile of the deployment's canonical scenario")
 	trials := fs.Int("trials", 1, "independently seeded replicate runs (>= 2 enables bootstrap CIs)")
 	ci := fs.Float64("ci", 0.95, "bootstrap confidence level for -trials >= 2, in (0, 1)")
-	dropProb := fs.Float64("impair-drop", 0, "ingress drop probability (failure injection)")
-	corruptProb := fs.Float64("impair-corrupt", 0, "ingress byte-corruption probability")
-	dupProb := fs.Float64("impair-dup", 0, "ingress duplication probability")
 	faults := fs.String("faults", "", "fault spec, e.g. 'outage:dev=smartnic,at=10ms,for=10ms;linkloss:prob=0.01'")
 	scenario := fs.String("scenario", "", "overload scenario spec, e.g. 'zipf:flows=1000000,skew=1.1;synflood:rate=0.5;churn:life=10ms'")
 	record := fs.String("record", "", "record a trace of the workload to this file and exit")
@@ -177,8 +176,8 @@ func run(args []string, stdout io.Writer) (err error) {
 	}
 
 	// Replication applies to generated traffic: a replayed trace or a
-	// recorded one is a single fixed artifact, a trace file documents
-	// one run, and a fault schedule is defined against one timeline.
+	// recorded one is a single fixed artifact, and a trace file
+	// documents one run.
 	ciSet := false
 	fs.Visit(func(f *flag.Flag) {
 		if f.Name == "ci" {
@@ -202,14 +201,11 @@ func run(args []string, stdout io.Writer) (err error) {
 			return fmt.Errorf("-trials and -replay are mutually exclusive (a replayed trace is one trial)")
 		case *trace != "":
 			return fmt.Errorf("-trials and -trace are mutually exclusive (a trace documents a single run)")
-		case *faults != "":
-			return fmt.Errorf("-trials and -faults are mutually exclusive (the fault schedule is defined against one run's timeline)")
 		}
 	}
 
-	// -faults drives a dedicated measured run: it composes with -trace
-	// and -replay but not with the other run modes or the legacy
-	// impairment flags (the fault spec subsumes them).
+	// -faults drives a dedicated measured run: it composes with -trace,
+	// -replay and -trials but not with the other run modes.
 	var faultSpec fault.Spec
 	if *faults != "" {
 		switch {
@@ -217,8 +213,6 @@ func run(args []string, stdout io.Writer) (err error) {
 			return fmt.Errorf("-faults and -search are mutually exclusive (the throughput search assumes the healthy regime)")
 		case *record != "":
 			return fmt.Errorf("-faults and -record are mutually exclusive (recording captures workload, not faults)")
-		case *dropProb != 0 || *corruptProb != 0 || *dupProb != 0:
-			return fmt.Errorf("-faults and -impair-* are mutually exclusive (use linkloss/linkcorrupt clauses instead)")
 		}
 		var err error
 		faultSpec, err = fault.ParseSpec(*faults)
@@ -241,8 +235,6 @@ func run(args []string, stdout io.Writer) (err error) {
 			return fmt.Errorf("-profile and -trace are mutually exclusive")
 		case *scenario != "":
 			return fmt.Errorf("-profile and -scenario are mutually exclusive (each owns the run's workload)")
-		case *dropProb != 0 || *corruptProb != 0 || *dupProb != 0:
-			return fmt.Errorf("-profile and -impair-* are mutually exclusive")
 		}
 		var workloadFlags []string
 		fs.Visit(func(f *flag.Flag) {
@@ -289,8 +281,6 @@ func run(args []string, stdout io.Writer) (err error) {
 			return fmt.Errorf("-scenario and -faults are mutually exclusive (overload is the scenario's failure mode)")
 		case *trace != "":
 			return fmt.Errorf("-scenario and -trace are mutually exclusive (state metering is the scenario run's observability)")
-		case *dropProb != 0 || *corruptProb != 0 || *dupProb != 0:
-			return fmt.Errorf("-scenario and -impair-* are mutually exclusive")
 		}
 		var workloadFlags []string
 		seedSet := false
@@ -457,8 +447,20 @@ func run(args []string, stdout io.Writer) (err error) {
 		arrival = workload.Poisson{}
 	}
 
+	// runOnce measures one trial; with -faults it runs under the spec
+	// and prints the fault report for trial 0.
+	runOnce := func(d *testbed.Deployment, g *workload.Generator, t int) (testbed.Result, error) {
+		if *faults == "" {
+			return d.Run(g, arrival, *pps, *seconds)
+		}
+		res, rep, err := d.RunWithFaults(g, arrival, *pps, *seconds, faultSpec)
+		if err == nil && t == 0 {
+			printFaultReport(stdout, rep)
+		}
+		return res, err
+	}
+
 	if *trials > 1 {
-		im := testbed.Impairments{DropProb: *dropProb, CorruptProb: *corruptProb, DupProb: *dupProb}
 		results := make([]testbed.Result, 0, *trials)
 		for t := 0; t < *trials; t++ {
 			s := fairbench.TrialSeed(*seed, t)
@@ -470,7 +472,7 @@ func run(args []string, stdout io.Writer) (err error) {
 			if err != nil {
 				return err
 			}
-			res, _, err := d.RunWithImpairments(g, arrival, *pps, *seconds, im)
+			res, err := runOnce(d, g, t)
 			if err != nil {
 				return fmt.Errorf("trial %d (seed %d): %w", t, s, err)
 			}
@@ -494,23 +496,9 @@ func run(args []string, stdout io.Writer) (err error) {
 	if err != nil {
 		return err
 	}
-	if *faults != "" {
-		res, rep, err := d.RunWithFaults(g, arrival, *pps, *seconds, faultSpec)
-		if err != nil {
-			return err
-		}
-		printFaultReport(stdout, rep)
-		printResult(stdout, res)
-		return finish()
-	}
-	im := testbed.Impairments{DropProb: *dropProb, CorruptProb: *corruptProb, DupProb: *dupProb}
-	res, stats, err := d.RunWithImpairments(g, arrival, *pps, *seconds, im)
+	res, err := runOnce(d, g, 0)
 	if err != nil {
 		return err
-	}
-	if stats != (testbed.ImpairStats{}) {
-		fmt.Fprintf(stdout, "impairments injected: %d dropped, %d corrupted, %d duplicated\n",
-			stats.Dropped, stats.Corrupted, stats.Duplicated)
 	}
 	printResult(stdout, res)
 	return finish()
@@ -641,8 +629,12 @@ func printFaultReport(w io.Writer, rep testbed.FaultReport) {
 			i, win.Kind, win.Target, win.Start*1e3, win.End*1e3, sev)
 	}
 	fmt.Fprint(w, t.Text())
-	if rep.LinkDropped > 0 || rep.LinkCorrupted > 0 {
-		fmt.Fprintf(w, "link faults: %d dropped, %d corrupted\n", rep.LinkDropped, rep.LinkCorrupted)
+	if rep.LinkDropped > 0 || rep.LinkCorrupted > 0 || rep.LinkDuplicated > 0 {
+		fmt.Fprintf(w, "link faults: %d dropped, %d corrupted", rep.LinkDropped, rep.LinkCorrupted)
+		if rep.LinkDuplicated > 0 {
+			fmt.Fprintf(w, ", %d duplicated", rep.LinkDuplicated)
+		}
+		fmt.Fprintln(w)
 	}
 	fmt.Fprintf(w, "%s\n", rep.Avail)
 }

@@ -110,25 +110,32 @@ func TestReplayMissingFile(t *testing.T) {
 	}
 }
 
+// TestRunWithImpairmentFlags: link impairments are -faults link
+// clauses; a run under them reports every kind of casualty.
 func TestRunWithImpairmentFlags(t *testing.T) {
 	var out bytes.Buffer
-	err := run([]string{"-pps", "1e6", "-seconds", "0.005", "-impair-drop", "0.2"}, &out)
+	err := run([]string{"-pps", "1e6", "-seconds", "0.005",
+		"-faults", "linkloss:prob=0.2;linkcorrupt:prob=0.1;linkdup:prob=0.1"}, &out)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := out.String()
-	if !strings.Contains(got, "impairments injected") {
-		t.Errorf("impairment summary missing:\n%s", got)
+	if !strings.Contains(got, "link faults:") || !strings.Contains(got, "duplicated") {
+		t.Errorf("link-fault summary missing:\n%s", got)
 	}
 	if !strings.Contains(got, "loss") {
 		t.Errorf("result table missing:\n%s", got)
 	}
 }
 
+// TestRunRejectsBadImpairment: an out-of-range link-fault probability
+// is a usage error.
 func TestRunRejectsBadImpairment(t *testing.T) {
-	var out bytes.Buffer
-	if err := run([]string{"-impair-drop", "2"}, &out); err == nil {
-		t.Error("probability > 1 should fail")
+	for _, spec := range []string{"linkloss:prob=2", "linkcorrupt:prob=2", "linkdup:prob=2"} {
+		var out bytes.Buffer
+		if err := run([]string{"-faults", spec}, &out); err == nil {
+			t.Errorf("-faults %s: probability > 1 should fail", spec)
+		}
 	}
 }
 
@@ -331,7 +338,6 @@ func TestFaultsFlagValidation(t *testing.T) {
 	}{
 		{"faults+search", []string{"-faults", "linkloss:prob=0.1", "-search"}, "mutually exclusive"},
 		{"faults+record", []string{"-faults", "linkloss:prob=0.1", "-record", "a"}, "mutually exclusive"},
-		{"faults+impair", []string{"-faults", "linkloss:prob=0.1", "-impair-drop", "0.1"}, "mutually exclusive"},
 		{"unknown kind", []string{"-faults", "meteor:dev=cores"}, "-faults"},
 		{"bad prob", []string{"-faults", "linkloss:prob=1.5"}, "-faults"},
 		{"bad duration", []string{"-faults", "outage:dev=cores,at=banana"}, "-faults"},
@@ -375,6 +381,26 @@ func TestRunReplicatedFixedRate(t *testing.T) {
 	}
 }
 
+// TestRunReplicatedWithFaults: -trials composes with -faults; every
+// trial runs under the spec and trial 0's fault report is printed once.
+func TestRunReplicatedWithFaults(t *testing.T) {
+	var out bytes.Buffer
+	err := run([]string{"-system", "host", "-pps", "1e6", "-seconds", "0.003",
+		"-trials", "3", "-faults", "linkloss:prob=0.05;linkdup:prob=0.05"}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := out.String()
+	for _, frag := range []string{"Injected faults", "link faults:", "Replication over 3 seeded trials"} {
+		if !strings.Contains(got, frag) {
+			t.Errorf("output missing %q:\n%s", frag, got)
+		}
+	}
+	if n := strings.Count(got, "Injected faults"); n != 1 {
+		t.Errorf("fault report printed %d times, want once (trial 0)", n)
+	}
+}
+
 func TestRunReplicatedSearch(t *testing.T) {
 	var out bytes.Buffer
 	err := run([]string{"-search", "-seconds", "0.003", "-trials", "2"}, &out)
@@ -396,7 +422,6 @@ func TestTrialsFlagValidation(t *testing.T) {
 		{"-trials", "2", "-record", "x.trace"},
 		{"-trials", "2", "-replay", "x.trace"},
 		{"-trials", "2", "-trace", "x.jsonl"},
-		{"-trials", "2", "-faults", "linkloss:prob=0.01"},
 		{"-ci", "0.9"},                 // -ci without replication
 		{"-trials", "2", "-ci", "1.5"}, // level outside (0, 1)
 		{"-trials", "2", "-ci", "0"},
@@ -470,7 +495,6 @@ func TestProfileFlagConflicts(t *testing.T) {
 		{"profile+replay", []string{"-profile", "-replay", "f"}, "-record/-replay"},
 		{"profile+faults", []string{"-profile", "-faults", "linkloss:prob=0.1"}, "healthy"},
 		{"profile+trace", []string{"-profile", "-trace", "t.jsonl"}, "mutually exclusive"},
-		{"profile+impair", []string{"-profile", "-impair-drop", "0.1"}, "-impair-*"},
 		{"profile+pps", []string{"-profile", "-pps", "1e6"}, "canonical workload"},
 		{"profile+fpga", []string{"-profile", "-system", "fpga"}, "no profile target"},
 	}
@@ -556,7 +580,6 @@ func TestScenarioFlagConflicts(t *testing.T) {
 		{"scenario+replay", []string{"-scenario", "zipf:flows=1024", "-replay", "a"}, "-record/-replay"},
 		{"scenario+faults", []string{"-scenario", "zipf:flows=1024", "-faults", "linkloss:prob=0.1"}, "mutually exclusive"},
 		{"scenario+trace", []string{"-scenario", "zipf:flows=1024", "-trace", "t.jsonl"}, "mutually exclusive"},
-		{"scenario+impair", []string{"-scenario", "zipf:flows=1024", "-impair-drop", "0.1"}, "-impair-*"},
 		{"scenario+profile", []string{"-scenario", "zipf:flows=1024", "-profile"}, "mutually exclusive"},
 		{"scenario+flows", []string{"-scenario", "zipf:flows=1024", "-flows", "99"}, "owns the workload shape"},
 		{"scenario+attack", []string{"-scenario", "zipf:flows=1024", "-attack", "0.5"}, "owns the workload shape"},

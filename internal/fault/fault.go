@@ -2,8 +2,8 @@
 // simulated heterogeneous substrate. It models the degraded operating
 // regimes real deployments run in — transient device outages with
 // MTTF/MTTR recovery, brownout/thermal throttling (temporary rate
-// derating), link loss and bit corruption on the NIC path, and
-// correlated burst overload — so the comparison methodology can be
+// derating), link loss, bit corruption and duplication on the NIC path,
+// and correlated burst overload — so the comparison methodology can be
 // applied *within* a failure regime, not just the healthy one (the
 // paper's Principle 2: systems must be compared in the same operating
 // regime, and "degraded" is a regime too).
@@ -42,6 +42,9 @@ const (
 	// Burst multiplies the offered arrival rate by Severity (> 1)
 	// while active: correlated overload, e.g. a failover herd.
 	Burst
+	// LinkDup delivers each arriving packet a second time with
+	// probability Severity (a retransmitting or looping link).
+	LinkDup
 )
 
 // String names the kind using the spec grammar's keywords.
@@ -57,6 +60,8 @@ func (k Kind) String() string {
 		return "linkcorrupt"
 	case Burst:
 		return "burst"
+	case LinkDup:
+		return "linkdup"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
 	}
@@ -113,8 +118,8 @@ type Clause struct {
 	// repair; both set selects the recurrent (stochastic) schedule.
 	MTTF, MTTR float64
 	// Severity is kind-specific: remaining rate fraction for Brownout
-	// (0 < s < 1), per-packet probability for LinkLoss/LinkCorrupt
-	// (0 < s <= 1), rate multiplier for Burst (s > 1). Unused (0) for
+	// (0 < s < 1), per-packet probability for LinkLoss/LinkCorrupt/
+	// LinkDup (0 < s <= 1), rate multiplier for Burst (s > 1). Unused (0) for
 	// Outage.
 	Severity float64
 }
@@ -156,7 +161,7 @@ func (c Clause) Validate() error {
 		if c.Severity <= 0 || c.Severity >= 1 {
 			return fail("factor=%v outside (0,1)", c.Severity)
 		}
-	case LinkLoss, LinkCorrupt:
+	case LinkLoss, LinkCorrupt, LinkDup:
 		if c.Severity <= 0 || c.Severity > 1 {
 			return fail("prob=%v outside (0,1]", c.Severity)
 		}
@@ -200,7 +205,7 @@ func (c Clause) String() string {
 	switch c.Kind {
 	case Brownout, Burst:
 		parts = append(parts, fmt.Sprintf("factor=%g", c.Severity))
-	case LinkLoss, LinkCorrupt:
+	case LinkLoss, LinkCorrupt, LinkDup:
 		parts = append(parts, fmt.Sprintf("prob=%g", c.Severity))
 	}
 	if len(parts) == 0 {
@@ -217,23 +222,13 @@ const DefaultSeed = 11
 // zero value is the healthy regime (no faults).
 type Spec struct {
 	Clauses []Clause
-	// Seed drives MTTF/MTTR episode draws and link loss/corruption
-	// coin flips (DefaultSeed when 0).
+	// Seed drives MTTF/MTTR episode draws and link loss, corruption and
+	// duplication coin flips (DefaultSeed when 0).
 	Seed uint64
 }
 
 // Empty reports whether the spec injects nothing (the healthy regime).
 func (s Spec) Empty() bool { return len(s.Clauses) == 0 }
-
-// HasKind reports whether any clause has the given kind.
-func (s Spec) HasKind(k Kind) bool {
-	for _, c := range s.Clauses {
-		if c.Kind == k {
-			return true
-		}
-	}
-	return false
-}
 
 // Validate checks every clause.
 func (s Spec) Validate() error {

@@ -43,6 +43,7 @@ type Injector struct {
 	linkRng     *sim.RNG
 	lossProb    float64
 	corruptProb float64
+	dupProb     float64
 	rateFactor  float64
 }
 
@@ -93,6 +94,14 @@ func (inj *Injector) CorruptArrival(frameLen int) (idx int, corrupt bool) {
 		return 0, false
 	}
 	return inj.linkRng.Intn(frameLen), true
+}
+
+// DupArrival decides whether the link delivers the arriving packet a
+// second time. Call it after DropArrival and CorruptArrival: it draws
+// last, and only while a linkdup window is active, so specs without
+// linkdup clauses draw exactly the coins they always did.
+func (inj *Injector) DupArrival() bool {
+	return inj.dupProb > 0 && inj.linkRng.Float64() < inj.dupProb
 }
 
 // Arm materialises the fault schedule over [0, horizon) and registers
@@ -203,7 +212,7 @@ func (inj *Injector) recompute() {
 	for _, t := range allTargets {
 		derate[t] = 1
 	}
-	lossPass, corruptPass := 1.0, 1.0
+	lossPass, corruptPass, dupPass := 1.0, 1.0, 1.0
 	rate := 1.0
 	for i, w := range inj.windows {
 		if !inj.active[i] {
@@ -218,6 +227,8 @@ func (inj *Injector) recompute() {
 			lossPass *= 1 - w.Severity
 		case LinkCorrupt:
 			corruptPass *= 1 - w.Severity
+		case LinkDup:
+			dupPass *= 1 - w.Severity
 		case Burst:
 			rate *= w.Severity
 		}
@@ -228,5 +239,6 @@ func (inj *Injector) recompute() {
 	}
 	inj.lossProb = 1 - lossPass
 	inj.corruptProb = 1 - corruptPass
+	inj.dupProb = 1 - dupPass
 	inj.rateFactor = rate
 }

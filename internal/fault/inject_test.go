@@ -176,6 +176,76 @@ func TestInjectorLinkStateOnlyDuringWindows(t *testing.T) {
 	}
 }
 
+// TestInjectorLinkDup: duplication is active only inside its windows,
+// overlapping windows compose as complements, and a spec without
+// linkdup clauses draws no dup coins, so its loss and corruption draws
+// are unchanged by the ingress path asking.
+func TestInjectorLinkDup(t *testing.T) {
+	inj, err := NewInjector(mustSpec(t, "linkdup:prob=1,at=2ms,for=2ms;linkdup:prob=0.5,at=3ms,for=3ms"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := sim.New()
+	if err := inj.Arm(s, 0.01, newFakePlant()); err != nil {
+		t.Fatal(err)
+	}
+	dups := map[float64]bool{}
+	probs := map[float64]float64{}
+	for _, at := range []float64{0.001, 0.0025, 0.0035, 0.007} {
+		at := at
+		if err := s.At(sim.Time(at), func() {
+			probs[at] = inj.dupProb
+			dups[at] = inj.DupArrival()
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Run(0.01)
+	if dups[0.001] || dups[0.007] {
+		t.Errorf("duplicated outside the dup windows: %v", dups)
+	}
+	if !dups[0.0025] || !dups[0.0035] {
+		t.Errorf("prob=1 dup window did not duplicate: %v", dups)
+	}
+	if probs[0.0035] != 1 || probs[0.0025] != 1 {
+		t.Errorf("dup probabilities = %v, want 1 while the prob=1 window is active", probs)
+	}
+
+	draws := func(askDup bool) []int {
+		inj, err := NewInjector(mustSpec(t, "linkloss:prob=0.3;linkcorrupt:prob=0.3;seed:5"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := sim.New()
+		if err := inj.Arm(s, 1, newFakePlant()); err != nil {
+			t.Fatal(err)
+		}
+		var out []int
+		if err := s.At(0.5, func() {
+			for i := 0; i < 200; i++ {
+				idx, corrupt := -1, false
+				if !inj.DropArrival() {
+					idx, corrupt = inj.CorruptArrival(64)
+				}
+				if !corrupt {
+					idx = -1
+				}
+				if askDup && inj.DupArrival() {
+					t.Fatal("duplicated without a linkdup clause")
+				}
+				out = append(out, idx)
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		s.Run(1)
+		return out
+	}
+	if !reflect.DeepEqual(draws(false), draws(true)) {
+		t.Error("asking DupArrival changed the loss/corruption draws of a spec without linkdup")
+	}
+}
+
 func TestInjectorBurstRateFactor(t *testing.T) {
 	spec := mustSpec(t, "burst:factor=3,at=1ms,for=1ms")
 	inj, err := NewInjector(spec)

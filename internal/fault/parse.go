@@ -12,7 +12,7 @@ import (
 //
 //	spec    := clause (";" clause)*
 //	clause  := kind [":" param ("," param)*] | "seed:" N
-//	kind    := outage | brownout | linkloss | linkcorrupt | burst
+//	kind    := outage | brownout | linkloss | linkcorrupt | linkdup | burst
 //	param   := key "=" value
 //	key     := dev | at | for | mttf | mttr | factor | prob
 //
@@ -23,6 +23,7 @@ import (
 //	outage:dev=fpga,mttf=20ms,mttr=2ms
 //	brownout:dev=cores,at=0,for=10ms,factor=0.5
 //	linkloss:prob=0.01
+//	linkcorrupt:prob=0.002;linkdup:prob=0.01
 //	burst:factor=3,at=8ms,for=2ms;seed:17
 //
 // Every parse failure wraps ErrSpec so callers can surface it as a
@@ -79,10 +80,12 @@ func parseKind(s string) (Kind, error) {
 		return LinkLoss, nil
 	case "linkcorrupt":
 		return LinkCorrupt, nil
+	case "linkdup":
+		return LinkDup, nil
 	case "burst":
 		return Burst, nil
 	default:
-		return 0, fmt.Errorf("%w: unknown fault kind %q (want outage, brownout, linkloss, linkcorrupt or burst)", ErrSpec, s)
+		return 0, fmt.Errorf("%w: unknown fault kind %q (want outage, brownout, linkloss, linkcorrupt, linkdup or burst)", ErrSpec, s)
 	}
 }
 

@@ -37,6 +37,12 @@ func TestParseSpecExamples(t *testing.T) {
 			}},
 		},
 		{
+			in: "linkdup:prob=0.02,at=1ms,for=4ms",
+			want: Spec{Clauses: []Clause{
+				{Kind: LinkDup, At: 0.001, For: 0.004, Severity: 0.02},
+			}},
+		},
+		{
 			// Plain-seconds durations parse like Go durations.
 			in: "burst:factor=3,at=0.008,for=0.002",
 			want: Spec{Clauses: []Clause{
@@ -85,6 +91,9 @@ func TestParseSpecErrors(t *testing.T) {
 		"linkloss:prob=0",                       // prob outside (0,1]
 		"linkloss:dev=cores,prob=0.1",           // dev on a link clause
 		"linkcorrupt:prob=nan",                  // NaN severity
+		"linkdup:prob=0",                        // prob outside (0,1]
+		"linkdup:prob=1.5",                      // prob outside (0,1]
+		"linkdup:dev=smartnic,prob=0.1",         // dev on a link clause
 		"burst:factor=1",                        // burst must exceed 1
 		"burst:factor=0.5",                      // burst must exceed 1
 	} {
@@ -105,6 +114,7 @@ func TestSpecStringRoundTrips(t *testing.T) {
 		"outage:dev=fpga,mttf=20ms,mttr=2ms;seed:17",
 		"brownout:dev=cores,at=1ms,for=10ms,factor=0.5",
 		"linkloss:prob=0.01;burst:factor=3,at=8ms,for=2ms",
+		"linkdup:prob=0.02,at=1ms,for=4ms;linkcorrupt:prob=0.01;seed:3",
 	} {
 		first, err := ParseSpec(in)
 		if err != nil {
@@ -130,6 +140,7 @@ func FuzzParseSpec(f *testing.F) {
 		"linkloss:prob=0.01",
 		"burst:factor=3,at=8ms,for=2ms;seed:9",
 		"linkcorrupt:prob=0.002;linkloss:prob=1",
+		"linkdup:prob=0.5,mttf=4ms,mttr=1ms;seed:2",
 		";;;",
 		"outage:dev=cores,at=1e300,for=1e300",
 	} {

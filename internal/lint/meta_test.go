@@ -79,6 +79,7 @@ func TestHotpathsAnnotated(t *testing.T) {
 		"internal/workload.(*ScenarioGen).NextAt": false,
 		"internal/workload.(*Generator).Next":     false,
 		"internal/testbed.(*Deployment).dispatch": false,
+		"internal/testbed.(*Deployment).offer":    false,
 	}
 	pkgs, fset, err := load(&Config{Dir: root, Patterns: []string{"./..."}})
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 // Fault-injected runs: the deployment under a fault.Spec. The injector
 // schedules fault windows as first-class simulation events; device
 // faults actuate the hardware models through the plant adapter below,
-// link faults and burst overload act on the ingress path, and an
+// link faults and burst overload act on the ingress path (offer), and an
 // availability meter buckets offered traffic so the run reports
 // degraded-regime figures of merit alongside the usual measurement.
 
@@ -34,8 +34,9 @@ type FaultReport struct {
 	// Avail summarises per-window availability, degradation depth and
 	// recovery time.
 	Avail measure.AvailSummary
-	// LinkDropped and LinkCorrupted count ingress link-fault casualties.
-	LinkDropped, LinkCorrupted uint64
+	// LinkDropped, LinkCorrupted and LinkDuplicated count ingress
+	// link-fault casualties.
+	LinkDropped, LinkCorrupted, LinkDuplicated uint64
 }
 
 // plant adapts the deployment's device models to the injector's
@@ -102,7 +103,8 @@ func faultSpanDevice(w fault.Window) string {
 
 // armFaults attaches the availability meter, wires fault spans into the
 // trace, and arms the injector's event schedule.
-func (d *Deployment) armFaults(inj *fault.Injector, horizon sim.Time) error {
+func (d *Deployment) armFaults(horizon sim.Time) error {
+	inj := d.inj
 	am, err := measure.NewAvailabilityMeter(horizon.Seconds() / availWindows)
 	if err != nil {
 		return err
@@ -129,61 +131,14 @@ func (d *Deployment) armFaults(inj *fault.Injector, horizon sim.Time) error {
 // RunWithFaults is Run under a fault specification. Link-dropped
 // packets count as loss (the offered load included them; the DUT never
 // saw them); corrupted frames reach the DUT and die in header
-// validation; device outages and brownouts play out in the deployment's
-// failover paths. An empty spec measures the healthy regime with the
-// availability meter attached, so healthy and degraded runs report
-// comparable figures.
+// validation; duplicated packets are offered twice; device outages and
+// brownouts play out in the deployment's failover paths. An empty spec
+// measures the healthy regime with the availability meter attached, so
+// healthy and degraded runs report comparable figures.
 func (d *Deployment) RunWithFaults(gen *workload.Generator, arrival workload.Arrival, offeredPps, durationSeconds float64, spec fault.Spec) (Result, FaultReport, error) {
-	if offeredPps <= 0 || durationSeconds <= 0 {
-		return Result{}, FaultReport{}, fmt.Errorf("testbed: invalid run params pps=%v duration=%v", offeredPps, durationSeconds)
-	}
-	inj, err := fault.NewInjector(spec)
-	if err != nil {
-		return Result{}, FaultReport{}, err
-	}
-	rep := FaultReport{Spec: spec}
-	needCopy := d.cfg.MutatesFrames || spec.HasKind(fault.LinkCorrupt)
-	hooks := &runHooks{
-		prep:       func(horizon sim.Time) error { return d.armFaults(inj, horizon) },
-		rateFactor: inj.RateFactor,
-	}
-	res, err := d.runInjected(arrival, offeredPps, durationSeconds, gen.ArrivalRNG(),
-		func() error {
-			var pk workload.Pkt
-			var err error
-			if needCopy {
-				pk, err = gen.NextCopy()
-			} else {
-				pk, err = gen.Next()
-			}
-			if err != nil {
-				return err
-			}
-			d.tput.Offer(len(pk.Frame))
-			if inj.DropArrival() {
-				rep.LinkDropped++
-				d.tput.Lose()
-				// Offered but never resolvable: the arrival window
-				// records it as lost service.
-				d.avail.Offer(d.s.Now().Seconds())
-				return nil
-			}
-			if idx, corrupt := inj.CorruptArrival(len(pk.Frame)); corrupt {
-				rep.LinkCorrupted++
-				pk.Frame[idx] ^= 0xff
-			}
-			d.dispatch(pk)
-			return nil
-		}, hooks)
-	if err != nil {
-		return Result{}, FaultReport{}, err
-	}
-	rep.Windows = inj.Windows()
-	rep.Avail, err = d.avail.Summarize(measure.DefaultAvailabilityThreshold)
-	if err != nil {
-		return Result{}, FaultReport{}, fmt.Errorf("testbed: %s: availability: %w", d.cfg.Name, err)
-	}
-	return res, rep, nil
+	return d.runWithFaults(spec, func() (Result, error) {
+		return d.Run(gen, arrival, offeredPps, durationSeconds)
+	})
 }
 
 // RunTraceWithFaults replays a recorded trace under a fault
@@ -191,9 +146,26 @@ func (d *Deployment) RunWithFaults(gen *workload.Generator, arrival workload.Arr
 // the recorded timestamps, which a burst multiplier must not rewrite
 // (it would change which packets exist, not just when faults strike).
 func (d *Deployment) RunTraceWithFaults(tr *workload.TraceReader, stretch float64, spec fault.Spec) (Result, FaultReport, error) {
+	return d.runWithFaults(spec, func() (Result, error) { return d.RunTrace(tr, stretch) })
+}
+
+// runWithFaults arms an injector for spec as deployment state, runs,
+// and assembles the fault report.
+func (d *Deployment) runWithFaults(spec fault.Spec, run func() (Result, error)) (Result, FaultReport, error) {
 	inj, err := fault.NewInjector(spec)
 	if err != nil {
 		return Result{}, FaultReport{}, err
 	}
-	return d.runTrace(tr, stretch, inj, spec)
+	d.inj = inj
+	res, err := run()
+	if err != nil {
+		return Result{}, FaultReport{}, err
+	}
+	rep := FaultReport{Spec: spec, Windows: inj.Windows(),
+		LinkDropped: d.linkDropped, LinkCorrupted: d.linkCorrupted, LinkDuplicated: d.linkDuplicated}
+	rep.Avail, err = d.avail.Summarize(measure.DefaultAvailabilityThreshold)
+	if err != nil {
+		return Result{}, FaultReport{}, fmt.Errorf("testbed: %s: availability: %w", d.cfg.Name, err)
+	}
+	return res, rep, nil
 }

@@ -1,10 +1,13 @@
 package testbed
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
 	"fairbench/internal/fault"
 	"fairbench/internal/hw"
+	"fairbench/internal/packet"
 	"fairbench/internal/workload"
 )
 
@@ -246,7 +249,8 @@ func TestLinkCorruptFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, rep, err := d.RunWithFaults(e6gen(t), workload.CBR{}, 1e6, testDuration,
+	g := e6gen(t)
+	res, rep, err := d.RunWithFaults(g, workload.CBR{}, 1e6, testDuration,
 		mustFaultSpec(t, "linkcorrupt:prob=0.2"))
 	if err != nil {
 		t.Fatal(err)
@@ -259,6 +263,113 @@ func TestLinkCorruptFaults(t *testing.T) {
 	}
 	if res.LossFraction > 0.25 {
 		t.Errorf("loss = %v cannot exceed the corruption rate by much", res.LossFraction)
+	}
+	// The link flips bytes of private copies: the generator's shared
+	// templates must still parse.
+	p := packet.NewParser()
+	for i := 0; i < 1000; i++ {
+		pk, err := g.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Parse(pk.Frame); err != nil {
+			t.Fatalf("template corrupted by a link fault: %v", err)
+		}
+	}
+}
+
+// TestLinkDupFaults: a duplicated packet is offered a second time, so
+// the offered count is the healthy run's plus the duplicates, and every
+// copy is accounted for.
+func TestLinkDupFaults(t *testing.T) {
+	healthy, err := BaselineFirewall(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := healthy.Run(e6gen(t), workload.CBR{}, 1e6, testDuration)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := BaselineFirewall(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, rep, err := d.RunWithFaults(e6gen(t), workload.CBR{}, 1e6, testDuration,
+		mustFaultSpec(t, "linkdup:prob=0.5"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.LinkDuplicated == 0 {
+		t.Fatal("no duplicates recorded")
+	}
+	if got, want := res.Offered.Packets, base.Offered.Packets+rep.LinkDuplicated; got != want {
+		t.Errorf("offered %d packets, want %d arrivals + %d duplicates = %d",
+			got, base.Offered.Packets, rep.LinkDuplicated, want)
+	}
+	if got := res.Offered.PacketsPerSecond(); got < 1.4e6 || got > 1.6e6 {
+		t.Errorf("offered with duplication = %v pps, want ≈1.5M", got)
+	}
+	requireConserved(t, d, res)
+}
+
+// TestLinkFreeFaultsMatchPlainRuns: a spec with no link or burst clause
+// leaves the ingress path untouched, so a faulted run whose device
+// faults hit nothing measures exactly what the plain run does, for both
+// generated and replayed traffic.
+func TestLinkFreeFaultsMatchPlainRuns(t *testing.T) {
+	specs := []fault.Spec{{}, mustFaultSpec(t, "outage:dev=fpga,at=5ms,for=5ms;brownout:dev=switch,at=0,for=0,factor=0.5")}
+	var rec bytes.Buffer
+	if err := workload.Record(&rec, e6gen(t), workload.Poisson{}, 2e6, 20000); err != nil {
+		t.Fatal(err)
+	}
+	trace := func() *workload.TraceReader {
+		tr, err := workload.NewTraceReader(bytes.NewReader(rec.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { tr.Close() })
+		return tr
+	}
+	for _, spec := range specs {
+		d, err := SmartNICFirewall()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := d.Run(e6gen(t), workload.Poisson{}, 4e6, testDuration)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err = SmartNICFirewall()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := d.RunWithFaults(e6gen(t), workload.Poisson{}, 4e6, testDuration, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("RunWithFaults(%q) differs from Run:\n%+v\n%+v", spec, got, want)
+		}
+
+		d, err = SmartNICFirewall()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err = d.RunTrace(trace(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err = SmartNICFirewall()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err = d.RunTraceWithFaults(trace(), 1, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("RunTraceWithFaults(%q) differs from RunTrace:\n%+v\n%+v", spec, got, want)
+		}
 	}
 }
 
@@ -321,5 +432,23 @@ func TestRunWithFaultsValidation(t *testing.T) {
 	bad := fault.Spec{Clauses: []fault.Clause{{Kind: fault.Brownout, Target: fault.TargetCores, Severity: 2}}}
 	if _, _, err := d.RunWithFaults(e6gen(t), workload.CBR{}, 1e6, testDuration, bad); err == nil {
 		t.Error("invalid spec accepted")
+	}
+}
+
+// TestLinkFaultProbValidation checks that a run rejects a link clause
+// whose probability is out of range, also when the spec was built
+// directly rather than parsed.
+func TestLinkFaultProbValidation(t *testing.T) {
+	d, err := BaselineFirewall(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, k := range []fault.Kind{fault.LinkLoss, fault.LinkCorrupt, fault.LinkDup} {
+		for _, p := range []float64{-0.1, 1.5} {
+			spec := fault.Spec{Clauses: []fault.Clause{{Kind: k, Severity: p}}}
+			if _, _, err := d.RunWithFaults(e6gen(t), workload.CBR{}, 1e6, 0.001, spec); err == nil {
+				t.Errorf("%v with probability %v accepted", k, p)
+			}
+		}
 	}
 }

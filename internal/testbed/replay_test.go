@@ -11,110 +11,6 @@ import (
 	"fairbench/internal/workload"
 )
 
-func TestRunWithImpairmentsDrop(t *testing.T) {
-	d, err := BaselineFirewall(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := e6gen(t)
-	res, stats, err := d.RunWithImpairments(g, workload.CBR{}, 1e6, testDuration,
-		Impairments{DropProb: 0.3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Dropped == 0 {
-		t.Fatal("no impairment drops recorded")
-	}
-	// Impaired drops count as loss relative to offered load.
-	frac := res.LossFraction
-	if frac < 0.25 || frac > 0.35 {
-		t.Errorf("loss fraction = %v, want ≈0.3 (impairment drops)", frac)
-	}
-	// The surviving 70% is processed normally.
-	want := 0.7 * 1e6
-	got := res.Processed.PacketsPerSecond()
-	if got < want*0.9 || got > want*1.1 {
-		t.Errorf("processed = %v pps, want ≈%v", got, want)
-	}
-}
-
-func TestRunWithImpairmentsCorrupt(t *testing.T) {
-	d, err := BaselineFirewall(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := e6gen(t)
-	res, stats, err := d.RunWithImpairments(g, workload.CBR{}, 1e6, testDuration,
-		Impairments{CorruptProb: 0.2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Corrupted == 0 {
-		t.Fatal("no corruption recorded")
-	}
-	// Corrupted frames are mostly rejected by header validation and
-	// show up as loss; a byte flip in the payload region survives
-	// parsing (UDP checksum is not re-verified by the firewall path),
-	// so loss is bounded above by the corruption rate.
-	if res.LossFraction == 0 {
-		t.Error("corrupted frames should produce some parse-level loss")
-	}
-	if res.LossFraction > 0.25 {
-		t.Errorf("loss = %v, cannot exceed corruption rate by much", res.LossFraction)
-	}
-}
-
-func TestRunWithImpairmentsDuplicate(t *testing.T) {
-	d, err := BaselineFirewall(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := e6gen(t)
-	res, stats, err := d.RunWithImpairments(g, workload.CBR{}, 1e6, testDuration,
-		Impairments{DupProb: 0.5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Duplicated == 0 {
-		t.Fatal("no duplicates recorded")
-	}
-	// Offered load includes duplicates: ≈1.5x the nominal rate.
-	got := res.Offered.PacketsPerSecond()
-	if got < 1.4e6 || got > 1.6e6 {
-		t.Errorf("offered with duplication = %v pps, want ≈1.5M", got)
-	}
-}
-
-func TestImpairmentsValidation(t *testing.T) {
-	d, err := BaselineFirewall(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := e6gen(t)
-	if _, _, err := d.RunWithImpairments(g, workload.CBR{}, 1e6, 0.001,
-		Impairments{DropProb: 1.5}); err == nil {
-		t.Error("probability > 1 should fail")
-	}
-}
-
-func TestRunWithoutImpairmentsDelegates(t *testing.T) {
-	d, err := BaselineFirewall(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := e6gen(t)
-	res, stats, err := d.RunWithImpairments(g, workload.CBR{}, 1e6, 0.005, Impairments{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats != (ImpairStats{}) {
-		t.Errorf("stats = %+v, want zero", stats)
-	}
-	if res.LossFraction > 0.001 {
-		t.Errorf("clean run loss = %v", res.LossFraction)
-	}
-}
-
 func TestRunTraceReplay(t *testing.T) {
 	// Record a trace from the generator, then replay it through a
 	// deployment; the replayed run must process every frame.
@@ -389,5 +285,63 @@ func TestReplayWithFaultsDeterministic(t *testing.T) {
 	}
 	if resA.LossFraction < 0.05 {
 		t.Errorf("loss = %v, want ≥ link-loss floor", resA.LossFraction)
+	}
+}
+
+// replayWithFaults records n CBR packets at 1 Mpps and replays them
+// through a single-core baseline under the given fault spec.
+func replayWithFaults(t *testing.T, n int, spec string) (Result, FaultReport) {
+	t.Helper()
+	var rec bytes.Buffer
+	if err := workload.Record(&rec, e6gen(t), workload.CBR{}, 1e6, n); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := workload.NewTraceReader(&rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	d, err := BaselineFirewall(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, rep, err := d.RunTraceWithFaults(tr, 1, mustFaultSpec(t, spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireConserved(t, d, res)
+	return res, rep
+}
+
+// TestReplayLinkLossFaults checks link loss on the trace source: the
+// lost share matches the clause's probability and the survivors are
+// processed normally.
+func TestReplayLinkLossFaults(t *testing.T) {
+	res, rep := replayWithFaults(t, 20000, "linkloss:prob=0.3")
+	if rep.LinkDropped == 0 {
+		t.Fatal("no link drops recorded")
+	}
+	if res.LossFraction < 0.25 || res.LossFraction > 0.35 {
+		t.Errorf("loss fraction = %v, want ≈0.3 (link drops)", res.LossFraction)
+	}
+	want := 0.7 * res.Offered.PacketsPerSecond()
+	if got := res.Processed.PacketsPerSecond(); got < want*0.9 || got > want*1.1 {
+		t.Errorf("processed = %v pps, want ≈%v", got, want)
+	}
+}
+
+// TestReplayLinkCorruptFaults checks link corruption on the trace
+// source: corrupted frames mostly fail header validation, so loss is
+// nonzero but bounded by the corruption rate.
+func TestReplayLinkCorruptFaults(t *testing.T) {
+	res, rep := replayWithFaults(t, 20000, "linkcorrupt:prob=0.2")
+	if rep.LinkCorrupted == 0 {
+		t.Fatal("no corruption recorded")
+	}
+	if res.LossFraction == 0 {
+		t.Error("corrupted frames should produce some parse-level loss")
+	}
+	if res.LossFraction > 0.25 {
+		t.Errorf("loss = %v, cannot exceed corruption rate by much", res.LossFraction)
 	}
 }

@@ -22,11 +22,6 @@ import (
 // out of the hot path.
 const stateSampleWindows = 48
 
-// MeterState attaches a state-pressure meter for the next run. Probes
-// should be registered on the meter before the run; a nil meter (the
-// default) keeps the hot path class-blind.
-func (d *Deployment) MeterState(sm *measure.StateMeter) { d.state = sm }
-
 // armStateSampler schedules periodic table sampling up to the horizon.
 func (d *Deployment) armStateSampler(horizon sim.Time) error {
 	every := horizon.Seconds() / stateSampleWindows
@@ -55,26 +50,16 @@ func (d *Deployment) RunScenario(sg *workload.ScenarioGen, arrival workload.Arri
 		return Result{}, fmt.Errorf("testbed: invalid scenario run params pps=%v duration=%v", offeredPps, durationSeconds)
 	}
 	d.state = sm
-	hooks := &runHooks{
-		rateFactor: func() float64 { return sg.RateFactor(d.s.Now().Seconds()) },
-	}
-	if sm != nil {
-		hooks.prep = func(horizon sim.Time) error { return d.armStateSampler(horizon) }
-	}
-	return d.runInjected(arrival, offeredPps, durationSeconds, sg.ArrivalRNG(),
+	return d.runArrivals(arrival, offeredPps, durationSeconds, sg.ArrivalRNG(),
+		func() float64 { return sg.RateFactor(d.s.Now().Seconds()) },
 		func() error {
-			pk, class, err := sg.NextAt(d.s.Now().Seconds())
+			pk, _, err := sg.NextAt(d.s.Now().Seconds())
 			if err != nil {
 				return err
 			}
-			if d.cfg.MutatesFrames {
-				pk.Frame = append([]byte(nil), pk.Frame...)
-			}
-			d.tput.Offer(len(pk.Frame))
-			d.state.Offer(string(class), len(pk.Frame))
-			d.dispatch(pk)
+			d.offer(pk)
 			return nil
-		}, hooks)
+		})
 }
 
 // StatePressureHost builds an n-core conntrack firewall over the

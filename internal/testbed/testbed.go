@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"fairbench/internal/cost"
+	"fairbench/internal/fault"
 	"fairbench/internal/hw"
 	"fairbench/internal/measure"
 	"fairbench/internal/nf"
@@ -151,9 +152,13 @@ type Deployment struct {
 	tr          *obs.Tracer
 	sampleEvery float64
 
-	// avail is the optional per-window availability meter faulted runs
-	// attach; nil (the default) keeps the hot path free of bucketing.
-	avail *measure.AvailabilityMeter
+	// inj is the optional fault injector faulted runs arm; nil (the
+	// default) keeps the ingress path fault-free. avail is the
+	// per-window availability meter armed with it, and the link counts
+	// tally ingress link-fault casualties.
+	inj                                        *fault.Injector
+	avail                                      *measure.AvailabilityMeter
+	linkDropped, linkCorrupted, linkDuplicated uint64
 
 	// state is the optional per-class state-pressure meter scenario
 	// runs attach; nil (the default) keeps the hot path class-blind.
@@ -412,59 +417,58 @@ func (d *Deployment) Run(gen *workload.Generator, arrival workload.Arrival, offe
 	if offeredPps <= 0 || durationSeconds <= 0 {
 		return Result{}, fmt.Errorf("testbed: invalid run params pps=%v duration=%v", offeredPps, durationSeconds)
 	}
-	return d.runInjected(arrival, offeredPps, durationSeconds, gen.ArrivalRNG(),
+	return d.runArrivals(arrival, offeredPps, durationSeconds, gen.ArrivalRNG(), nil,
 		func() error {
-			var pk workload.Pkt
-			var err error
-			if d.cfg.MutatesFrames {
-				pk, err = gen.NextCopy()
-			} else {
-				pk, err = gen.Next()
-			}
+			pk, err := gen.Next()
 			if err != nil {
 				return err
 			}
-			d.tput.Offer(len(pk.Frame))
-			d.dispatch(pk)
+			d.offer(pk)
 			return nil
-		}, nil)
+		})
 }
 
-// runHooks customises runInjected for faulted runs.
-type runHooks struct {
-	// prep runs after observability is armed and before arrivals are
-	// scheduled — where the fault injector arms its event schedule.
-	prep func(horizon sim.Time) error
-	// rateFactor scales the offered rate at each arrival (burst
-	// overload); nil means a constant factor of 1.
-	rateFactor func() float64
-}
-
-// beginRun resets the run's meters and arms observability for a run
-// measured over [0, horizon).
-func (d *Deployment) beginRun(horizon sim.Time) {
+// beginRun resets the run's meters and arms, in order, observability,
+// the fault injector and the state sampler for a run measured over
+// [0, horizon). The arming order fixes event sequence numbers and so
+// equal-time tie-breaks; arrivals are scheduled after it returns.
+func (d *Deployment) beginRun(horizon sim.Time) error {
 	d.tput = measure.ThroughputMeter{}
 	d.tput.Start(0)
 	d.lat = measure.NewLatencyMeter()
 	d.fair = measure.NewFairnessMeter()
 	d.latRejects = 0
+	d.linkDropped, d.linkCorrupted, d.linkDuplicated = 0, 0, 0
 	d.armObs(horizon)
-}
-
-// runInjected drives the arrival process, calling inject per arrival
-// to offer one packet, then drains and collects the measurement. hooks
-// may be nil.
-func (d *Deployment) runInjected(arrival workload.Arrival, offeredPps, durationSeconds float64, arrRng *sim.RNG, inject func() error, hooks *runHooks) (Result, error) {
-	horizon := sim.Time(durationSeconds)
-	d.beginRun(horizon)
-	if hooks != nil && hooks.prep != nil {
-		if err := hooks.prep(horizon); err != nil {
-			return Result{}, err
+	if d.inj != nil {
+		if err := d.armFaults(horizon); err != nil {
+			return err
 		}
 	}
-	rate := func() float64 { return offeredPps }
-	if hooks != nil && hooks.rateFactor != nil {
-		rate = func() float64 { return offeredPps * hooks.rateFactor() }
+	if d.state != nil {
+		return d.armStateSampler(horizon)
+	}
+	return nil
+}
+
+// runArrivals drives the arrival process, calling next per arrival to
+// offer one packet, then drains and collects the measurement. The
+// offered rate is offeredPps scaled by curve (nil for a flat rate) and
+// by the armed injector's burst factor.
+func (d *Deployment) runArrivals(arrival workload.Arrival, offeredPps, durationSeconds float64, arrRng *sim.RNG, curve func() float64, next func() error) (Result, error) {
+	horizon := sim.Time(durationSeconds)
+	if err := d.beginRun(horizon); err != nil {
+		return Result{}, err
+	}
+	rate := func() float64 {
+		r := offeredPps
+		if curve != nil {
+			r *= curve()
+		}
+		if d.inj != nil {
+			r *= d.inj.RateFactor()
+		}
+		return r
 	}
 
 	// One arrival callback serves the whole run: it fires at an arrival
@@ -481,7 +485,7 @@ func (d *Deployment) runInjected(arrival workload.Arrival, offeredPps, durationS
 		}
 	}
 	arrive = func() {
-		if err := inject(); err != nil && injErr == nil {
+		if err := next(); err != nil && injErr == nil {
 			injErr = err
 			d.s.Halt()
 			return
@@ -662,6 +666,55 @@ func (p *pktInFlight) finish(out outcome, device string, so hw.Sojourn) {
 	p.next = d.free
 	d.free = p
 	d.inFlight--
+}
+
+// offer is the one ingress step: every arriving packet, generated or
+// replayed, enters the deployment here, so it is the only place the
+// offered load is metered and the only place frames are copied. Frames
+// alias generator templates (or trace records) and are copied only for
+// link corruption and frame-mutating NFs. With a fault injector armed,
+// the link drops, corrupts and duplicates packets, drawing its coins in
+// that order.
+//
+//fairbench:hotpath fairbench case testbed-smartnic-packet
+func (d *Deployment) offer(pk workload.Pkt) {
+	d.tput.Offer(len(pk.Frame))
+	d.state.Offer(string(pk.Class), len(pk.Frame))
+	private := false
+	if d.inj != nil {
+		if d.inj.DropArrival() {
+			d.linkDropped++
+			d.tput.Lose()
+			d.state.Lose(string(pk.Class))
+			// Offered but never resolvable: the arrival window records
+			// it as lost service.
+			d.avail.Offer(d.s.Now().Seconds())
+			return
+		}
+		if idx, corrupt := d.inj.CorruptArrival(len(pk.Frame)); corrupt {
+			d.linkCorrupted++
+			//fairlint:allow hotalloc only link-corrupted packets copy: the flip must not reach the shared template
+			pk.Frame = append([]byte(nil), pk.Frame...)
+			pk.Frame[idx] ^= 0xff
+			private = true
+		}
+		if d.inj.DupArrival() {
+			// The link delivers the frame twice. Both deliveries share
+			// this arrival's link draws, so the copy is offered with the
+			// injector parked, and goes first: a frame-mutating NF must
+			// not rewrite pk before the copy is taken.
+			d.linkDuplicated++
+			inj := d.inj
+			d.inj = nil
+			d.offer(pk)
+			d.inj = inj
+		}
+	}
+	if d.cfg.MutatesFrames && !private {
+		//fairlint:allow hotalloc only frame-mutating NFs copy: they rewrite the frame in place
+		pk.Frame = append([]byte(nil), pk.Frame...)
+	}
+	d.dispatch(pk)
 }
 
 // dispatch pushes one offered packet through the deployment's path.

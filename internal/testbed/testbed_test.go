@@ -283,42 +283,71 @@ func TestConfigValidation(t *testing.T) {
 
 func TestMutatingNFDeployment(t *testing.T) {
 	// A NAT deployment must see valid frames and keep them valid; the
-	// harness hands it copies so generator templates stay pristine.
-	d, err := New(Config{
-		Name:          "nat-host",
-		Cores:         1,
-		CoreCfg:       ScenarioCore,
-		ChassisWatts:  ScenarioChassisWatts,
-		NICWatts:      ScenarioNICWatts,
-		MutatesFrames: true,
-		NewNF: func(core int) (nf.Func, error) {
-			return nf.NewNAT("nat", packet.Addr4{203, 0, 113, 7}), nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := workload.NewGenerator(workload.Spec{Flows: 64, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := d.Run(g, workload.CBR{}, 1e6, testDuration)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LossFraction > 0.001 {
-		t.Errorf("NAT run loss = %v", res.LossFraction)
-	}
-	if res.Forwarded.Packets != res.Processed.Packets {
-		t.Error("NAT forwards everything it processes")
-	}
-	// Generator templates must still parse (not corrupted by rewrites).
-	p := packet.NewParser()
-	for i := 0; i < 100; i++ {
-		pk, _ := g.Next()
-		if err := p.Parse(pk.Frame); err != nil {
-			t.Fatalf("template corrupted by in-place rewrite: %v", err)
+	// harness hands it copies so generator templates stay pristine, also
+	// when the link duplicates packets: a duplicate is a copy of the
+	// frame as it arrived, so it maps onto its flow's existing binding.
+	natAddr := packet.Addr4{203, 0, 113, 7}
+	var misses []uint64
+	var nats []*nf.NAT
+	nat := func() *Deployment {
+		d, err := New(Config{
+			Name:          "nat-host",
+			Cores:         1,
+			CoreCfg:       ScenarioCore,
+			ChassisWatts:  ScenarioChassisWatts,
+			NICWatts:      ScenarioNICWatts,
+			MutatesFrames: true,
+			NewNF: func(core int) (nf.Func, error) {
+				n := nf.NewNAT("nat", natAddr)
+				nats = append(nats, n)
+				return n, nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
+		return d
+	}
+	for _, spec := range []string{"", "linkdup:prob=0.3"} {
+		g, err := workload.NewGenerator(workload.Spec{Flows: 64, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var res Result
+		if spec == "" {
+			res, err = nat().Run(g, workload.CBR{}, 1e6, testDuration)
+		} else {
+			var rep FaultReport
+			res, rep, err = nat().RunWithFaults(g, workload.CBR{}, 1e6, testDuration, mustFaultSpec(t, spec))
+			if err == nil && rep.LinkDuplicated == 0 {
+				t.Errorf("%q: no duplicates recorded", spec)
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.LossFraction > 0.001 {
+			t.Errorf("%q: NAT run loss = %v", spec, res.LossFraction)
+		}
+		if res.Forwarded.Packets != res.Processed.Packets {
+			t.Errorf("%q: NAT forwards everything it processes", spec)
+		}
+		misses = append(misses, nats[len(nats)-1].Misses)
+		// Generator templates must still parse and carry their own
+		// source (not corrupted by rewrites).
+		p := packet.NewParser()
+		for i := 0; i < 100; i++ {
+			pk, _ := g.Next()
+			if err := p.Parse(pk.Frame); err != nil {
+				t.Fatalf("%q: template corrupted by in-place rewrite: %v", spec, err)
+			}
+			if ft, _ := p.FiveTuple(); ft.Src == natAddr {
+				t.Fatalf("%q: template rewritten in place by the NAT", spec)
+			}
+		}
+	}
+	if misses[0] != misses[1] {
+		t.Errorf("duplicates opened new NAT bindings: %d misses healthy, %d with linkdup", misses[0], misses[1])
 	}
 }
 
@@ -336,4 +365,50 @@ func costCoverage(names []string, comps []cost.Component) map[string]bool {
 		covered[n] = ok
 	}
 	return covered
+}
+
+// TestOfferCopiesArePrivate checks that the frames a frame-mutating NF
+// rewrites, and the frames a faulty link corrupts or duplicates, are
+// private copies: the generator's templates keep their exact bytes.
+func TestOfferCopiesArePrivate(t *testing.T) {
+	g, err := workload.NewGenerator(workload.Spec{Flows: 4, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type snap struct{ frame, bytes []byte }
+	var templates []snap
+	for i := 0; i < 64; i++ {
+		pk, err := g.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		templates = append(templates, snap{pk.Frame, append([]byte(nil), pk.Frame...)})
+	}
+	d, err := New(Config{
+		Name:          "nat-host",
+		Cores:         1,
+		CoreCfg:       ScenarioCore,
+		ChassisWatts:  ScenarioChassisWatts,
+		NICWatts:      ScenarioNICWatts,
+		MutatesFrames: true,
+		NewNF: func(core int) (nf.Func, error) {
+			return nf.NewNAT("nat", packet.Addr4{203, 0, 113, 7}), nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, rep, err := d.RunWithFaults(g, workload.CBR{}, 1e6, testDuration,
+		mustFaultSpec(t, "linkcorrupt:prob=0.2;linkdup:prob=0.2"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.LinkCorrupted == 0 || rep.LinkDuplicated == 0 {
+		t.Fatalf("link faults did not fire: %d corrupted, %d duplicated", rep.LinkCorrupted, rep.LinkDuplicated)
+	}
+	for i, s := range templates {
+		if string(s.frame) != string(s.bytes) {
+			t.Fatalf("template %d was modified by the run", i)
+		}
+	}
 }

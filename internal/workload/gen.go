@@ -160,8 +160,7 @@ type Pkt struct {
 
 // Generator produces packets per a Spec. Frames are pre-built per
 // (flow, size) template and the returned slice aliases the template:
-// consumers that rewrite frames in place must copy first (or use
-// NextCopy).
+// consumers that rewrite frames in place must copy first.
 type Generator struct {
 	spec  Spec
 	flows []flowState
@@ -282,19 +281,6 @@ func (g *Generator) Next() (Pkt, error) {
 	frame := *slot
 	g.Generated++
 	return Pkt{Flow: fs.ft, Frame: frame, Attack: fs.attack}, nil
-}
-
-// NextCopy is Next but returns a private copy of the frame, safe to
-// mutate (needed by NAT/LB deployments).
-func (g *Generator) NextCopy() (Pkt, error) {
-	p, err := g.Next()
-	if err != nil {
-		return Pkt{}, err
-	}
-	frame := make([]byte, len(p.Frame))
-	copy(frame, p.Frame)
-	p.Frame = frame
-	return p, nil
 }
 
 var genOpts = packet.BuildOpts{

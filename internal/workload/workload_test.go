@@ -260,23 +260,6 @@ func TestGeneratorNextAllocs(t *testing.T) {
 	}
 }
 
-func TestNextCopyIsPrivate(t *testing.T) {
-	g, _ := NewGenerator(Spec{Flows: 1, Seed: 7})
-	a, err := g.NextCopy()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := g.Next()
-	if &a.Frame[0] == &b.Frame[0] {
-		t.Fatal("NextCopy must not alias the template")
-	}
-	orig := b.Frame[20]
-	a.Frame[20] ^= 0xff
-	if b.Frame[20] != orig {
-		t.Error("mutating the copy must not affect the template")
-	}
-}
-
 func TestArrivalProcesses(t *testing.T) {
 	rng := sim.NewRNG(8)
 	if got := (CBR{}).NextGap(rng, 1000); got != 0.001 {
