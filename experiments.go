@@ -358,7 +358,10 @@ type Figure1Result struct {
 // host, same rules, tuple-space matcher. The §4.2.1-style port-range
 // rule is expanded to exact ports for the tuple-space representation.
 func tupleSpaceFirewall(cores int) (*testbed.Deployment, error) {
-	rules := expandRanges(testbed.FirewallRules(testbed.DefaultFillerRules))
+	m, err := nf.NewTupleSpaceMatcher(expandRanges(testbed.FirewallRules(testbed.DefaultFillerRules)))
+	if err != nil {
+		return nil, err
+	}
 	return testbed.New(testbed.Config{
 		Name:         fmt.Sprintf("fw-tuplespace-%dcore", cores),
 		Cores:        cores,
@@ -366,10 +369,6 @@ func tupleSpaceFirewall(cores int) (*testbed.Deployment, error) {
 		ChassisWatts: testbed.ScenarioChassisWatts,
 		NICWatts:     testbed.ScenarioNICWatts,
 		NewNF: func(core int) (nf.Func, error) {
-			m, err := nf.NewTupleSpaceMatcher(rules)
-			if err != nil {
-				return nil, err
-			}
 			return nf.NewFirewall(fmt.Sprintf("fw-ts-core%d", core), m), nil
 		},
 	})

@@ -133,6 +133,9 @@ func NewConntrackWith(name string, m Matcher, cfg ConntrackConfig) *Conntrack {
 // Name implements Func.
 func (c *Conntrack) Name() string { return c.name }
 
+// Matcher returns the rule matcher new flows consult.
+func (c *Conntrack) Matcher() Matcher { return c.matcher }
+
 // Entries returns the live connection count.
 func (c *Conntrack) Entries() int { return c.table.Len() }
 

@@ -2,6 +2,9 @@ package nf
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
+	"slices"
 
 	"fairbench/internal/packet"
 )
@@ -74,27 +77,151 @@ type Matcher interface {
 	Len() int
 }
 
-// LinearMatcher scans rules in priority order — the textbook baseline.
+// LinearMatcher is the textbook first-match classifier: rules in
+// priority order, the first rule covering the flow wins, and the work
+// charged is that of a scan examining every rule up to it. The scan
+// itself is not executed: NewLinearMatcher compiles the rules into a
+// bit-vector index (Lakshman & Stiliadis) that yields the same
+// first-match index, so the cycle model keeps charging the scan while
+// the simulator pays for a few binary searches.
 type LinearMatcher struct {
 	rules []Rule
+	// words is the length of one rule bitmask: ⌈len(rules)/64⌉.
+	words int
+	// src, dst, srcPorts and dstPorts map a header value to the rules
+	// whose range on that field covers it.
+	src, dst, srcPorts, dstPorts rangeIndex
+	// proto holds 256 rows of words: the rules covering each protocol.
+	proto []uint64
 }
 
-// NewLinearMatcher copies rules in priority order.
+// rangeIndex splits one header field into elementary intervals. Every
+// value in [starts[j], starts[j+1]) is covered by the same rules, the
+// set bits of masks[j*words:(j+1)*words].
+type rangeIndex struct {
+	starts []uint32 // ascending, starts[0] == 0
+	masks  []uint64
+}
+
+// span is one rule's inclusive interval on a field; lo > hi is empty.
+type span struct{ lo, hi uint32 }
+
+// prefixSpan is the address interval a prefix covers.
+func prefixSpan(p Prefix) span {
+	if p.Bits > 32 {
+		return span{1, 0}
+	}
+	host := ^uint32(0) >> p.Bits // all ones for /0, none for /32
+	lo := p.Addr.Uint32() &^ host
+	return span{lo, lo | host}
+}
+
+// portSpan is the port interval a range covers.
+func portSpan(r PortRange) span {
+	if r.Any() {
+		return span{0, math.MaxUint16}
+	}
+	return span{uint32(r.Lo), uint32(r.Hi)}
+}
+
+// newRangeIndex compiles the rules' spans on one field whose values
+// run up to top. Each rule's bit is toggled where its span starts and
+// just past where it ends; a prefix XOR over the intervals then leaves
+// it set exactly inside the span.
+func newRangeIndex(spans []span, top uint32, words int) rangeIndex {
+	starts := make([]uint32, 1, 2*len(spans)+1)
+	for _, s := range spans {
+		if s.lo > s.hi {
+			continue
+		}
+		starts = append(starts, s.lo)
+		if s.hi != top {
+			starts = append(starts, s.hi+1)
+		}
+	}
+	slices.Sort(starts)
+	ix := rangeIndex{starts: slices.Compact(starts)}
+	ix.masks = make([]uint64, len(ix.starts)*words)
+	for i, s := range spans {
+		if s.lo > s.hi {
+			continue
+		}
+		w, bit := i/64, uint64(1)<<(i%64)
+		ix.masks[ix.row(s.lo)*words+w] ^= bit
+		if s.hi != top {
+			ix.masks[ix.row(s.hi+1)*words+w] ^= bit
+		}
+	}
+	for k := words; k < len(ix.masks); k++ {
+		ix.masks[k] ^= ix.masks[k-words]
+	}
+	return ix
+}
+
+// row returns the interval holding v: the last j with starts[j] <= v.
+func (ix *rangeIndex) row(v uint32) int {
+	lo, hi := 0, len(ix.starts)
+	for hi-lo > 1 {
+		mid := int(uint(lo+hi) >> 1)
+		if ix.starts[mid] <= v {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// NewLinearMatcher copies rules in priority order and compiles the
+// first-match index over them.
 func NewLinearMatcher(rules []Rule) *LinearMatcher {
-	return &LinearMatcher{rules: append([]Rule(nil), rules...)}
+	n := len(rules)
+	words := (n + 63) / 64
+	m := &LinearMatcher{rules: append([]Rule(nil), rules...), words: words}
+	spans := make([]span, 4*n)
+	src, dst, sp, dp := spans[:n], spans[n:2*n], spans[2*n:3*n], spans[3*n:]
+	wildcard := make([]uint64, words)
+	for i, r := range rules {
+		src[i], dst[i] = prefixSpan(r.Src), prefixSpan(r.Dst)
+		sp[i], dp[i] = portSpan(r.SrcPorts), portSpan(r.DstPorts)
+		if r.Proto == 0 {
+			wildcard[i/64] |= 1 << (i % 64)
+		}
+	}
+	m.src = newRangeIndex(src, math.MaxUint32, words)
+	m.dst = newRangeIndex(dst, math.MaxUint32, words)
+	m.srcPorts = newRangeIndex(sp, math.MaxUint16, words)
+	m.dstPorts = newRangeIndex(dp, math.MaxUint16, words)
+	m.proto = make([]uint64, 256*words)
+	for p := 0; p < 256; p++ {
+		copy(m.proto[p*words:], wildcard)
+	}
+	for i, r := range rules {
+		if r.Proto != 0 {
+			m.proto[int(r.Proto)*words+i/64] |= 1 << (i % 64)
+		}
+	}
+	return m
 }
 
 // Len implements Matcher.
 func (m *LinearMatcher) Len() int { return len(m.rules) }
 
-// Match implements Matcher: first match wins, cycles grow with the
-// number of rules examined.
+// Match implements Matcher: first match wins, and the cycles charged
+// grow with the number of rules a scan would examine to find it.
 //
 //fairbench:hotpath fairbench case nf-firewall-process
 func (m *LinearMatcher) Match(ft packet.FiveTuple) (Rule, uint64, bool) {
-	for i, r := range m.rules {
-		if r.Matches(ft) {
-			return r, uint64(i+1) * CyclesPerLinearRule, true
+	w := m.words
+	src := m.src.masks[m.src.row(ft.Src.Uint32())*w:]
+	dst := m.dst.masks[m.dst.row(ft.Dst.Uint32())*w:]
+	sp := m.srcPorts.masks[m.srcPorts.row(uint32(ft.SrcPort))*w:]
+	dp := m.dstPorts.masks[m.dstPorts.row(uint32(ft.DstPort))*w:]
+	proto := m.proto[int(ft.Proto)*w:]
+	for k := 0; k < w; k++ {
+		if hit := src[k] & dst[k] & sp[k] & dp[k] & proto[k]; hit != 0 {
+			i := k*64 + bits.TrailingZeros64(hit)
+			return m.rules[i], uint64(i+1) * CyclesPerLinearRule, true
 		}
 	}
 	return Rule{}, uint64(len(m.rules)) * CyclesPerLinearRule, false
@@ -112,7 +239,8 @@ type maskGroup struct {
 	srcBits, dstBits       uint8
 	srcPortAny, dstPortAny bool
 	protoAny               bool
-	rules                  map[tupleKey]Rule
+	// pos maps a key to the position of the first rule holding it.
+	pos map[tupleKey]int
 }
 
 func (g *maskGroup) key(ft packet.FiveTuple) tupleKey {
@@ -143,17 +271,19 @@ func (g *maskGroup) key(ft packet.FiveTuple) tupleKey {
 // matcher and are rejected at construction.
 type TupleSpaceMatcher struct {
 	groups []*maskGroup
-	n      int
+	rules  []Rule
 }
 
 // NewTupleSpaceMatcher builds the tuple spaces. Rules with true port
-// ranges (not any, not single-port) return an error; priority between
-// overlapping rules follows lowest rule index via tie-break on ID order
-// within a lookup round.
+// ranges (not any, not single-port) or prefixes longer than 32 bits
+// return an error; among overlapping rules the lowest rule index wins.
 func NewTupleSpaceMatcher(rules []Rule) (*TupleSpaceMatcher, error) {
-	m := &TupleSpaceMatcher{}
+	m := &TupleSpaceMatcher{rules: append([]Rule(nil), rules...)}
 	byMask := make(map[string]*maskGroup)
 	for i, r := range rules {
+		if r.Src.Bits > 32 || r.Dst.Bits > 32 {
+			return nil, fmt.Errorf("nf: tuple-space matcher: rule %d has prefix %s or %s longer than 32 bits", i, r.Src, r.Dst)
+		}
 		if !r.SrcPorts.Any() && r.SrcPorts.Lo != r.SrcPorts.Hi {
 			return nil, fmt.Errorf("nf: tuple-space matcher: rule %d has src port range %d-%d (only any/exact supported)", i, r.SrcPorts.Lo, r.SrcPorts.Hi)
 		}
@@ -167,7 +297,7 @@ func NewTupleSpaceMatcher(rules []Rule) (*TupleSpaceMatcher, error) {
 				srcBits: r.Src.Bits, dstBits: r.Dst.Bits,
 				srcPortAny: r.SrcPorts.Any(), dstPortAny: r.DstPorts.Any(),
 				protoAny: r.Proto == 0,
-				rules:    make(map[tupleKey]Rule),
+				pos:      make(map[tupleKey]int),
 			}
 			byMask[sig] = g
 			m.groups = append(m.groups, g)
@@ -188,33 +318,31 @@ func NewTupleSpaceMatcher(rules []Rule) (*TupleSpaceMatcher, error) {
 		if !g.protoAny {
 			k.proto = r.Proto
 		}
-		if _, dup := g.rules[k]; !dup {
-			g.rules[k] = r // first (highest-priority) rule wins the slot
+		if _, dup := g.pos[k]; !dup {
+			g.pos[k] = i // first (highest-priority) rule wins the slot
 		}
-		m.n++
 	}
 	return m, nil
 }
 
 // Len implements Matcher.
-func (m *TupleSpaceMatcher) Len() int { return m.n }
+func (m *TupleSpaceMatcher) Len() int { return len(m.rules) }
 
 // Match implements Matcher. All groups are probed (the standard
 // algorithm must, to find the highest-priority match), costing one hash
-// lookup each; the lowest rule ID among hits wins.
+// lookup each; the lowest rule index among hits wins.
 func (m *TupleSpaceMatcher) Match(ft packet.FiveTuple) (Rule, uint64, bool) {
 	cycles := uint64(len(m.groups)) * CyclesPerTupleGroup
-	best := Rule{}
-	found := false
+	best := len(m.rules)
 	for _, g := range m.groups {
-		if r, ok := g.rules[g.key(ft)]; ok {
-			if !found || r.ID < best.ID {
-				best = r
-				found = true
-			}
+		if i, ok := g.pos[g.key(ft)]; ok && i < best {
+			best = i
 		}
 	}
-	return best, cycles, found
+	if best == len(m.rules) {
+		return Rule{}, cycles, false
+	}
+	return m.rules[best], cycles, true
 }
 
 // Firewall is a stateless packet filter over a Matcher.
@@ -236,6 +364,9 @@ func NewFirewall(name string, m Matcher) *Firewall {
 
 // Name implements Func.
 func (f *Firewall) Name() string { return f.name }
+
+// Matcher returns the rule matcher the firewall classifies with.
+func (f *Firewall) Matcher() Matcher { return f.matcher }
 
 // Process implements Func: non-IPv4-TCP/UDP traffic is dropped (a
 // firewall that cannot classify fails closed), otherwise the matcher

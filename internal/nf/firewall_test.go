@@ -132,6 +132,12 @@ func TestTupleSpaceMatcherRejectsRanges(t *testing.T) {
 	if _, err := NewTupleSpaceMatcher(rules); err == nil {
 		t.Error("src port ranges should be rejected too")
 	}
+	// A /33 prefix matches nothing in the linear matcher; as a tuple key
+	// it would shift to 0 and match everything.
+	rules = []Rule{{Dst: pfx(10, 0, 0, 1, 33)}}
+	if _, err := NewTupleSpaceMatcher(rules); err == nil {
+		t.Error("prefixes longer than 32 bits should be rejected")
+	}
 }
 
 func TestTupleSpaceCyclesIndependentOfRuleCount(t *testing.T) {
@@ -180,6 +186,16 @@ func TestTupleSpacePriorityOnOverlap(t *testing.T) {
 	r, _, ok := ts.Match(ft)
 	if !ok || r.ID != 0 {
 		t.Errorf("overlap priority: got rule %d, want 0", r.ID)
+	}
+	// Priority is rule position, not the opaque ID: the first rule wins
+	// although its ID is higher, as in the linear matcher.
+	rules = []Rule{{ID: 5, Proto: packet.ProtoTCP}, {ID: 1}}
+	if ts, err = NewTupleSpaceMatcher(rules); err != nil {
+		t.Fatal(err)
+	}
+	lr, _, _ := NewLinearMatcher(rules).Match(ft)
+	if r, _, ok := ts.Match(ft); !ok || r.ID != 5 || lr.ID != 5 {
+		t.Errorf("position priority: tuple-space rule %d, linear rule %d, want 5", r.ID, lr.ID)
 	}
 }
 

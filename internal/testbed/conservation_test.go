@@ -56,7 +56,7 @@ func TestConservationFPGASpillToHost(t *testing.T) {
 		ChassisWatts: ScenarioChassisWatts,
 		NICWatts:     ScenarioNICWatts,
 		FPGA:         &hw.FPGAConfig{CapacityPps: 1e6},
-		NewNF:        firewallFactory(FirewallRules(DefaultFillerRules)),
+		NewNF:        firewallFactory(canonicalMatcher()),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +134,7 @@ func TestConservationCountsInFlight(t *testing.T) {
 	d, err := New(Config{
 		Name:    "fw-slow-core",
 		CoreCfg: hw.CPUConfig{FreqHz: 1e4},
-		NewNF:   firewallFactory(FirewallRules(DefaultFillerRules)),
+		NewNF:   firewallFactory(canonicalMatcher()),
 	})
 	if err != nil {
 		t.Fatal(err)

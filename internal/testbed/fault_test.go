@@ -130,7 +130,7 @@ func TestFPGAOverflowFailsOverToHost(t *testing.T) {
 			ChassisWatts: ScenarioChassisWatts,
 			NICWatts:     ScenarioNICWatts,
 			FPGA:         &hw.FPGAConfig{CapacityPps: 1e6},
-			NewNF:        firewallFactory(FirewallRules(DefaultFillerRules)),
+			NewNF:        firewallFactory(canonicalMatcher()),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -158,7 +158,7 @@ func TestFPGAOutageFailsOverToHost(t *testing.T) {
 		ChassisWatts: ScenarioChassisWatts,
 		NICWatts:     ScenarioNICWatts,
 		FPGA:         &hw.FPGAConfig{},
-		NewNF:        firewallFactory(FirewallRules(DefaultFillerRules)),
+		NewNF:        firewallFactory(canonicalMatcher()),
 	})
 	if err != nil {
 		t.Fatal(err)

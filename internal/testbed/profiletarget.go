@@ -110,7 +110,7 @@ func FirewallProfileTarget(system string) (ProfileTarget, error) {
 					CoreCfg:      ScenarioCore,
 					ChassisWatts: ScenarioChassisWatts,
 					NICWatts:     ScenarioNICWatts,
-					NewNF:        firewallFactory(rules),
+					NewNF:        firewallFactory(nf.NewLinearMatcher(rules)),
 				})
 			},
 			Workload: E6Workload,
@@ -141,7 +141,7 @@ func FirewallProfileTarget(system string) (ProfileTarget, error) {
 					CoreCfg:      ScenarioCore,
 					ChassisWatts: ScenarioChassisWatts,
 					SmartNIC:     &snic,
-					NewNF:        firewallFactory(rules),
+					NewNF:        firewallFactory(nf.NewLinearMatcher(rules)),
 					AblateStages: pipeline,
 				})
 			},
@@ -179,7 +179,7 @@ func FirewallProfileTarget(system string) (ProfileTarget, error) {
 					NICWatts:     ScenarioNICWatts,
 					Switch:       &sw,
 					SwitchRules:  swRules,
-					NewNF:        firewallFactory(rules),
+					NewNF:        firewallFactory(nf.NewLinearMatcher(rules)),
 					AblateStages: pipeline,
 				})
 			},

@@ -4,13 +4,14 @@ import (
 	"errors"
 	"testing"
 
+	"fairbench/internal/nf"
 	"fairbench/internal/workload"
 )
 
 func TestAblateUnknownStageErrors(t *testing.T) {
 	_, err := New(Config{
 		Name:         "bad",
-		NewNF:        firewallFactory(FirewallRules(0)),
+		NewNF:        firewallFactory(nf.NewLinearMatcher(FirewallRules(0))),
 		AblateStages: []string{"no-such-stage"},
 	})
 	if !errors.Is(err, ErrUnknownStage) {
@@ -22,7 +23,7 @@ func TestAblateStageRequiresDevice(t *testing.T) {
 	for _, stage := range []string{StageSmartNICFastPath, StageSwitchPredrop} {
 		_, err := New(Config{
 			Name:         "host-only",
-			NewNF:        firewallFactory(FirewallRules(0)),
+			NewNF:        firewallFactory(nf.NewLinearMatcher(FirewallRules(0))),
 			AblateStages: []string{stage},
 		})
 		if !errors.Is(err, ErrUnknownStage) {

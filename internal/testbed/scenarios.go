@@ -2,6 +2,7 @@ package testbed
 
 import (
 	"fmt"
+	"sync"
 
 	"fairbench/internal/hw"
 	"fairbench/internal/nf"
@@ -108,11 +109,18 @@ func FirewallRules(nFiller int) []nf.Rule {
 // baseline figure).
 const DefaultFillerRules = 50
 
-// firewallFactory returns a per-core firewall constructor over the
-// canonical rules.
-func firewallFactory(rules []nf.Rule) func(int) (nf.Func, error) {
+// canonicalMatcher is FirewallRules(DefaultFillerRules) compiled once
+// per process. Match only reads the index, so every core of every
+// deployment shares it; per-rule hit counts stay in each Firewall.
+var canonicalMatcher = sync.OnceValue(func() *nf.LinearMatcher {
+	return nf.NewLinearMatcher(FirewallRules(DefaultFillerRules))
+})
+
+// firewallFactory returns a per-core firewall constructor over one
+// compiled matcher, shared by the cores.
+func firewallFactory(m nf.Matcher) func(int) (nf.Func, error) {
 	return func(core int) (nf.Func, error) {
-		return nf.NewFirewall(fmt.Sprintf("fw-core%d", core), nf.NewLinearMatcher(rules)), nil
+		return nf.NewFirewall(fmt.Sprintf("fw-core%d", core), m), nil
 	}
 }
 
@@ -125,7 +133,7 @@ func BaselineFirewall(cores int) (*Deployment, error) {
 		CoreCfg:      ScenarioCore,
 		ChassisWatts: ScenarioChassisWatts,
 		NICWatts:     ScenarioNICWatts,
-		NewNF:        firewallFactory(FirewallRules(DefaultFillerRules)),
+		NewNF:        firewallFactory(canonicalMatcher()),
 	})
 }
 
@@ -139,7 +147,7 @@ func SmartNICFirewall() (*Deployment, error) {
 		CoreCfg:      ScenarioCore,
 		ChassisWatts: ScenarioChassisWatts,
 		SmartNIC:     &snic,
-		NewNF:        firewallFactory(FirewallRules(DefaultFillerRules)),
+		NewNF:        firewallFactory(canonicalMatcher()),
 	})
 }
 
@@ -148,7 +156,6 @@ func SmartNICFirewall() (*Deployment, error) {
 // dataplane cores) handles what survives.
 func SwitchFirewall(cores int) (*Deployment, error) {
 	sw := ScenarioSwitch
-	rules := FirewallRules(DefaultFillerRules)
 	return New(Config{
 		Name:         fmt.Sprintf("fw-switch-%dcore", cores),
 		Cores:        cores,
@@ -156,8 +163,8 @@ func SwitchFirewall(cores int) (*Deployment, error) {
 		ChassisWatts: ScenarioChassisWatts,
 		NICWatts:     ScenarioNICWatts,
 		Switch:       &sw,
-		SwitchRules:  rules[:1], // the attack-prefix drop rule
-		NewNF:        firewallFactory(rules),
+		SwitchRules:  FirewallRules(0)[:1], // the attack-prefix drop rule
+		NewNF:        firewallFactory(canonicalMatcher()),
 	})
 }
 
@@ -170,7 +177,7 @@ func FPGAFirewall(cfg hw.FPGAConfig) (*Deployment, error) {
 		ChassisWatts: ScenarioChassisWatts,
 		NICWatts:     ScenarioNICWatts,
 		FPGA:         &cfg,
-		NewNF:        firewallFactory(FirewallRules(DefaultFillerRules)),
+		NewNF:        firewallFactory(canonicalMatcher()),
 	})
 }
 

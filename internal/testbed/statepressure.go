@@ -68,7 +68,7 @@ func (d *Deployment) RunScenario(sg *workload.ScenarioGen, arrival workload.Arri
 // is the per-core bound (each core runs a shared-nothing instance);
 // ct.Seed is decorrelated per core.
 func StatePressureHost(name string, cores int, ct nf.ConntrackConfig) (*Deployment, []measure.StateProbe, error) {
-	rules := FirewallRules(DefaultFillerRules)
+	m := canonicalMatcher()
 	var cts []*nf.Conntrack
 	d, err := New(Config{
 		Name:         name,
@@ -79,7 +79,7 @@ func StatePressureHost(name string, cores int, ct nf.ConntrackConfig) (*Deployme
 		NewNF: func(core int) (nf.Func, error) {
 			cfg := ct
 			cfg.Seed = ct.Seed + uint64(core)
-			c := nf.NewConntrackWith(fmt.Sprintf("ct-core%d", core), nf.NewLinearMatcher(rules), cfg)
+			c := nf.NewConntrackWith(fmt.Sprintf("ct-core%d", core), m, cfg)
 			cts = append(cts, c)
 			return c, nil
 		},
@@ -96,7 +96,7 @@ func StatePressureHost(name string, cores int, ct nf.ConntrackConfig) (*Deployme
 // offload table is the state plane under test. Probes cover both the
 // offload table and the host connection table.
 func StatePressureSmartNIC(name string, snic hw.SmartNICConfig, ct nf.ConntrackConfig) (*Deployment, []measure.StateProbe, error) {
-	rules := FirewallRules(DefaultFillerRules)
+	m := canonicalMatcher()
 	var cts []*nf.Conntrack
 	d, err := New(Config{
 		Name:         name,
@@ -107,7 +107,7 @@ func StatePressureSmartNIC(name string, snic hw.SmartNICConfig, ct nf.ConntrackC
 		NewNF: func(core int) (nf.Func, error) {
 			cfg := ct
 			cfg.Seed = ct.Seed + uint64(core)
-			c := nf.NewConntrackWith(fmt.Sprintf("ct-core%d", core), nf.NewLinearMatcher(rules), cfg)
+			c := nf.NewConntrackWith(fmt.Sprintf("ct-core%d", core), m, cfg)
 			cts = append(cts, c)
 			return c, nil
 		},

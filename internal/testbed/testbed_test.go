@@ -2,6 +2,8 @@ package testbed
 
 import (
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"fairbench/internal/cost"
@@ -238,6 +240,75 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
+// TestCanonicalMatcherShared checks that every core of the canonical
+// firewall deployments classifies with one compiled matcher, and that
+// deployments sharing it run side by side with the results of a
+// deployment run alone.
+func TestCanonicalMatcherShared(t *testing.T) {
+	want := canonicalMatcher()
+	var deps []*Deployment
+	for i := 0; i < 2; i++ {
+		d, err := BaselineFirewall(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deps = append(deps, d)
+	}
+	ct, _, err := StatePressureHost("ct", 2, nf.ConntrackConfig{MaxEntries: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range append(deps, ct) {
+		for core, f := range d.nfs {
+			var got nf.Matcher
+			switch f := f.(type) {
+			case *nf.Firewall:
+				got = f.Matcher()
+			case *nf.Conntrack:
+				got = f.Matcher()
+			}
+			if got != nf.Matcher(want) {
+				t.Errorf("%s core %d: matcher %p, want the shared %p", d.Name(), core, got, want)
+			}
+		}
+	}
+
+	run := func(d *Deployment) (Result, error) {
+		g, err := E6Workload(1)
+		if err != nil {
+			return Result{}, err
+		}
+		return d.Run(g, workload.CBR{}, 4e6, testDuration)
+	}
+	solo, err := BaselineFirewall(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := run(solo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results := make([]Result, len(deps))
+	errs := make([]error, len(deps))
+	var wg sync.WaitGroup
+	for i, d := range deps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			results[i], errs[i] = run(d)
+		}()
+	}
+	wg.Wait()
+	for i := range deps {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		if !reflect.DeepEqual(results[i], ref) {
+			t.Errorf("concurrent deployment %d: %+v, want %+v", i, results[i], ref)
+		}
+	}
+}
+
 func TestCostVectorCoverage(t *testing.T) {
 	// The SmartNIC deployment's components all report power; cores
 	// metric fails coverage once the SmartNIC is present.
@@ -260,7 +331,7 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := New(Config{Name: "x"}); err == nil {
 		t.Error("missing NewNF should fail")
 	}
-	nfFactory := firewallFactory(FirewallRules(1))
+	nfFactory := firewallFactory(nf.NewLinearMatcher(FirewallRules(1)))
 	if _, err := New(Config{Name: "x", Cores: -1, NewNF: nfFactory}); err == nil {
 		t.Error("negative cores should fail")
 	}

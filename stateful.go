@@ -31,7 +31,7 @@ type StatefulAblationResult struct {
 // statefulFirewall builds the conntrack deployment over the canonical
 // rules.
 func statefulFirewall(cores int) (*testbed.Deployment, error) {
-	rules := testbed.FirewallRules(testbed.DefaultFillerRules)
+	m := nf.NewLinearMatcher(testbed.FirewallRules(testbed.DefaultFillerRules))
 	return testbed.New(testbed.Config{
 		Name:         fmt.Sprintf("fw-stateful-%dcore", cores),
 		Cores:        cores,
@@ -39,7 +39,7 @@ func statefulFirewall(cores int) (*testbed.Deployment, error) {
 		ChassisWatts: testbed.ScenarioChassisWatts,
 		NICWatts:     testbed.ScenarioNICWatts,
 		NewNF: func(core int) (nf.Func, error) {
-			return nf.NewConntrack(fmt.Sprintf("ct-core%d", core), nf.NewLinearMatcher(rules), 0), nil
+			return nf.NewConntrack(fmt.Sprintf("ct-core%d", core), m, 0), nil
 		},
 	})
 }
