@@ -74,13 +74,31 @@ func TestRunFromStdin(t *testing.T) {
 	}
 }
 
+// TestRunBadSpec: malformed or missing input fails, and so does input
+// that would otherwise be silently dropped; each error names the inputs
+// at fault.
 func TestRunBadSpec(t *testing.T) {
-	var out bytes.Buffer
-	if err := run(nil, strings.NewReader("{nope"), &out, &bytes.Buffer{}); err == nil {
-		t.Error("bad spec should fail")
-	}
-	if err := run([]string{"/does/not/exist.json"}, strings.NewReader(""), &out, &bytes.Buffer{}); err == nil {
-		t.Error("missing file should fail")
+	for _, tc := range []struct {
+		args  []string
+		stdin string
+		want  []string // fragments the error must contain
+	}{
+		{args: nil, stdin: "{nope"},
+		{args: []string{"/does/not/exist.json"}, want: []string{"/does/not/exist.json"}},
+		{args: []string{"-audit", "-json"}, want: []string{"-audit", "-json"}},
+		{args: []string{"-example", "x.json"}, want: []string{"-example", "x.json"}},
+		{args: []string{"a.json", "b.json"}, want: []string{"a.json", "b.json"}},
+	} {
+		err := run(tc.args, strings.NewReader(tc.stdin), &bytes.Buffer{}, &bytes.Buffer{})
+		if err == nil {
+			t.Errorf("%q: expected an error", tc.args)
+			continue
+		}
+		for _, frag := range tc.want {
+			if !strings.Contains(err.Error(), frag) {
+				t.Errorf("%q: error %q does not name %s", tc.args, err, frag)
+			}
+		}
 	}
 }
 
@@ -96,52 +114,5 @@ func TestRunAuditMode(t *testing.T) {
 	got := out.String()
 	if !strings.Contains(got, "violation") || !strings.Contains(got, "Principle 1") {
 		t.Errorf("audit output:\n%s", got)
-	}
-}
-
-func TestBenchJSONRejectsSpecInput(t *testing.T) {
-	var out bytes.Buffer
-	for _, args := range [][]string{
-		{"-bench-json", "-example"},
-		{"-bench-json", "-audit"},
-		{"-bench-json", "spec.json"},
-	} {
-		if err := run(args, strings.NewReader(""), &out, &bytes.Buffer{}); err == nil {
-			t.Errorf("%v: expected an error", args)
-		}
-	}
-}
-
-func TestBenchJSONEmitsBaseline(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmarks take seconds each")
-	}
-	var out bytes.Buffer
-	if err := run([]string{"-bench-json"}, strings.NewReader(""), &out, &bytes.Buffer{}); err != nil {
-		t.Fatal(err)
-	}
-	var doc struct {
-		Schema     string `json:"schema"`
-		Benchmarks []struct {
-			Name    string  `json:"name"`
-			NsPerOp float64 `json:"ns_per_op"`
-		} `json:"benchmarks"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &doc); err != nil {
-		t.Fatalf("not valid JSON: %v\n%s", err, out.String())
-	}
-	if doc.Schema != "fairbench-bench/v1" {
-		t.Errorf("schema = %q", doc.Schema)
-	}
-	if len(doc.Benchmarks) != 11 {
-		t.Fatalf("want 11 benchmarks, got %d", len(doc.Benchmarks))
-	}
-	for i, b := range doc.Benchmarks {
-		if b.NsPerOp <= 0 {
-			t.Errorf("benchmark %s: ns_per_op %v", b.Name, b.NsPerOp)
-		}
-		if i > 0 && doc.Benchmarks[i-1].Name >= b.Name {
-			t.Errorf("benchmarks not sorted by name at %d: %s >= %s", i, doc.Benchmarks[i-1].Name, b.Name)
-		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,15 +13,72 @@ import (
 	"fairbench/internal/telemetry"
 )
 
+// quickSweep is one serial quick sweep shared by every test that needs
+// a full artifact directory: generating it is most of this package's
+// test time. Tests read it and never write into it.
+var quickSweep struct {
+	once sync.Once
+	dir  string
+	out  string // run's summary output
+	err  error
+}
+
+// serialQuickSweep returns the directory and summary output of a
+// -quick -jobs 1 sweep, generated on first use.
+func serialQuickSweep(t *testing.T) (dir, out string) {
+	t.Helper()
+	quickSweep.once.Do(func() {
+		if quickSweep.dir, quickSweep.err = os.MkdirTemp("", "fairfigs-quick-"); quickSweep.err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		quickSweep.err = run([]string{"-out", quickSweep.dir, "-quick", "-jobs", "1"}, &buf)
+		quickSweep.out = buf.String()
+	})
+	if quickSweep.err != nil {
+		t.Fatal(quickSweep.err)
+	}
+	return quickSweep.dir, quickSweep.out
+}
+
+func TestMain(m *testing.M) {
+	code := m.Run()
+	if quickSweep.dir != "" {
+		os.RemoveAll(quickSweep.dir)
+	}
+	os.Exit(code)
+}
+
+// copyDir copies the regular files of src into dst.
+func copyDir(t *testing.T, src, dst string) {
+	t.Helper()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !e.Type().IsRegular() {
+			t.Fatalf("fixture entry %s is not a regular file", e.Name())
+		}
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
 func TestRunQuickGeneratesAllArtifactsAndResumes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full artifact regeneration is slow")
 	}
+	// The resume steps below delete and rewrite artifacts, so they run
+	// on a private copy of the shared sweep.
+	fixture, summary := serialQuickSweep(t)
 	dir := t.TempDir()
-	var out bytes.Buffer
-	if err := run([]string{"-out", dir, "-quick"}, &out); err != nil {
-		t.Fatal(err)
-	}
+	copyDir(t, fixture, dir)
 	want := []string{
 		"table1.txt", "table1.md", "table1.csv", "scorecard.txt",
 		"figure1a.svg", "figure1b.svg", "figure1.txt",
@@ -48,8 +106,8 @@ func TestRunQuickGeneratesAllArtifactsAndResumes(t *testing.T) {
 			t.Errorf("artifact %s is empty", name)
 		}
 	}
-	if !strings.Contains(out.String(), "artifacts in") {
-		t.Errorf("summary line missing:\n%s", out.String())
+	if !strings.Contains(summary, "artifacts in") {
+		t.Errorf("summary line missing:\n%s", summary)
 	}
 	robust, err := os.ReadFile(filepath.Join(dir, "example-smartnic-robust.md"))
 	if err != nil {
@@ -73,7 +131,7 @@ func TestRunQuickGeneratesAllArtifactsAndResumes(t *testing.T) {
 	if err := os.Remove(filepath.Join(dir, "pitfalls.txt")); err != nil {
 		t.Fatal(err)
 	}
-	out.Reset()
+	var out bytes.Buffer
 	if err := run([]string{"-out", dir, "-quick", "-resume"}, &out); err != nil {
 		t.Fatal(err)
 	}
@@ -114,15 +172,11 @@ func TestRunQuickGeneratesAllArtifactsAndResumes(t *testing.T) {
 // layer cannot change a single output byte.
 func TestParallelRunMatchesSerialBytes(t *testing.T) {
 	if testing.Short() {
-		t.Skip("two full artifact regenerations are slow")
+		t.Skip("artifact regeneration is slow")
 	}
-	serialDir, parallelDir := t.TempDir(), t.TempDir()
-	pprofDir := t.TempDir()
+	serialDir, _ := serialQuickSweep(t)
+	parallelDir, pprofDir := t.TempDir(), t.TempDir()
 	var out bytes.Buffer
-	if err := run([]string{"-out", serialDir, "-quick", "-jobs", "1"}, &out); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
 	if err := run([]string{"-out", parallelDir, "-quick", "-jobs", "8",
 		"-telemetry", "-pprof-dir", pprofDir}, &out); err != nil {
 		t.Fatal(err)

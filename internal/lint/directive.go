@@ -9,7 +9,7 @@ import (
 // hotpathPrefix marks a function as a measured hot path. Like
 // go:build and fairlint:allow directives, it must start the comment
 // with no space after "//". The optional remainder is a free-form note
-// ("fairbench case packet-parse") recorded for humans; the annotation
+// ("alloc gate row packet-parse") recorded for humans; the annotation
 // itself is what arms rule hotalloc on the function and everything it
 // reaches inside the hot-path scope.
 const hotpathPrefix = "//fairbench:hotpath"

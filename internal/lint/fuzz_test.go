@@ -48,7 +48,7 @@ func FuzzParseAllow(f *testing.F) {
 // note.
 func FuzzParseHotpath(f *testing.F) {
 	f.Add("//fairbench:hotpath")
-	f.Add("//fairbench:hotpath fairbench case packet-parse")
+	f.Add("//fairbench:hotpath alloc gate row packet-parse")
 	f.Add("//fairbench:hotpath\ttabbed note")
 	f.Add("//fairbench:hotpathology not a directive")
 	f.Add("// fairbench:hotpath leading space")

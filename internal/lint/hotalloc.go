@@ -9,10 +9,11 @@ import (
 // hotAlloc enforces allocation discipline on measured hot paths. A
 // function annotated //fairbench:hotpath, and everything it reaches
 // through the call graph inside hotpathScope, must not allocate at
-// steady state: the zero-alloc numbers in BENCH_baseline.json are load-
-// bearing (an allocation on the per-packet path shows up as noise in
-// every comparison the paper's methodology depends on), so the gate
-// runs at lint time instead of waiting for a benchmark regression.
+// steady state: the zero-alloc bounds of the alloc gate rows
+// (internal/testbed's TestAllocGate) are load-bearing (an allocation on
+// the per-packet path shows up as noise in every comparison the paper's
+// methodology depends on), so this rule flags the allocation at lint
+// time, before the gate measures it.
 //
 // The model is AST-level and intentionally conservative about what it
 // flags (each pattern below allocates or may allocate) and about what

@@ -156,7 +156,7 @@ func TestParseHotpath(t *testing.T) {
 		ok         bool
 	}{
 		{"//fairbench:hotpath", "", true},
-		{"//fairbench:hotpath fairbench case packet-parse", "fairbench case packet-parse", true},
+		{"//fairbench:hotpath alloc gate row packet-parse", "alloc gate row packet-parse", true},
 		{"//fairbench:hotpath   spaced   note  ", "spaced note", true},
 		{"//fairbench:hotpath\tnote", "note", true},
 		{"//fairbench:hotpathology", "", false},

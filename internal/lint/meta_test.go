@@ -60,9 +60,10 @@ func TestModuleSelfLint(t *testing.T) {
 }
 
 // TestHotpathsAnnotated guards the annotation policy: every zero-alloc
-// steady-state product function exercised by the benchmark suite must
+// steady-state product function exercised by the alloc gate must
 // carry //fairbench:hotpath, so the static gate stays armed for the
-// functions whose BENCH_baseline.json numbers claim zero allocations.
+// functions whose alloc gate rows (internal/testbed's TestAllocGate)
+// claim zero allocations.
 func TestHotpathsAnnotated(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-module type-check is not short")

@@ -176,7 +176,7 @@ func (c *Conntrack) State(ft packet.FiveTuple) (ConnState, bool) {
 
 // Process implements Func.
 //
-//fairbench:hotpath fairbench case nf-conntrack-evict-*
+//fairbench:hotpath alloc gate row nf-conntrack-evict-*
 func (c *Conntrack) Process(p *packet.Parser, _ []byte) (Result, error) {
 	ft, ok := p.FiveTuple()
 	if !ok {

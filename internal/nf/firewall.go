@@ -210,7 +210,7 @@ func (m *LinearMatcher) Len() int { return len(m.rules) }
 // Match implements Matcher: first match wins, and the cycles charged
 // grow with the number of rules a scan would examine to find it.
 //
-//fairbench:hotpath fairbench case nf-firewall-process
+//fairbench:hotpath alloc gate row nf-firewall-process
 func (m *LinearMatcher) Match(ft packet.FiveTuple) (Rule, uint64, bool) {
 	w := m.words
 	src := m.src.masks[m.src.row(ft.Src.Uint32())*w:]
@@ -372,7 +372,7 @@ func (f *Firewall) Matcher() Matcher { return f.matcher }
 // firewall that cannot classify fails closed), otherwise the matcher
 // decides.
 //
-//fairbench:hotpath fairbench case nf-firewall-process
+//fairbench:hotpath alloc gate row nf-firewall-process
 func (f *Firewall) Process(p *packet.Parser, _ []byte) (Result, error) {
 	ft, ok := p.FiveTuple()
 	if !ok {

@@ -209,15 +209,3 @@ func TestLinearMatcherAgreesWithScan(t *testing.T) {
 		checkAgainstScan(t, rules, tuples(200))
 	}
 }
-
-// TestLinearMatcherMatchAllocs guards the zero-allocation claim of the
-// //fairbench:hotpath Match on the canonical and 1000-rule sets.
-func TestLinearMatcherMatchAllocs(t *testing.T) {
-	ft := packet.FiveTuple{Src: packet.Addr4{172, 16, 9, 9}, Dst: packet.Addr4{192, 168, 1, 9}, SrcPort: 1234, DstPort: 443, Proto: packet.ProtoTCP}
-	for _, rules := range [][]nf.Rule{testbed.FirewallRules(testbed.DefaultFillerRules), nf.SyntheticRules(1000)} {
-		m := nf.NewLinearMatcher(rules)
-		if allocs := testing.AllocsPerRun(400, func() { m.Match(ft) }); allocs != 0 {
-			t.Errorf("%d rules: %v allocs per Match", len(rules), allocs)
-		}
-	}
-}

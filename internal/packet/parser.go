@@ -30,7 +30,7 @@ func NewParser() *Parser { return &Parser{} }
 // beyond the transport header. Ethernet trailer padding (frames are
 // padded to 60 bytes on the wire) is trimmed using the IP total length.
 //
-//fairbench:hotpath fairbench case packet-parse
+//fairbench:hotpath alloc gate row packet-parse
 func (p *Parser) Parse(frame []byte) error {
 	p.Decoded = p.decodedArr[:0]
 	p.Payload = nil

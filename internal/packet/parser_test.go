@@ -134,26 +134,6 @@ func TestParserUnknownEtherType(t *testing.T) {
 	}
 }
 
-func TestParserZeroAlloc(t *testing.T) {
-	frame, err := BuildUDP4(testOpts, udpFlow(), bytes.Repeat([]byte("a"), 100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := NewParser()
-	// Warm up (options slices may allocate once).
-	if err := p.Parse(frame); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(100, func() {
-		if err := p.Parse(frame); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("Parse allocates %v times per packet; want 0", allocs)
-	}
-}
-
 func TestParseBuildRoundTripProperty(t *testing.T) {
 	// Property: any generated frame parses back to its flow and payload.
 	r := rand.New(rand.NewSource(21))

@@ -49,26 +49,3 @@ func TestHeapPopsInStableSortOrder(t *testing.T) {
 		}
 	}
 }
-
-// TestAtRunSteadyStateAllocFree pins the zero-allocation kernel: once
-// the queue has grown to its working depth, scheduling and running
-// events allocates nothing.
-func TestAtRunSteadyStateAllocFree(t *testing.T) {
-	s := New()
-	fn := func() {}
-	for i := 0; i < 64; i++ {
-		if err := s.At(Time(i), fn); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.RunAll()
-	allocs := testing.AllocsPerRun(1000, func() {
-		for i := 0; i < 32; i++ {
-			_ = s.At(s.Now()+Time(i%4), fn)
-		}
-		s.Run(s.Now() + 4)
-	})
-	if allocs != 0 {
-		t.Errorf("32 At calls and a Run allocate %v times at steady state, want 0", allocs)
-	}
-}

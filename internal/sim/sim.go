@@ -139,7 +139,7 @@ var ErrPastEvent = errors.New("sim: cannot schedule event in the past")
 // At schedules fn to run at absolute simulated time t. Events at equal
 // times run in scheduling order.
 //
-//fairbench:hotpath fairbench case sim-event-throughput
+//fairbench:hotpath alloc gate row sim-event-throughput
 func (s *Sim) At(t Time, fn func()) error {
 	if t < s.now {
 		return fmt.Errorf("%w: now=%v, requested=%v", ErrPastEvent, s.now, t)
@@ -185,7 +185,7 @@ func (s *Sim) Halt() { s.halted = true }
 // horizon if it was not already beyond it, so rate computations over
 // [0, horizon) are well-defined even when the queue drains early.
 //
-//fairbench:hotpath fairbench case sim-event-throughput
+//fairbench:hotpath alloc gate row sim-event-throughput
 func (s *Sim) Run(horizon Time) {
 	s.halted = false
 	for len(s.queue) > 0 && !s.halted {
@@ -207,7 +207,7 @@ func (s *Sim) Run(horizon Time) {
 // Use with sources that stop generating; an unbounded source will loop
 // forever.
 //
-//fairbench:hotpath fairbench case sim-event-throughput
+//fairbench:hotpath alloc gate row sim-event-throughput
 func (s *Sim) RunAll() {
 	s.halted = false
 	for len(s.queue) > 0 && !s.halted {

@@ -169,42 +169,3 @@ func TestConservationErrorIsTyped(t *testing.T) {
 		t.Errorf("error counts = %+v, want offered one more than the rest", ce)
 	}
 }
-
-// TestSmartNICPacketPathAllocs bounds the steady-state allocation cost
-// of the simulated packet path: the value-heap kernel, the devices'
-// completion rings and the recycled packet records leave only per-run
-// setup (meters, pools warming up), well under 0.2 allocations per
-// offered packet.
-func TestSmartNICPacketPathAllocs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the SmartNIC deployment several times")
-	}
-	const runs, pps, seconds = 3, 4e6, 0.01
-	// AllocsPerRun calls the function runs+1 times; each call needs a
-	// fresh deployment, built outside the measurement.
-	ds := make([]*Deployment, runs+1)
-	gens := make([]*workload.Generator, runs+1)
-	for i := range ds {
-		var err error
-		if ds[i], err = SmartNICFirewall(); err != nil {
-			t.Fatal(err)
-		}
-		if gens[i], err = E6Workload(1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	next := 0
-	var offered uint64
-	perRun := testing.AllocsPerRun(runs, func() {
-		res, err := ds[next].Run(gens[next], workload.CBR{}, pps, seconds)
-		if err != nil {
-			t.Fatal(err)
-		}
-		next++
-		offered = res.Offered.Packets
-	})
-	if perPkt := perRun / float64(offered); perPkt >= 0.2 {
-		t.Errorf("%.3f allocations per offered packet (%v per run of %d packets), want < 0.2",
-			perPkt, perRun, offered)
-	}
-}

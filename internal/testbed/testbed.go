@@ -676,7 +676,7 @@ func (p *pktInFlight) finish(out outcome, device string, so hw.Sojourn) {
 // the link drops, corrupts and duplicates packets, drawing its coins in
 // that order.
 //
-//fairbench:hotpath fairbench case testbed-smartnic-packet
+//fairbench:hotpath alloc gate row testbed-smartnic-packet
 func (d *Deployment) offer(pk workload.Pkt) {
 	d.tput.Offer(len(pk.Frame))
 	d.state.Offer(string(pk.Class), len(pk.Frame))
@@ -725,7 +725,7 @@ func (d *Deployment) offer(pk workload.Pkt) {
 // the host cores when there are any — traffic is only lost when no
 // component can take it.
 //
-//fairbench:hotpath fairbench case testbed-smartnic-packet
+//fairbench:hotpath alloc gate row testbed-smartnic-packet
 func (d *Deployment) dispatch(pk workload.Pkt) {
 	p := d.acquire(pk)
 

@@ -246,7 +246,7 @@ func (g *Generator) Flows() int { return len(g.flows) }
 // Next produces the next packet. The frame aliases an internal
 // template; copy before mutating.
 //
-//fairbench:hotpath fairbench case testbed-smartnic-packet
+//fairbench:hotpath alloc gate row testbed-smartnic-packet
 func (g *Generator) Next() (Pkt, error) {
 	if len(g.flows) == 0 {
 		return Pkt{}, fmt.Errorf("workload: generator has no flows")

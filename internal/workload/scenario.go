@@ -573,7 +573,7 @@ func windowActive(at, dur, t float64) bool {
 // NextAt produces the next packet for simulated time t. The frame
 // aliases an internal template; parse or copy before the next call.
 //
-//fairbench:hotpath fairbench case workload-scenario-gen
+//fairbench:hotpath alloc gate row workload-scenario-gen
 func (g *ScenarioGen) NextAt(t float64) (Pkt, Class, error) {
 	floodRate, ampRate := 0.0, 0.0
 	if f := g.sc.SYNFlood; f != nil && windowActive(f.At, f.For, t) {

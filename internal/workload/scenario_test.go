@@ -190,32 +190,6 @@ func TestScenarioBoundedMemoryAtInternetScale(t *testing.T) {
 	}
 }
 
-func TestScenarioSteadyStateZeroAlloc(t *testing.T) {
-	sc, err := ParseScenario("zipf:flows=1e6,skew=1.1,tcp=0.5;synflood:rate=0.2;amplify:rate=0.1;churn:life=1;seed:3")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := NewScenarioGen(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Warm the template cache through every (proto, size, syn) shape.
-	for i := 0; i < 20000; i++ {
-		if _, _, err := g.NextAt(float64(i) * 1e-4); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tm := 2.0
-	allocs := testing.AllocsPerRun(2000, func() {
-		if _, _, err := g.NextAt(tm); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state NextAt allocates %v per packet, want 0", allocs)
-	}
-}
-
 func TestScenarioFramesParseAndMatchFlow(t *testing.T) {
 	sc, err := ParseScenario("zipf:flows=1024,skew=1.3,tcp=0.5,attack=0.2;synflood:rate=0.2;amplify:rate=0.1;churn:life=0.2;seed:5")
 	if err != nil {
