@@ -89,7 +89,7 @@ func BenchmarkFigure2ComparisonRegion(b *testing.B) {
 	}
 	inRegion := 0
 	for _, c := range res.Grid {
-		if c.Class.InRegion() {
+		if c.Class != core.OutsideCheaperWorse && c.Class != core.OutsideFasterCostlier {
 			inRegion++
 		}
 	}

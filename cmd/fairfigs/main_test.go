@@ -135,7 +135,7 @@ func TestRunQuickGeneratesAllArtifactsAndResumes(t *testing.T) {
 	if err := run([]string{"-out", dir, "-quick", "-resume"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "pitfalls.txt")); err != nil {
+	if info, err := os.Stat(filepath.Join(dir, "pitfalls.txt")); err != nil || info.Size() == 0 {
 		t.Errorf("deleted artifact not regenerated: %v", err)
 	}
 	for _, name := range want {

@@ -213,24 +213,10 @@ func (r ReplicatedSystem) PowerSamples() []float64 {
 	return out
 }
 
-// LatencyP99Samples returns the per-trial p99 latency values (µs).
-func (r ReplicatedSystem) LatencyP99Samples() []float64 {
-	out := make([]float64, len(r.Trials))
-	for i, t := range r.Trials {
-		out[i] = t.LatencyP99Us
-	}
-	return out
-}
-
 // ThroughputPowerSamples packages the trials for the throughput/power
 // plane's replicated evaluation.
 func (r ReplicatedSystem) ThroughputPowerSamples() core.PointSamples {
 	return core.PointSamples{Perf: r.ThroughputSamples(), Cost: r.PowerSamples()}
-}
-
-// LatencyPowerSamples packages the trials for the latency/power plane.
-func (r ReplicatedSystem) LatencyPowerSamples() core.PointSamples {
-	return core.PointSamples{Perf: r.LatencyP99Samples(), Cost: r.PowerSamples()}
 }
 
 // seededGen builds a workload generator from an explicit seed, letting

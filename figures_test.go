@@ -6,7 +6,6 @@ import (
 
 	"fairbench/internal/core"
 	"fairbench/internal/cost"
-	"fairbench/internal/metric"
 	"fairbench/internal/nf"
 	"fairbench/internal/testbed"
 )
@@ -181,13 +180,6 @@ func TestPricingReleaseValid(t *testing.T) {
 	for name, w := range want {
 		if powers[name] != w {
 			t.Errorf("%s BOM power = %v, want %v", name, powers[name], w)
-		}
-	}
-	// Each BOM yields a valid context-independent vector.
-	for _, b := range boms {
-		v := b.ContextIndependentVector()
-		if _, ok := v[metric.MetricPower]; !ok {
-			t.Errorf("%s: missing power in CI vector", b.System)
 		}
 	}
 }

@@ -165,14 +165,3 @@ func utilOrFull(f float64) float64 {
 	}
 	return f
 }
-
-// Worst returns the highest severity among the findings (Pass if none).
-func Worst(findings []Finding) Severity {
-	worst := Pass
-	for _, f := range findings {
-		if f.Severity > worst {
-			worst = f.Severity
-		}
-	}
-	return worst
-}

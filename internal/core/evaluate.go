@@ -81,8 +81,7 @@ type Verdict struct {
 	Applied []PrincipleID
 	// Claims are human-readable statements the evaluation justifies.
 	Claims []string
-	// Warnings flag methodological hazards (coverage pitfalls,
-	// unsuitable cost metrics).
+	// Warnings flag methodological hazards (coverage pitfalls).
 	Warnings []string
 }
 
@@ -91,10 +90,6 @@ type Verdict struct {
 type Evaluator struct {
 	plane Plane
 	tol   float64
-	// allowUnsuitableCost permits cost metrics failing the §3
-	// principles (used to demonstrate why they mislead); a warning is
-	// attached to every verdict.
-	allowUnsuitableCost bool
 }
 
 // Option configures an Evaluator.
@@ -105,16 +100,8 @@ func WithTolerance(tol float64) Option {
 	return func(e *Evaluator) { e.tol = tol }
 }
 
-// AllowUnsuitableCostMetric permits cost metrics that fail the paper's
-// three principles. Verdicts then carry a warning instead of
-// construction failing.
-func AllowUnsuitableCostMetric() Option {
-	return func(e *Evaluator) { e.allowUnsuitableCost = true }
-}
-
-// NewEvaluator builds an evaluator over plane p. Unless
-// AllowUnsuitableCostMetric is given, the plane's cost metric must meet
-// Principles 1–3.
+// NewEvaluator builds an evaluator over plane p. The plane's cost
+// metric must meet Principles 1–3.
 func NewEvaluator(p Plane, opts ...Option) (*Evaluator, error) {
 	e := &Evaluator{plane: p, tol: DefaultTolerance}
 	for _, o := range opts {
@@ -123,23 +110,11 @@ func NewEvaluator(p Plane, opts ...Option) (*Evaluator, error) {
 	if e.tol < 0 {
 		return nil, fmt.Errorf("core: negative tolerance %v", e.tol)
 	}
-	var err error
-	if e.allowUnsuitableCost {
-		err = p.ValidateRelaxed()
-	} else {
-		err = p.Validate()
-	}
-	if err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	return e, nil
 }
-
-// Plane returns the evaluator's comparison plane.
-func (e *Evaluator) Plane() Plane { return e.plane }
-
-// Tolerance returns the evaluator's regime-equality tolerance.
-func (e *Evaluator) Tolerance() float64 { return e.tol }
 
 // Evaluate compares a proposed system against a baseline following the
 // paper's decision procedure:
@@ -158,12 +133,6 @@ func (e *Evaluator) Tolerance() float64 { return e.tol }
 //     both points (§4.3).
 func (e *Evaluator) Evaluate(proposed, baseline System) (Verdict, error) {
 	v := Verdict{Plane: e.plane, Proposed: proposed, Baseline: baseline}
-
-	if !e.plane.Cost.Metric.Props.Good() {
-		v.Warnings = append(v.Warnings, fmt.Sprintf(
-			"cost metric %q violates the paper's principles (%s); conclusions may not transfer across contexts",
-			e.plane.Cost.Metric.Name, e.plane.Cost.Metric.String()))
-	}
 
 	var err error
 	v.Regime, err = ClassifyRegime(e.plane, proposed.Point, baseline.Point, e.tol)

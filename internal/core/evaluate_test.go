@@ -214,7 +214,7 @@ func TestEvaluateCoverageWarning(t *testing.T) {
 
 func TestEvaluatorRejectsUnsuitableCostMetric(t *testing.T) {
 	// A plane whose cost metric is CPU cores (fails Principle 3) must
-	// be rejected unless explicitly allowed.
+	// be rejected.
 	r := metric.Standard()
 	coresPlane := Plane{
 		Perf: AxisFor(r.MustLookup(metric.MetricThroughputBps)),
@@ -222,23 +222,6 @@ func TestEvaluatorRejectsUnsuitableCostMetric(t *testing.T) {
 	}
 	if _, err := NewEvaluator(coresPlane); err == nil {
 		t.Fatal("evaluator over cores-cost plane should be rejected")
-	}
-	e, err := NewEvaluator(coresPlane, AllowUnsuitableCostMetric())
-	if err != nil {
-		t.Fatalf("relaxed evaluator: %v", err)
-	}
-	pt := func(g, c float64) Point {
-		return Pt(metric.Q(g, metric.GigabitPerSecond), metric.Q(c, metric.Core))
-	}
-	v, err := e.Evaluate(
-		System{Name: "a", Point: pt(20, 5), Scalable: true},
-		System{Name: "b", Point: pt(10, 8), Scalable: true},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(v.Warnings) == 0 || !strings.Contains(v.Warnings[0], "violates") {
-		t.Errorf("verdict over unsuitable metric should warn: %v", v.Warnings)
 	}
 }
 
@@ -273,9 +256,6 @@ func TestEvaluatorOptions(t *testing.T) {
 		t.Error("negative tolerance should be rejected")
 	}
 	e := mustEvaluator(t, DefaultPlane(), WithTolerance(0.5))
-	if e.Tolerance() != 0.5 {
-		t.Errorf("tolerance = %v", e.Tolerance())
-	}
 	// With a huge tolerance, quite different points land in one regime.
 	v, err := e.Evaluate(
 		System{Name: "a", Point: gp(10, 60), Scalable: true},
@@ -290,10 +270,10 @@ func TestEvaluatorOptions(t *testing.T) {
 }
 
 func TestPrincipleText(t *testing.T) {
-	if len(AllPrinciples()) != 7 {
-		t.Fatalf("want 7 principles")
-	}
-	for _, p := range AllPrinciples() {
+	for _, p := range []PrincipleID{
+		P1ContextIndependent, P2Quantifiable, P3EndToEnd,
+		P4Unidimensional, P5ScaleBaseline, P6IdealScaling, P7NonScalable,
+	} {
 		if p.Text() == "" || strings.HasPrefix(p.Text(), "unknown") {
 			t.Errorf("%v has no text", p)
 		}

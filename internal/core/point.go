@@ -165,18 +165,6 @@ func (r Relation) String() string {
 	}
 }
 
-// Invert swaps the roles of the compared points.
-func (r Relation) Invert() Relation {
-	switch r {
-	case Dominates:
-		return DominatedBy
-	case DominatedBy:
-		return Dominates
-	default:
-		return r
-	}
-}
-
 // DefaultTolerance is the relative tolerance within which two values on
 // an axis are considered "the same regime" (paper §4.1). Measured
 // systems never land on exactly equal numbers; 2% reflects typical

@@ -50,11 +50,3 @@ func (p PrincipleID) Text() string {
 
 // String returns e.g. "Principle 6".
 func (p PrincipleID) String() string { return fmt.Sprintf("Principle %d", int(p)) }
-
-// AllPrinciples lists the seven principles in order.
-func AllPrinciples() []PrincipleID {
-	return []PrincipleID{
-		P1ContextIndependent, P2Quantifiable, P3EndToEnd,
-		P4Unidimensional, P5ScaleBaseline, P6IdealScaling, P7NonScalable,
-	}
-}

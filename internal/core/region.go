@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 )
 
 // RegionClass places a candidate point relative to a reference system's
@@ -43,17 +42,6 @@ func (c RegionClass) String() string {
 		return "outside:faster-but-costlier"
 	default:
 		return fmt.Sprintf("RegionClass(%d)", int(c))
-	}
-}
-
-// InRegion reports whether the class is inside the comparison region,
-// i.e. an objective superiority (or equality) claim is possible.
-func (c RegionClass) InRegion() bool {
-	switch c {
-	case InRegionDominates, InRegionDominated, InRegionEqual:
-		return true
-	default:
-		return false
 	}
 }
 
@@ -98,50 +86,42 @@ func (r Region) Classify(candidate Point) (RegionClass, error) {
 	return OutsideCheaperWorse, nil
 }
 
-// Contains reports whether candidate lies inside the comparison region.
-func (r Region) Contains(candidate Point) (bool, error) {
-	c, err := r.Classify(candidate)
-	if err != nil {
-		return false, err
-	}
-	return c.InRegion(), nil
+// NamedPoint pairs a system name with a plane point, for frontier
+// reports.
+type NamedPoint struct {
+	Name  string
+	Point Point
 }
 
-// Frontier returns the Pareto-optimal subset of points in plane p:
-// those not dominated by any other point. Ties (Equal) are all kept.
-// The result preserves input order. Frontier generalises the paper's
-// two-system comparisons to evaluations with many alternatives.
-func Frontier(p Plane, points []Point, tol float64) ([]Point, error) {
-	var out []Point
-	for i, a := range points {
-		dominated := false
-		for j, b := range points {
+// NamedFrontier computes the Pareto frontier over named systems,
+// returning frontier members and dominated systems separately, each
+// preserving input order.
+func NamedFrontier(p Plane, systems []NamedPoint, tol float64) (frontier, dominated []NamedPoint, err error) {
+	for _, s := range systems {
+		if verr := s.Point.Validate(p); verr != nil {
+			return nil, nil, fmt.Errorf("core: frontier system %q: %w", s.Name, verr)
+		}
+	}
+	for i, a := range systems {
+		isDominated := false
+		for j, b := range systems {
 			if i == j {
 				continue
 			}
-			rel, err := Compare(p, a, b, tol)
-			if err != nil {
-				return nil, err
+			rel, cerr := Compare(p, a.Point, b.Point, tol)
+			if cerr != nil {
+				return nil, nil, cerr
 			}
 			if rel == DominatedBy {
-				dominated = true
+				isDominated = true
 				break
 			}
 		}
-		if !dominated {
-			out = append(out, a)
+		if isDominated {
+			dominated = append(dominated, a)
+		} else {
+			frontier = append(frontier, a)
 		}
 	}
-	return out, nil
-}
-
-// SortByCost orders points by ascending canonical cost (useful for
-// rendering frontiers). It does not modify its input.
-func SortByCost(points []Point) []Point {
-	out := make([]Point, len(points))
-	copy(out, points)
-	sort.SliceStable(out, func(i, j int) bool {
-		return out[i].Cost.Canonical() < out[j].Cost.Canonical()
-	})
-	return out
+	return frontier, dominated, nil
 }

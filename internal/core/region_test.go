@@ -36,13 +36,6 @@ func TestRegionClassifyFigure2(t *testing.T) {
 		if got != c.want {
 			t.Errorf("%s: Classify(%s) = %v, want %v", c.name, c.candidate, got, c.want)
 		}
-		inRegion, err := region.Contains(c.candidate)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if inRegion != c.want.InRegion() {
-			t.Errorf("%s: Contains = %v, class %v", c.name, inRegion, got)
-		}
 	}
 }
 
@@ -60,9 +53,24 @@ func TestRegionClassStrings(t *testing.T) {
 	if InRegionDominates.String() != "in-region:dominates" {
 		t.Errorf("got %q", InRegionDominates.String())
 	}
-	if OutsideCheaperWorse.InRegion() || OutsideFasterCostlier.InRegion() {
-		t.Error("outside classes must report InRegion() == false")
+}
+
+// frontier is the Pareto frontier of unnamed points.
+func frontier(t *testing.T, p Plane, pts []Point) []Point {
+	t.Helper()
+	named := make([]NamedPoint, len(pts))
+	for i, pt := range pts {
+		named[i] = NamedPoint{Point: pt}
 	}
+	front, _, err := NamedFrontier(p, named, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []Point
+	for _, f := range front {
+		out = append(out, f.Point)
+	}
+	return out
 }
 
 func TestFrontierSimple(t *testing.T) {
@@ -74,10 +82,7 @@ func TestFrontierSimple(t *testing.T) {
 		gp(30, 200), // on frontier
 		gp(9, 60),   // dominated by (10,50)
 	}
-	front, err := Frontier(p, pts, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	front := frontier(t, p, pts)
 	if len(front) != 3 {
 		t.Fatalf("frontier size = %d, want 3: %v", len(front), front)
 	}
@@ -100,10 +105,7 @@ func TestFrontierProperties(t *testing.T) {
 		for i := range pts {
 			pts[i] = gp(float64(r.Intn(100)+1), float64(r.Intn(100)+1))
 		}
-		front, err := Frontier(p, pts, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		front := frontier(t, p, pts)
 		if len(front) == 0 {
 			t.Fatal("frontier of nonempty set cannot be empty")
 		}
@@ -135,9 +137,8 @@ func TestFrontierProperties(t *testing.T) {
 }
 
 func TestFrontierEmpty(t *testing.T) {
-	front, err := Frontier(DefaultPlane(), nil, 0)
-	if err != nil || front != nil {
-		t.Errorf("empty frontier = %v, %v", front, err)
+	if front := frontier(t, DefaultPlane(), nil); front != nil {
+		t.Errorf("empty frontier = %v", front)
 	}
 }
 
@@ -145,10 +146,7 @@ func TestFrontierLatencyPlane(t *testing.T) {
 	// Lower-is-better perf axis: frontier must prefer *low* latency.
 	p := LatencyPlane()
 	pts := []Point{lp(5, 200), lp(8, 100), lp(10, 300)}
-	front, err := Frontier(p, pts, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	front := frontier(t, p, pts)
 	// (10,300) is dominated by (8,100); the other two are incomparable.
 	if len(front) != 2 {
 		t.Fatalf("frontier = %v, want 2 points", front)
@@ -157,5 +155,40 @@ func TestFrontierLatencyPlane(t *testing.T) {
 		if f == lp(10, 300) {
 			t.Error("dominated point on frontier")
 		}
+	}
+}
+
+func TestNamedFrontier(t *testing.T) {
+	p := DefaultPlane()
+	systems := []NamedPoint{
+		{Name: "cheap", Point: gp(10, 50)},
+		{Name: "mid", Point: gp(20, 100)},
+		{Name: "bad", Point: gp(15, 120)},
+		{Name: "fast", Point: gp(30, 200)},
+	}
+	front, dominated, err := NamedFrontier(p, systems, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(front) != 3 || len(dominated) != 1 {
+		t.Fatalf("front=%d dominated=%d", len(front), len(dominated))
+	}
+	if dominated[0].Name != "bad" {
+		t.Errorf("dominated = %v", dominated[0].Name)
+	}
+	names := []string{front[0].Name, front[1].Name, front[2].Name}
+	want := []string{"cheap", "mid", "fast"}
+	for i := range want {
+		if names[i] != want[i] {
+			t.Errorf("frontier order = %v, want %v", names, want)
+		}
+	}
+}
+
+func TestNamedFrontierUnitError(t *testing.T) {
+	p := DefaultPlane()
+	bad := []NamedPoint{{Name: "x", Point: lp(5, 100)}}
+	if _, _, err := NamedFrontier(p, bad, 0); err == nil {
+		t.Error("latency point on throughput plane should fail")
 	}
 }

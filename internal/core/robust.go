@@ -146,11 +146,6 @@ type RobustVerdict struct {
 	Sensitivity SensitivityResult
 }
 
-// Robust reports whether the verdict confidence meets the threshold.
-func (r RobustVerdict) Robust(minConfidence float64) bool {
-	return r.Confidence >= minConfidence
-}
-
 // String renders e.g.
 // "proposed-superior (confidence 98% over 200 resamples of 5+5 trials)".
 func (r RobustVerdict) String() string {

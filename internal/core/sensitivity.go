@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Sensitivity analysis: measured (performance, cost) points carry
@@ -47,12 +46,6 @@ type SensitivityResult struct {
 	Evaluations int
 	// RelError echoes the perturbation magnitude the grid used.
 	RelError float64
-}
-
-// Robust reports whether at least the given fraction of perturbed
-// evaluations agree with the nominal conclusion.
-func (r SensitivityResult) Robust(minStability float64) bool {
-	return r.Stability >= minStability
 }
 
 // String renders e.g. "proposed-superior (stability 94% over 625 evals)".
@@ -115,28 +108,4 @@ func SensitivityAnalysis(e *Evaluator, proposed, baseline System, opts Sensitivi
 	}
 	res.Stability = float64(agree) / float64(res.Evaluations)
 	return res, nil
-}
-
-// ConclusionsByCount returns the distribution's conclusions ordered by
-// descending count (ties by conclusion value) for reporting.
-func (r SensitivityResult) ConclusionsByCount() []Conclusion {
-	type kv struct {
-		c Conclusion
-		n int
-	}
-	var list []kv
-	for c, n := range r.Distribution {
-		list = append(list, kv{c, n})
-	}
-	sort.Slice(list, func(i, j int) bool {
-		if list[i].n != list[j].n {
-			return list[i].n > list[j].n
-		}
-		return list[i].c < list[j].c
-	})
-	out := make([]Conclusion, len(list))
-	for i, e := range list {
-		out[i] = e.c
-	}
-	return out
 }

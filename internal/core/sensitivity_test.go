@@ -30,9 +30,6 @@ func TestSensitivityClearWinIsStable(t *testing.T) {
 	if res.Stability < 0.99 {
 		t.Errorf("clear win stability = %v, want ≈1", res.Stability)
 	}
-	if !res.Robust(0.95) {
-		t.Error("Robust(0.95) should hold")
-	}
 	if res.Evaluations != 625 { // (2*2+1)^4
 		t.Errorf("evaluations = %d, want 625", res.Evaluations)
 	}
@@ -54,14 +51,6 @@ func TestSensitivityMarginalWinIsFragile(t *testing.T) {
 	}
 	if len(res.Distribution) < 2 {
 		t.Errorf("distribution = %v, want multiple conclusions", res.Distribution)
-	}
-	// The ranked conclusions must start with the most frequent one.
-	ranked := res.ConclusionsByCount()
-	if len(ranked) < 2 {
-		t.Fatalf("ranked = %v", ranked)
-	}
-	if res.Distribution[ranked[0]] < res.Distribution[ranked[1]] {
-		t.Error("ConclusionsByCount not ordered by count")
 	}
 }
 

@@ -4,8 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-
-	"fairbench/internal/metric"
 )
 
 // Context holds the deployment-specific parameters that make TCO
@@ -181,18 +179,6 @@ func (m PricingModel) TCO(b BillOfMaterials, ctx Context) (TCOBreakdown, error) 
 		return TCOBreakdown{}, fmt.Errorf("cost: TCO overflow for %q under %q", b.System, ctx.Name)
 	}
 	return out, nil
-}
-
-// ContextIndependentVector extracts the context-independent cost metrics
-// of the BOM as a cost Vector (power, rack space, i.e. the quantities
-// identical for any two identical deployments), ready for use in a fair
-// comparison. Note hardware price is deliberately *not* included: it is
-// context-dependent (Table 1).
-func (b BillOfMaterials) ContextIndependentVector() Vector {
-	return Vector{
-		metric.MetricPower:     metric.Q(b.TotalPowerWatts(), metric.Watt),
-		metric.MetricRackSpace: metric.Q(b.TotalRackUnits(), metric.RackUnit),
-	}
 }
 
 // MarshalRelease serialises the pricing model and BOM into the JSON

@@ -3,8 +3,6 @@ package cost
 import (
 	"math"
 	"testing"
-
-	"fairbench/internal/metric"
 )
 
 func testBOM() BillOfMaterials {
@@ -59,25 +57,6 @@ func TestTCOIsContextDependent(t *testing.T) {
 	}
 	if city.TotalUSD < 1.5*rural.TotalUSD {
 		t.Errorf("contexts should diverge substantially: city %v vs rural %v", city.TotalUSD, rural.TotalUSD)
-	}
-}
-
-func TestContextIndependentVectorIsInvariant(t *testing.T) {
-	// Power and rack space do not vary with context: they are computed
-	// from the BOM alone. This is the operational meaning of Principle 1.
-	bom := testBOM()
-	v := bom.ContextIndependentVector()
-	if v[metric.MetricPower].Value != 360 {
-		t.Errorf("power = %v, want 360 W", v[metric.MetricPower])
-	}
-	if v[metric.MetricRackSpace].Value != 2 {
-		t.Errorf("rack = %v, want 2 RU", v[metric.MetricRackSpace])
-	}
-	if _, ok := v[metric.MetricPrice]; ok {
-		t.Error("context-independent vector must not include hardware price")
-	}
-	if _, ok := v[metric.MetricTCO]; ok {
-		t.Error("context-independent vector must not include TCO")
 	}
 }
 

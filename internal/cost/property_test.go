@@ -81,7 +81,9 @@ func TestScaleComposeCommute(t *testing.T) {
 
 		scaledComps := make([]Component, n)
 		for i, c := range comps {
-			scaledComps[i] = Component{Name: c.Name, Costs: c.Costs.Scale(k)}
+			scaledComps[i] = Component{Name: c.Name, Costs: Vector{
+				metric.MetricPower: c.Costs[metric.MetricPower].Scale(k),
+			}}
 		}
 		a, err1 := Compose(metric.MetricPower, scaledComps)
 		whole, err2 := Compose(metric.MetricPower, comps)

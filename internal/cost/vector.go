@@ -8,7 +8,6 @@ package cost
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"fairbench/internal/metric"
 )
@@ -22,73 +21,6 @@ var ErrNotCovered = errors.New("cost: metric does not cover component")
 // Vector maps metric names to measured quantities for one component
 // (a CPU, a SmartNIC, a switch, ...). A nil Vector is an empty vector.
 type Vector map[string]metric.Quantity
-
-// Clone returns a copy of the vector.
-func (v Vector) Clone() Vector {
-	out := make(Vector, len(v))
-	for k, q := range v {
-		out[k] = q
-	}
-	return out
-}
-
-// Get returns the quantity for a metric name.
-func (v Vector) Get(name string) (metric.Quantity, bool) {
-	q, ok := v[name]
-	return q, ok
-}
-
-// Set records a quantity for a metric name, replacing any previous one.
-func (v Vector) Set(name string, q metric.Quantity) { v[name] = q }
-
-// Metrics returns the metric names present, sorted.
-func (v Vector) Metrics() []string {
-	names := make([]string, 0, len(v))
-	for k := range v {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Add returns the metric-wise sum of two vectors over the union of their
-// metrics. Missing entries are treated as absent, not zero: a metric
-// present in only one operand appears in the result tagged as partial
-// via the returned partial set. Callers that need end-to-end coverage
-// should use Compose instead, which makes missing entries an error.
-func (v Vector) Add(o Vector) (sum Vector, partial map[string]bool, err error) {
-	sum = make(Vector)
-	partial = make(map[string]bool)
-	for k, q := range v {
-		if oq, ok := o[k]; ok {
-			s, aerr := q.Add(oq)
-			if aerr != nil {
-				return nil, nil, fmt.Errorf("cost: adding metric %q: %w", k, aerr)
-			}
-			sum[k] = s
-		} else {
-			sum[k] = q
-			partial[k] = true
-		}
-	}
-	for k, q := range o {
-		if _, ok := v[k]; !ok {
-			sum[k] = q
-			partial[k] = true
-		}
-	}
-	return sum, partial, nil
-}
-
-// Scale returns the vector with every quantity multiplied by k. This is
-// the cost side of ideal linear scaling (paper §4.2.1).
-func (v Vector) Scale(k float64) Vector {
-	out := make(Vector, len(v))
-	for name, q := range v {
-		out[name] = q.Scale(k)
-	}
-	return out
-}
 
 // Component is a named part of a system together with its cost vector.
 // End-to-end coverage (Principle 3) demands that "all components of the
@@ -146,40 +78,4 @@ func Coverage(names []string, components []Component) map[string]bool {
 		covered[n] = ok
 	}
 	return covered
-}
-
-// CommonMetrics returns the metric names reported by every one of the
-// given component lists (one list per system under comparison), sorted.
-// These are the candidate end-to-end cost metrics for the evaluation.
-func CommonMetrics(systems ...[]Component) []string {
-	counts := make(map[string]int)
-	for _, comps := range systems {
-		cov := make(map[string]bool)
-		for _, c := range comps {
-			for name := range c.Costs {
-				cov[name] = true
-			}
-		}
-		// The metric must cover every component, not just appear once.
-		for name := range cov {
-			all := true
-			for _, c := range comps {
-				if _, ok := c.Costs[name]; !ok {
-					all = false
-					break
-				}
-			}
-			if all {
-				counts[name]++
-			}
-		}
-	}
-	var out []string
-	for name, n := range counts {
-		if n == len(systems) {
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
 }

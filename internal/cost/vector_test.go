@@ -2,8 +2,6 @@ package cost
 
 import (
 	"errors"
-	"math"
-	"reflect"
 	"testing"
 
 	"fairbench/internal/metric"
@@ -85,80 +83,5 @@ func TestCoverage(t *testing.T) {
 	}
 	if c := Coverage([]string{metric.MetricPower}, nil); c[metric.MetricPower] {
 		t.Error("no components implies no coverage")
-	}
-}
-
-func TestCommonMetrics(t *testing.T) {
-	// System A: CPU-only. System B: CPU + FPGA. The only metrics usable
-	// for a fair comparison are those covering both end-to-end.
-	sysA := []Component{
-		{Name: "host", Costs: Vector{
-			metric.MetricPower: metric.Q(100, metric.Watt),
-			metric.MetricCores: metric.Q(8, metric.Core),
-		}},
-	}
-	sysB := []Component{
-		{Name: "host", Costs: Vector{
-			metric.MetricPower: metric.Q(60, metric.Watt),
-			metric.MetricCores: metric.Q(4, metric.Core),
-		}},
-		{Name: "fpga", Costs: Vector{
-			metric.MetricPower: metric.Q(40, metric.Watt),
-			metric.MetricLUTs:  metric.Q(500, metric.KiloLUT),
-		}},
-	}
-	got := CommonMetrics(sysA, sysB)
-	want := []string{metric.MetricPower}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("CommonMetrics = %v, want %v (cores fail end-to-end on B, LUTs fail on A)", got, want)
-	}
-}
-
-func TestVectorAddPartial(t *testing.T) {
-	a := Vector{
-		metric.MetricPower: metric.Q(50, metric.Watt),
-		metric.MetricCores: metric.Q(4, metric.Core),
-	}
-	b := Vector{
-		metric.MetricPower: metric.Q(20, metric.Watt),
-		metric.MetricLUTs:  metric.Q(1, metric.KiloLUT),
-	}
-	sum, partial, err := a.Add(b)
-	if err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	if sum[metric.MetricPower].Value != 70 {
-		t.Errorf("power sum = %v", sum[metric.MetricPower])
-	}
-	if !partial[metric.MetricCores] || !partial[metric.MetricLUTs] {
-		t.Errorf("partial = %v, want cores and luts flagged", partial)
-	}
-	if partial[metric.MetricPower] {
-		t.Error("power should not be flagged partial")
-	}
-}
-
-func TestVectorScale(t *testing.T) {
-	v := wattVec(100)
-	s := v.Scale(2.857142857)
-	if math.Abs(s[metric.MetricPower].Value-285.7142857) > 1e-6 {
-		t.Errorf("scaled power = %v, want ≈285.71 (the paper's 286 W)", s[metric.MetricPower].Value)
-	}
-}
-
-func TestVectorCloneIndependent(t *testing.T) {
-	v := wattVec(10)
-	c := v.Clone()
-	c.Set(metric.MetricPower, metric.Q(99, metric.Watt))
-	if v[metric.MetricPower].Value != 10 {
-		t.Error("Clone must not alias the original")
-	}
-}
-
-func TestVectorMetricsSorted(t *testing.T) {
-	v := Vector{"z": metric.Q(1, metric.Watt), "a": metric.Q(2, metric.Watt)}
-	got := v.Metrics()
-	if !reflect.DeepEqual(got, []string{"a", "z"}) {
-		t.Errorf("Metrics = %v", got)
 	}
 }

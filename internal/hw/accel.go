@@ -266,23 +266,6 @@ func (f *FPGA) SubmitFlow(ft packet.FiveTuple, done func(Sojourn)) bool {
 	return f.Submit(done)
 }
 
-// FlowTableLen returns the number of learned flows (0 when unbounded).
-func (f *FPGA) FlowTableLen() int {
-	if f.table == nil {
-		return 0
-	}
-	return f.table.Len()
-}
-
-// TableEvicted returns flow-table evictions (0 when unbounded or
-// EvictNone).
-func (f *FPGA) TableEvicted() uint64 {
-	if f.table == nil {
-		return 0
-	}
-	return f.table.Evictions
-}
-
 // BusySeconds returns the pipeline's cumulative busy time (sampler
 // utilization probe).
 func (f *FPGA) BusySeconds() float64 { return f.busy }

@@ -104,12 +104,6 @@ func (c *Core) ServiceSeconds(cycles uint64) float64 {
 	return float64(cycles+c.cfg.OverheadCycles) / c.cfg.FreqHz
 }
 
-// CapacityPps returns the core's packet rate at a given per-packet
-// cycle cost — the analytic capacity the simulation converges to.
-func (c *Core) CapacityPps(cycles uint64) float64 {
-	return c.cfg.FreqHz / float64(cycles+c.cfg.OverheadCycles)
-}
-
 // Submit offers a packet costing cycles to the core at the current
 // simulated time. If the core is down or the queue is full the packet
 // is dropped and false is returned. Otherwise done (which may be nil)
@@ -152,18 +146,6 @@ func (c *Core) QueueLen() int { return c.queued }
 // BusySeconds returns cumulative busy time, from which the sampler
 // derives windowed utilization and instantaneous power.
 func (c *Core) BusySeconds() float64 { return c.busy }
-
-// Utilization returns busy-time fraction over [0, end).
-func (c *Core) Utilization(end sim.Time) float64 {
-	if end <= 0 {
-		return 0
-	}
-	u := c.busy / end.Seconds()
-	if u > 1 {
-		u = 1
-	}
-	return u
-}
 
 // EnergyJoules implements Device: idle power for the full interval plus
 // the active increment for busy time.

@@ -131,14 +131,6 @@ func (p completion) run() {
 	}
 }
 
-// AveragePowerWatts computes mean power of a device over [0, end).
-func AveragePowerWatts(d Device, end sim.Time) float64 {
-	if end <= 0 {
-		return 0
-	}
-	return d.EnergyJoules(end) / end.Seconds()
-}
-
 // ComponentsOf converts devices into cost components for end-to-end
 // composition (paper Principle 3).
 func ComponentsOf(devices ...Device) []cost.Component {

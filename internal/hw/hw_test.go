@@ -13,7 +13,7 @@ import (
 
 func flow(i int) packet.FiveTuple {
 	return packet.FiveTuple{
-		Src: packet.Addr4From(uint32(0x0a000000 + i)), Dst: packet.Addr4{10, 0, 0, 1},
+		Src: packet.Addr4{10, byte(i >> 16), byte(i >> 8), byte(i)}, Dst: packet.Addr4{10, 0, 0, 1},
 		SrcPort: uint16(1000 + i), DstPort: 80, Proto: packet.ProtoUDP,
 	}
 }
@@ -24,9 +24,6 @@ func TestCoreServiceAndCapacity(t *testing.T) {
 	// 900 + 600 cycles at 3 GHz = 500 ns.
 	if got := c.ServiceSeconds(900); math.Abs(got-500e-9) > 1e-15 {
 		t.Errorf("ServiceSeconds = %v, want 500ns", got)
-	}
-	if got := c.CapacityPps(900); math.Abs(got-2e6) > 1 {
-		t.Errorf("CapacityPps = %v, want 2M", got)
 	}
 }
 
@@ -94,11 +91,8 @@ func TestCoreEnergyModel(t *testing.T) {
 	if got := c.EnergyJoules(1); math.Abs(got-10) > 1e-9 {
 		t.Errorf("EnergyJoules = %v, want 10", got)
 	}
-	if got := c.Utilization(1); math.Abs(got-0.5) > 1e-9 {
-		t.Errorf("Utilization = %v, want 0.5", got)
-	}
-	if got := AveragePowerWatts(c, 1); math.Abs(got-10) > 1e-9 {
-		t.Errorf("AveragePowerWatts = %v, want 10", got)
+	if got := c.BusySeconds(); math.Abs(got-0.5) > 1e-9 {
+		t.Errorf("BusySeconds = %v, want 0.5", got)
 	}
 	if c.MaxPowerWatts() != 15 {
 		t.Errorf("MaxPowerWatts = %v", c.MaxPowerWatts())
@@ -396,9 +390,6 @@ func TestZeroEndEnergy(t *testing.T) {
 	} {
 		if d.EnergyJoules(0) != 0 {
 			t.Errorf("%s: energy at t=0 should be 0", d.Name())
-		}
-		if AveragePowerWatts(d, 0) != 0 {
-			t.Errorf("%s: average power over empty window should be 0", d.Name())
 		}
 	}
 }

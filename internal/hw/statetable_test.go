@@ -76,8 +76,8 @@ func TestFPGAFlowTableOverflowPunts(t *testing.T) {
 	if f.TablePunts != 4 {
 		t.Errorf("TablePunts = %d", f.TablePunts)
 	}
-	if f.FlowTableLen() != 2 {
-		t.Errorf("table len = %d", f.FlowTableLen())
+	if f.table.Len() != 2 {
+		t.Errorf("table len = %d", f.table.Len())
 	}
 }
 
@@ -92,7 +92,7 @@ func TestFPGAUnboundedKeepsHistoricalBehaviour(t *testing.T) {
 		}
 	})
 	s.RunAll()
-	if f.FlowTableLen() != 0 || f.TablePunts != 0 {
-		t.Errorf("unbounded pipeline grew state: len=%d punts=%d", f.FlowTableLen(), f.TablePunts)
+	if f.table != nil || f.TablePunts != 0 {
+		t.Errorf("unbounded pipeline grew state: table=%v punts=%d", f.table != nil, f.TablePunts)
 	}
 }

@@ -70,8 +70,10 @@ type graph struct {
 // buildGraph constructs nodes for every declared function with a body,
 // then adds edges: static calls, interface-method calls resolved by
 // pruned CHA, methods made callable by boxing a concrete value into an
-// interface argument, and address-taken function references (a
-// function passed as a value is assumed called by whoever takes it).
+// interface (an argument, a conversion, a returned result, a field or
+// element of a composite literal, or an assigned variable), and
+// address-taken function references (a function passed as a value is
+// assumed called by whoever takes it).
 // Calls through plain function-typed values add no edges — the closure
 // attribution rule above covers the common callback shapes.
 func buildGraph(root string, pkgs []*loadedPkg, fset *token.FileSet) *graph {
@@ -219,12 +221,18 @@ func (g *graph) buildClosure() {
 // scanBody walks one declaration (including nested function literals)
 // and records direct taint sources, call edges, dispatch edges, and
 // address-taken edges.
-func (g *graph) scanBody(n *fnode) {
+func (g *graph) scanBody(n *fnode) { g.scan(n, n.decl) }
+
+// scan records the edges and sources of one syntax tree on n. Besides
+// calls, it follows every place a concrete value is boxed into an
+// interface: returned through an interface result, stored in an
+// interface-typed field, element or variable, or assigned to one.
+func (g *graph) scan(n *fnode, root ast.Node) {
 	info := n.pkg.info
 	// Idents consumed as the Fun of a call; references outside this set
 	// are address-taken uses.
 	calleeIdents := map[*ast.Ident]bool{}
-	ast.Inspect(n.decl, func(nd ast.Node) bool {
+	ast.Inspect(root, func(nd ast.Node) bool {
 		if call, ok := nd.(*ast.CallExpr); ok {
 			switch fun := ast.Unparen(call.Fun).(type) {
 			case *ast.Ident:
@@ -236,14 +244,45 @@ func (g *graph) scanBody(n *fnode) {
 		return true
 	})
 
-	ast.Inspect(n.decl, func(nd ast.Node) bool {
+	// funcs is the stack of enclosing function declarations and
+	// literals, whose signatures type the return statements inside them.
+	var stack, funcs []ast.Node
+	ast.Inspect(root, func(nd ast.Node) bool {
+		if nd == nil {
+			if top := stack[len(stack)-1]; len(funcs) > 0 && funcs[len(funcs)-1] == top {
+				funcs = funcs[:len(funcs)-1]
+			}
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		stack = append(stack, nd)
 		switch nd := nd.(type) {
+		case *ast.FuncDecl, *ast.FuncLit:
+			funcs = append(funcs, nd)
 		case *ast.GoStmt:
 			n.sources = append(n.sources, source{
 				kind: "goroutine", desc: "go statement", pos: nd.Pos(),
 			})
 		case *ast.CallExpr:
 			g.callEdges(n, nd)
+		case *ast.ReturnStmt:
+			if len(funcs) > 0 {
+				g.returnEdges(n, funcs[len(funcs)-1], nd)
+			}
+		case *ast.CompositeLit:
+			g.literalEdges(n, nd)
+		case *ast.AssignStmt:
+			if nd.Tok == token.ASSIGN && len(nd.Lhs) == len(nd.Rhs) {
+				for i, lhs := range nd.Lhs {
+					g.boxingEdges(n, info.TypeOf(lhs), info.TypeOf(nd.Rhs[i]))
+				}
+			}
+		case *ast.ValueSpec:
+			if nd.Type != nil && len(nd.Names) == len(nd.Values) {
+				for _, v := range nd.Values {
+					g.boxingEdges(n, info.TypeOf(nd.Type), info.TypeOf(v))
+				}
+			}
 		case *ast.Ident:
 			if calleeIdents[nd] {
 				return true
@@ -254,6 +293,69 @@ func (g *graph) scanBody(n *fnode) {
 		}
 		return true
 	})
+}
+
+// returnEdges boxes each returned value into its interface result. A
+// value returned as an error is skipped: its Error method runs only
+// where a caller reports the failure, off the path that returned it,
+// and a hot path's abort returns must not drag their formatting in.
+func (g *graph) returnEdges(n *fnode, fn ast.Node, ret *ast.ReturnStmt) {
+	info := n.pkg.info
+	var sig *types.Signature
+	switch fn := fn.(type) {
+	case *ast.FuncDecl:
+		if obj, ok := info.Defs[fn.Name].(*types.Func); ok {
+			sig, _ = obj.Type().(*types.Signature)
+		}
+	case *ast.FuncLit:
+		sig, _ = typeAsSignature(info.TypeOf(fn))
+	}
+	if sig == nil || sig.Results().Len() != len(ret.Results) {
+		return // bare return, or one multi-value call: nothing boxed here
+	}
+	for i, r := range ret.Results {
+		if t := sig.Results().At(i).Type(); t != errorType {
+			g.boxingEdges(n, t, info.TypeOf(r))
+		}
+	}
+}
+
+// literalEdges boxes each element of a composite literal into the
+// field, element or map key/value type it initializes.
+func (g *graph) literalEdges(n *fnode, lit *ast.CompositeLit) {
+	info := n.pkg.info
+	t := info.TypeOf(lit)
+	if t == nil {
+		return
+	}
+	for i, elt := range lit.Elts {
+		val := elt
+		kv, isKV := elt.(*ast.KeyValueExpr)
+		if isKV {
+			val = kv.Value
+		}
+		switch u := t.Underlying().(type) {
+		case *types.Struct:
+			if isKV {
+				if id, ok := kv.Key.(*ast.Ident); ok {
+					if f, ok := info.Uses[id].(*types.Var); ok {
+						g.boxingEdges(n, f.Type(), info.TypeOf(val))
+					}
+				}
+			} else if i < u.NumFields() {
+				g.boxingEdges(n, u.Field(i).Type(), info.TypeOf(val))
+			}
+		case *types.Slice:
+			g.boxingEdges(n, u.Elem(), info.TypeOf(val))
+		case *types.Array:
+			g.boxingEdges(n, u.Elem(), info.TypeOf(val))
+		case *types.Map:
+			if isKV {
+				g.boxingEdges(n, u.Key(), info.TypeOf(kv.Key))
+			}
+			g.boxingEdges(n, u.Elem(), info.TypeOf(val))
+		}
+	}
 }
 
 func origin(fn *types.Func) *types.Func {
@@ -349,7 +451,7 @@ func (g *graph) dispatchEdges(n *fnode, iface *types.Interface, name string) {
 // boxes into an interface: once boxed, any of the interface's methods
 // may be invoked on it by code the graph cannot see.
 func (g *graph) boxingEdges(n *fnode, ifaceType, argType types.Type) {
-	if argType == nil {
+	if ifaceType == nil || argType == nil {
 		return
 	}
 	iface, ok := ifaceType.Underlying().(*types.Interface)
@@ -364,12 +466,14 @@ func (g *graph) boxingEdges(n *fnode, ifaceType, argType types.Type) {
 	}
 	for i := 0; i < iface.NumMethods(); i++ {
 		want := iface.Method(i).Name()
-		obj, _, _ := types.LookupFieldOrMethod(argType, true, n.fn.Pkg(), want)
+		obj, _, _ := types.LookupFieldOrMethod(argType, true, n.pkg.types, want)
 		if m, ok := obj.(*types.Func); ok {
 			n.addEdge(g.byFn[origin(m)])
 		}
 	}
 }
+
+var errorType = types.Universe.Lookup("error").Type()
 
 func typeAsSignature(t types.Type) (*types.Signature, bool) {
 	if t == nil {

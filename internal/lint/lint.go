@@ -163,13 +163,10 @@ var simBoundary = []string{
 // dispatch path carries every simulated packet through the device models.
 var hotpathScope = append(append([]string(nil), simBoundary...), "internal/packet", "internal/testbed")
 
-// Run loads every package matched by cfg.Patterns under cfg.Dir once, runs
-// the per-package rules on each, builds the whole-program call graph and
-// runs the whole-program rules on it, applies //fairlint:allow
-// suppressions, and returns findings sorted by (file, line, col, rule,
-// msg). The process working directory must be inside a Go module for
-// module-internal imports to resolve (the stdlib source importer shells
-// out to the go command for resolution).
+// Run loads every package matched by cfg.Patterns under cfg.Dir once and
+// analyzes them. The process working directory must be inside a Go
+// module for module-internal imports to resolve (the stdlib source
+// importer shells out to the go command for resolution).
 func Run(cfg Config) ([]Finding, error) {
 	if len(cfg.Patterns) == 0 {
 		cfg.Patterns = []string{"./..."}
@@ -178,12 +175,18 @@ func Run(cfg Config) ([]Finding, error) {
 	if err != nil {
 		return nil, err
 	}
+	return analyze(buildGraph(cfg.Dir, pkgs, fset)), nil
+}
 
+// analyze runs the per-package rules on each of g's packages and the
+// whole-program rules on g, applies //fairlint:allow suppressions, and
+// returns findings sorted by (file, line, col, rule, msg).
+func analyze(g *graph) []Finding {
 	var findings []Finding
 	report := func(pos token.Pos, rule, msg, hint string) {
-		position := fset.Position(pos)
+		position := g.fset.Position(pos)
 		findings = append(findings, Finding{
-			File: relFile(cfg.Dir, position.Filename),
+			File: relFile(g.root, position.Filename),
 			Line: position.Line,
 			Col:  position.Column,
 			Rule: rule,
@@ -192,16 +195,15 @@ func Run(cfg Config) ([]Finding, error) {
 		})
 	}
 	var allows []*allowDirective
-	for _, pkg := range pkgs {
+	for _, pkg := range g.pkgs {
 		p := &pass{loadedPkg: pkg, report: report}
 		for _, r := range rules {
 			if r.pkg != nil {
 				r.pkg(p)
 			}
 		}
-		allows = append(allows, collectAllows(fset, cfg.Dir, pkg.files)...)
+		allows = append(allows, collectAllows(g.fset, g.root, pkg.files)...)
 	}
-	g := buildGraph(cfg.Dir, pkgs, fset)
 	for _, r := range rules {
 		if r.prog != nil {
 			r.prog(g, report)
@@ -210,7 +212,7 @@ func Run(cfg Config) ([]Finding, error) {
 
 	findings = applyAllows(findings, allows)
 	sortFindings(findings)
-	return findings, nil
+	return findings
 }
 
 // applyAllows drops findings covered by a matching //fairlint:allow on the

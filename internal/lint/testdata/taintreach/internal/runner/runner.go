@@ -20,3 +20,10 @@ func Spawn(fn func()) { go fn() }
 
 // Scale is deterministic: calling it from the boundary is fine.
 func Scale(t float64) float64 { return t * 2 }
+
+// WallClock hides the wall clock behind a method: only code that boxes
+// it into an interface hands that method to whoever holds the value.
+type WallClock struct{}
+
+// Now reads the wall clock.
+func (WallClock) Now() float64 { return float64(time.Now().UnixNano()) }

@@ -29,3 +29,21 @@ func Step(t float64) float64 { return runner.Scale(t) }
 //
 //fairlint:allow taintreach corpus demo of a documented virtual-time bridge
 func Bridge() float64 { return runner.Now() }
+
+// Clock is how replayed code would read time.
+type Clock interface{ Now() float64 }
+
+// NewClock boxes the wall clock into its interface result, so its Now
+// is callable by whoever receives the Clock.
+func NewClock() Clock { return runner.WallClock{} }
+
+type clocked struct{ c Clock }
+
+// Hold boxes the wall clock into an interface-typed struct field.
+func Hold() clocked { return clocked{c: runner.WallClock{}} }
+
+// Swap boxes the wall clock by assigning it to an interface variable.
+func Swap(c Clock) Clock {
+	c = runner.WallClock{}
+	return c
+}

@@ -125,9 +125,6 @@ func (l *LatencyMeter) P50Micros() float64 { return l.hist.Quantile(0.5) / 1e3 }
 // P99Micros returns the 99th percentile latency in microseconds.
 func (l *LatencyMeter) P99Micros() float64 { return l.hist.Quantile(0.99) / 1e3 }
 
-// Count returns the number of recorded samples.
-func (l *LatencyMeter) Count() uint64 { return l.hist.Count() }
-
 // FairnessMeter accumulates per-flow forwarded bytes for Jain's index.
 type FairnessMeter struct {
 	bytes map[packet.FiveTuple]uint64
@@ -142,9 +139,6 @@ func NewFairnessMeter() *FairnessMeter {
 func (f *FairnessMeter) Record(ft packet.FiveTuple, frameBytes int) {
 	f.bytes[ft] += uint64(frameBytes)
 }
-
-// Flows returns the number of flows observed.
-func (f *FairnessMeter) Flows() int { return len(f.bytes) }
 
 // JFI computes Jain's fairness index over the per-flow byte counts.
 // Allocations are sorted before summing: float addition is not

@@ -59,8 +59,8 @@ func TestLatencyMeter(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if l.Count() != 100 {
-		t.Errorf("Count = %d", l.Count())
+	if l.hist.Count() != 100 {
+		t.Errorf("Count = %d", l.hist.Count())
 	}
 	if p50 := l.P50Micros(); math.Abs(p50-50) > 2 {
 		t.Errorf("P50 = %v µs, want ≈50", p50)
@@ -85,8 +85,8 @@ func TestFairnessMeter(t *testing.T) {
 		f.Record(flowA, 100)
 		f.Record(flowB, 100)
 	}
-	if f.Flows() != 2 {
-		t.Errorf("Flows = %d", f.Flows())
+	if len(f.bytes) != 2 {
+		t.Errorf("Flows = %d", len(f.bytes))
 	}
 	if j := f.JFI(); math.Abs(j-1) > 1e-12 {
 		t.Errorf("equal flows JFI = %v, want 1", j)
@@ -144,8 +144,8 @@ func TestLossFractionZeroOffered(t *testing.T) {
 
 func TestFairnessMeterZeroFlows(t *testing.T) {
 	f := NewFairnessMeter()
-	if f.Flows() != 0 {
-		t.Errorf("Flows = %d, want 0", f.Flows())
+	if len(f.bytes) != 0 {
+		t.Errorf("Flows = %d, want 0", len(f.bytes))
 	}
 	if got := f.JFI(); got != 0 {
 		t.Errorf("JFI over zero flows = %v, want 0 (not NaN)", got)
@@ -157,8 +157,8 @@ func TestFairnessMeterSingleFlow(t *testing.T) {
 	ft := packet.FiveTuple{SrcPort: 1, DstPort: 2}
 	f.Record(ft, 1000)
 	f.Record(ft, 500)
-	if f.Flows() != 1 {
-		t.Errorf("Flows = %d, want 1", f.Flows())
+	if len(f.bytes) != 1 {
+		t.Errorf("Flows = %d, want 1", len(f.bytes))
 	}
 	// JFI is exactly 1 for a single flow: sum² / (1·sumSq) = 1.
 	if got := f.JFI(); math.Abs(got-1) > 1e-15 {

@@ -90,42 +90,12 @@ func Dim(pairs ...any) Dimension {
 	return d
 }
 
-// Dimensionless reports whether every exponent is zero.
-func (d Dimension) Dimensionless() bool { return d == Dimension{} }
-
-// Exp returns the exponent of base dimension b.
-func (d Dimension) Exp(b BaseDim) int {
-	if b < 0 || b >= numBaseDims {
-		return 0
-	}
-	return int(d.exp[b])
-}
-
-// Mul returns the dimension of a product of quantities with dimensions
-// d and o (exponents add).
-func (d Dimension) Mul(o Dimension) Dimension {
-	var r Dimension
-	for i := range d.exp {
-		r.exp[i] = d.exp[i] + o.exp[i]
-	}
-	return r
-}
-
 // Div returns the dimension of a quotient of quantities with dimensions
 // d and o (exponents subtract).
 func (d Dimension) Div(o Dimension) Dimension {
 	var r Dimension
 	for i := range d.exp {
 		r.exp[i] = d.exp[i] - o.exp[i]
-	}
-	return r
-}
-
-// Inv returns the reciprocal dimension (all exponents negated).
-func (d Dimension) Inv() Dimension {
-	var r Dimension
-	for i := range d.exp {
-		r.exp[i] = -d.exp[i]
 	}
 	return r
 }

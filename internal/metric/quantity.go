@@ -35,16 +35,6 @@ func (q Quantity) Convert(u Unit) (Quantity, error) {
 	return Quantity{Value: q.Canonical() / u.Scale, Unit: u}, nil
 }
 
-// MustConvert is Convert but panics on incompatibility; for use where the
-// units are statically known to match.
-func (q Quantity) MustConvert(u Unit) Quantity {
-	r, err := q.Convert(u)
-	if err != nil {
-		panic(err)
-	}
-	return r
-}
-
 // Add returns q+o expressed in q's unit. It returns ErrIncompatible if
 // the operands measure different dimensions. This is the composition
 // primitive behind end-to-end cost coverage (paper Principle 3): adding
@@ -56,31 +46,9 @@ func (q Quantity) Add(o Quantity) (Quantity, error) {
 	return Quantity{Value: q.Value + o.Canonical()/q.Unit.Scale, Unit: q.Unit}, nil
 }
 
-// Sub returns q-o expressed in q's unit, or ErrIncompatible.
-func (q Quantity) Sub(o Quantity) (Quantity, error) {
-	neg := o
-	neg.Value = -neg.Value
-	return q.Add(neg)
-}
-
 // Scale returns q multiplied by the dimensionless factor k, in q's unit.
 func (q Quantity) Scale(k float64) Quantity {
 	return Quantity{Value: q.Value * k, Unit: q.Unit}
-}
-
-// Mul returns the product q·o in the canonical unit of the combined
-// dimension (e.g. W · s = J).
-func (q Quantity) Mul(o Quantity) Quantity {
-	d := q.Unit.Dim.Mul(o.Unit.Dim)
-	return Quantity{Value: q.Canonical() * o.Canonical(), Unit: CanonicalUnit(d)}
-}
-
-// Div returns the quotient q/o in the canonical unit of the combined
-// dimension (e.g. b / s = b/s). Dividing by a zero quantity yields ±Inf
-// or NaN per IEEE-754, mirroring float64 division.
-func (q Quantity) Div(o Quantity) Quantity {
-	d := q.Unit.Dim.Div(o.Unit.Dim)
-	return Quantity{Value: q.Canonical() / o.Canonical(), Unit: CanonicalUnit(d)}
 }
 
 // Ratio returns the dimensionless ratio q/o, or ErrIncompatible if the
@@ -91,23 +59,6 @@ func (q Quantity) Ratio(o Quantity) (float64, error) {
 		return 0, fmt.Errorf("%w: %s / %s", ErrIncompatible, q.Unit.Dim, o.Unit.Dim)
 	}
 	return q.Canonical() / o.Canonical(), nil
-}
-
-// Cmp compares two compatible quantities, returning -1, 0 or +1.
-// Incompatible quantities return an error.
-func (q Quantity) Cmp(o Quantity) (int, error) {
-	if !q.Unit.Compatible(o.Unit) {
-		return 0, fmt.Errorf("%w: comparing %s with %s", ErrIncompatible, q.Unit.Dim, o.Unit.Dim)
-	}
-	a, b := q.Canonical(), o.Canonical()
-	switch {
-	case a < b:
-		return -1, nil
-	case a > b:
-		return 1, nil
-	default:
-		return 0, nil
-	}
 }
 
 // ApproxEqual reports whether two compatible quantities are equal within
@@ -126,9 +77,6 @@ func (q Quantity) ApproxEqual(o Quantity, rel float64) bool {
 	scale := math.Max(math.Abs(a), math.Abs(b))
 	return diff <= rel*scale
 }
-
-// IsZero reports whether the value is exactly zero.
-func (q Quantity) IsZero() bool { return q.Value == 0 }
 
 // String renders the quantity with its unit symbol, trimming trailing
 // zeros, e.g. "20 Gb/s" or "70 W".

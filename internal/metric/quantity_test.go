@@ -46,42 +46,6 @@ func TestAddIncompatibleFails(t *testing.T) {
 	}
 }
 
-func TestSub(t *testing.T) {
-	got, err := Q(70, Watt).Sub(Q(50, Watt))
-	if err != nil {
-		t.Fatalf("Sub: %v", err)
-	}
-	if got.Value != 20 {
-		t.Errorf("70W - 50W = %v, want 20", got.Value)
-	}
-}
-
-func TestMulPowerTimeIsEnergy(t *testing.T) {
-	e := Q(200, Watt).Mul(Q(2, Hour))
-	if e.Unit.Dim != Dim(DimEnergy, 1) {
-		t.Fatalf("W·h dimension = %v, want energy", e.Unit.Dim)
-	}
-	// 200 W × 7200 s = 1.44e6 J = 400 kWh/1000... check via kWh: 0.4 kWh.
-	kwh, err := e.Convert(KilowattHour)
-	if err != nil {
-		t.Fatalf("Convert: %v", err)
-	}
-	if math.Abs(kwh.Value-0.4) > 1e-9 {
-		t.Errorf("200W for 2h = %v kWh, want 0.4", kwh.Value)
-	}
-}
-
-func TestDivDataTimeIsRate(t *testing.T) {
-	r := Q(10e9, Bit).Div(Q(1, Second))
-	if r.Unit.Dim != Dim(DimData, 1, DimTime, -1) {
-		t.Fatalf("b/s dimension = %v", r.Unit.Dim)
-	}
-	gbps := r.MustConvert(GigabitPerSecond)
-	if math.Abs(gbps.Value-10) > 1e-9 {
-		t.Errorf("10e9 b / 1 s = %v Gb/s, want 10", gbps.Value)
-	}
-}
-
 func TestRatio(t *testing.T) {
 	// The §4.2.1 ideal-scaling factor: 100 Gb/s over 35 Gb/s ≈ 2.857.
 	k, err := Q(100, GigabitPerSecond).Ratio(Q(35, GigabitPerSecond))
@@ -93,20 +57,6 @@ func TestRatio(t *testing.T) {
 	}
 	if _, err := Q(1, Watt).Ratio(Q(1, Core)); !errors.Is(err, ErrIncompatible) {
 		t.Errorf("W/core ratio err = %v, want ErrIncompatible", err)
-	}
-}
-
-func TestCmp(t *testing.T) {
-	lt, err := Q(1, GigabitPerSecond).Cmp(Q(2000, MegabitPerSecond))
-	if err != nil || lt != -1 {
-		t.Errorf("1Gb/s cmp 2000Mb/s = %d, %v; want -1, nil", lt, err)
-	}
-	eq, err := Q(1, GigabitPerSecond).Cmp(Q(1000, MegabitPerSecond))
-	if err != nil || eq != 0 {
-		t.Errorf("1Gb/s cmp 1000Mb/s = %d, %v; want 0, nil", eq, err)
-	}
-	if _, err := Q(1, Watt).Cmp(Q(1, Second)); !errors.Is(err, ErrIncompatible) {
-		t.Errorf("W cmp s err = %v, want ErrIncompatible", err)
 	}
 }
 
@@ -124,7 +74,10 @@ func TestApproxEqual(t *testing.T) {
 
 func TestBTUConversion(t *testing.T) {
 	// 1 W ≈ 3.412 BTU/h.
-	btu := Q(1, Watt).MustConvert(BTUPerHour)
+	btu, err := Q(1, Watt).Convert(BTUPerHour)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if math.Abs(btu.Value-3.412) > 0.01 {
 		t.Errorf("1 W = %v BTU/h, want ≈3.412", btu.Value)
 	}
@@ -157,8 +110,9 @@ func TestConvertRoundTrip(t *testing.T) {
 		a := units[int(i)%len(units)]
 		b := units[int(j)%len(units)]
 		q := Q(v, a)
-		rt := q.MustConvert(b).MustConvert(a)
-		return q.ApproxEqual(rt, 1e-9)
+		there, err1 := q.Convert(b)
+		rt, err2 := there.Convert(a)
+		return err1 == nil && err2 == nil && q.ApproxEqual(rt, 1e-9)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

@@ -75,9 +75,6 @@ func (r *Registry) List() []Descriptor {
 // Costs returns registered cost metrics sorted by name.
 func (r *Registry) Costs() []Descriptor { return r.filter(Cost) }
 
-// Performances returns registered performance metrics sorted by name.
-func (r *Registry) Performances() []Descriptor { return r.filter(Performance) }
-
 func (r *Registry) filter(k Kind) []Descriptor {
 	all := r.List()
 	out := all[:0]
@@ -87,13 +84,6 @@ func (r *Registry) filter(k Kind) []Descriptor {
 		}
 	}
 	return out
-}
-
-// Len returns the number of registered descriptors.
-func (r *Registry) Len() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return len(r.entries)
 }
 
 // Standard metric names, usable with Standard().MustLookup.

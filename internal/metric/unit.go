@@ -1,7 +1,5 @@
 package metric
 
-import "fmt"
-
 // Unit is a named scale of a Dimension. Converting a value expressed in
 // this unit to the dimension's canonical unit multiplies by Scale.
 //
@@ -89,13 +87,4 @@ var (
 // predefined unit.
 func CanonicalUnit(d Dimension) Unit {
 	return Unit{Name: "canonical " + d.String(), Symbol: d.String(), Dim: d, Scale: 1}
-}
-
-// MustCompatible panics unless u and o share a dimension. It is a guard
-// for internal call sites where incompatibility is a programming error.
-func MustCompatible(u, o Unit) {
-	if !u.Compatible(o) {
-		panic(fmt.Sprintf("metric: incompatible units %s (%s) and %s (%s)",
-			u.Symbol, u.Dim, o.Symbol, o.Dim))
-	}
 }

@@ -96,7 +96,6 @@ type ConntrackStats struct {
 // Conntrack is a stateful firewall: new flows consult the rule matcher,
 // established flows bypass it.
 type Conntrack struct {
-	name    string
 	matcher Matcher
 	cfg     ConntrackConfig
 	table   *FlowTable
@@ -117,33 +116,24 @@ func NewConntrack(name string, m Matcher, maxEntries int) *Conntrack {
 }
 
 // NewConntrackWith builds a stateful firewall with explicit degradation
-// semantics.
+// semantics. The name labels the instance at the call site only;
+// nothing reads it back.
 func NewConntrackWith(name string, m Matcher, cfg ConntrackConfig) *Conntrack {
 	if cfg.MaxEntries <= 0 {
 		cfg.MaxEntries = 1 << 20
 	}
 	return &Conntrack{
-		name:    name,
 		matcher: m,
 		cfg:     cfg,
 		table:   NewFlowTable(cfg.MaxEntries, cfg.Policy, cfg.Seed),
 	}
 }
 
-// Name implements Func.
-func (c *Conntrack) Name() string { return c.name }
-
-// Matcher returns the rule matcher new flows consult.
-func (c *Conntrack) Matcher() Matcher { return c.matcher }
-
 // Entries returns the live connection count.
 func (c *Conntrack) Entries() int { return c.table.Len() }
 
 // MaxEntries returns the table bound.
 func (c *Conntrack) MaxEntries() int { return c.table.Cap() }
-
-// Config returns the degradation configuration.
-func (c *Conntrack) Config() ConntrackConfig { return c.cfg }
 
 // Evicted returns the number of entries evicted to admit new flows.
 func (c *Conntrack) Evicted() uint64 { return c.table.Evictions }
@@ -163,15 +153,6 @@ func (c *Conntrack) Stats() ConntrackStats {
 		Entries:            c.table.Len(),
 		MaxEntries:         c.table.Cap(),
 	}
-}
-
-// State reports the tracked state of a flow (either direction).
-func (c *Conntrack) State(ft packet.FiveTuple) (ConnState, bool) {
-	if v, ok := c.table.Get(ft); ok {
-		return ConnState(v), true
-	}
-	v, ok := c.table.Get(ft.Reverse())
-	return ConnState(v), ok
 }
 
 // Process implements Func.

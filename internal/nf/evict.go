@@ -1,8 +1,6 @@
 package nf
 
 import (
-	"fmt"
-
 	"fairbench/internal/packet"
 	"fairbench/internal/sim"
 )
@@ -15,8 +13,8 @@ import (
 // attacks) — have different collateral-damage profiles, and those
 // profiles are exactly what overload-regime comparisons must surface.
 // FlowTable packages the bounded-table-plus-policy mechanics once so
-// conntrack, NAT, the load balancer and the hardware offload tables
-// all degrade under the same, seeded, deterministic semantics.
+// conntrack and the hardware offload tables all degrade under the
+// same, seeded, deterministic semantics.
 
 // EvictPolicy selects what a full FlowTable does on insert.
 type EvictPolicy uint8
@@ -42,20 +40,6 @@ func (p EvictPolicy) String() string {
 		return "lru"
 	default:
 		return "unknown"
-	}
-}
-
-// ParseEvictPolicy parses "none", "random" or "lru".
-func ParseEvictPolicy(s string) (EvictPolicy, error) {
-	switch s {
-	case "none":
-		return EvictNone, nil
-	case "random":
-		return EvictRandom, nil
-	case "lru":
-		return EvictLRU, nil
-	default:
-		return EvictNone, fmt.Errorf("nf: unknown eviction policy %q (want none, random or lru)", s)
 	}
 }
 
@@ -111,9 +95,6 @@ func (t *FlowTable) Len() int { return len(t.idx) }
 // Cap returns the capacity bound.
 func (t *FlowTable) Cap() int { return t.capacity }
 
-// Policy returns the eviction policy.
-func (t *FlowTable) Policy() EvictPolicy { return t.policy }
-
 // Get looks up ft without touching recency.
 func (t *FlowTable) Get(ft packet.FiveTuple) (uint32, bool) {
 	slot, ok := t.idx[ft]
@@ -153,8 +134,8 @@ func (t *FlowTable) Set(ft packet.FiveTuple, v uint32) bool {
 
 // Put inserts or updates ft. When the table is full, EvictNone refuses
 // (ok=false); the other policies evict a victim first and return its
-// key and value so callers can release per-flow resources (a NAT port,
-// an offload credit) — evictions must never leak.
+// key and value so callers can release per-flow resources (an offload
+// credit) — evictions must never leak.
 func (t *FlowTable) Put(ft packet.FiveTuple, v uint32) (victim packet.FiveTuple, victimVal uint32, evicted, ok bool) {
 	if slot, present := t.idx[ft]; present {
 		t.entries[slot].val = v

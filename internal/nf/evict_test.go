@@ -1,7 +1,6 @@
 package nf
 
 import (
-	"errors"
 	"math/rand"
 	"testing"
 
@@ -109,21 +108,11 @@ func TestFlowTableMemoryBounded(t *testing.T) {
 	}
 }
 
-func TestParseEvictPolicy(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want EvictPolicy
-	}{{"none", EvictNone}, {"random", EvictRandom}, {"lru", EvictLRU}} {
-		got, err := ParseEvictPolicy(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseEvictPolicy(%q) = %v, %v", tc.in, got, err)
+func TestEvictPolicyString(t *testing.T) {
+	for p, want := range map[EvictPolicy]string{EvictNone: "none", EvictRandom: "random", EvictLRU: "lru", 9: "unknown"} {
+		if got := p.String(); got != want {
+			t.Errorf("EvictPolicy(%d).String() = %q, want %q", p, got, want)
 		}
-		if got.String() != tc.in {
-			t.Errorf("String() = %q, want %q", got.String(), tc.in)
-		}
-	}
-	if _, err := ParseEvictPolicy("fifo"); err == nil {
-		t.Error("unknown policy should fail")
 	}
 }
 
@@ -237,113 +226,6 @@ func TestConntrackSYNCookiesUnderPressure(t *testing.T) {
 	}
 	if res := sendTCP(t, c, bad, packet.FlagSYN); res.Verdict != Drop {
 		t.Error("cookies must not bypass the rule set")
-	}
-}
-
-func TestNATBindingEviction(t *testing.T) {
-	n := NewNATWith("nat", packet.Addr4{203, 0, 113, 1},
-		NATConfig{MaxBindings: 4, Policy: EvictLRU, Seed: 1})
-	p := packet.NewParser()
-	send := func(i int) error {
-		frame, err := packet.BuildUDP4(natOpts, natFlow(uint16(i), packet.ProtoUDP), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Parse(frame); err != nil {
-			t.Fatal(err)
-		}
-		_, err = n.Process(p, frame)
-		return err
-	}
-	for i := 0; i < 32; i++ {
-		if err := send(i); err != nil {
-			t.Fatalf("flow %d: %v", i, err)
-		}
-	}
-	if n.Bindings() != 4 {
-		t.Errorf("bindings = %d", n.Bindings())
-	}
-	if n.Evicted() != 32-4 {
-		t.Errorf("evicted = %d, want %d", n.Evicted(), 32-4)
-	}
-	// Ports must be recycled, not leaked: the used set tracks only live
-	// bindings.
-	if got := len(n.used); got != 4 {
-		t.Errorf("used ports = %d, want 4", got)
-	}
-}
-
-func TestNATBindingsExhaustedTyped(t *testing.T) {
-	n := NewNATWith("nat", packet.Addr4{203, 0, 113, 1}, NATConfig{MaxBindings: 2})
-	p := packet.NewParser()
-	var lastErr error
-	for i := 0; i < 3; i++ {
-		frame, err := packet.BuildUDP4(natOpts, natFlow(uint16(i), packet.ProtoUDP), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = p.Parse(frame)
-		_, lastErr = n.Process(p, frame)
-	}
-	if !errors.Is(lastErr, ErrBindingsExhausted) {
-		t.Fatalf("err = %v, want ErrBindingsExhausted", lastErr)
-	}
-	if n.Exhausted != 1 {
-		t.Errorf("Exhausted = %d", n.Exhausted)
-	}
-}
-
-func TestLBAffinityPinsAcrossRingChange(t *testing.T) {
-	lb := NewLoadBalancer("lb", 16)
-	lb.EnableAffinity(64, EvictLRU, 1)
-	lb.AddBackend(Backend{Name: "a", Addr: packet.Addr4{10, 0, 0, 1}})
-	lb.AddBackend(Backend{Name: "b", Addr: packet.Addr4{10, 0, 0, 2}})
-
-	ft := natFlow(7, packet.ProtoUDP)
-	first, _, err := lb.pickWithAffinity(ft)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Adding a backend perturbs the ring; the pinned flow must not move.
-	lb.AddBackend(Backend{Name: "c", Addr: packet.Addr4{10, 0, 0, 3}})
-	again, cycles, err := lb.pickWithAffinity(ft)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again.Name != first.Name {
-		t.Fatalf("pinned flow moved %s -> %s", first.Name, again.Name)
-	}
-	if cycles != CyclesParse+CyclesLBAffinity {
-		t.Errorf("affinity hit cycles = %d", cycles)
-	}
-	// Removing the pinned backend breaks affinity but keeps service.
-	lb.RemoveBackend(first.Name)
-	moved, _, err := lb.pickWithAffinity(ft)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved.Name == first.Name {
-		t.Fatal("stale pin must not resolve to a removed backend")
-	}
-	if lb.AffinityBroken == 0 {
-		t.Error("stale pin should count as broken affinity")
-	}
-}
-
-func TestLBAffinityOverflowFallsBackToRing(t *testing.T) {
-	lb := NewLoadBalancer("lb", 16)
-	lb.EnableAffinity(2, EvictNone, 1)
-	lb.AddBackend(Backend{Name: "a", Addr: packet.Addr4{10, 0, 0, 1}})
-	for i := 0; i < 8; i++ {
-		if _, _, err := lb.pickWithAffinity(natFlow(uint16(i), packet.ProtoUDP)); err != nil {
-			t.Fatalf("flow %d: %v", i, err)
-		}
-	}
-	if lb.AffinityEntries() != 2 {
-		t.Errorf("affinity entries = %d", lb.AffinityEntries())
-	}
-	if lb.AffinityBroken != 6 {
-		t.Errorf("AffinityBroken = %d, want 6", lb.AffinityBroken)
 	}
 }
 

@@ -347,7 +347,6 @@ func (m *TupleSpaceMatcher) Match(ft packet.FiveTuple) (Rule, uint64, bool) {
 
 // Firewall is a stateless packet filter over a Matcher.
 type Firewall struct {
-	name    string
 	matcher Matcher
 	// DefaultAction applies when no rule matches.
 	DefaultAction Verdict
@@ -357,16 +356,11 @@ type Firewall struct {
 	Dropped, Accepted uint64
 }
 
-// NewFirewall builds a firewall with a default-drop policy.
+// NewFirewall builds a firewall with a default-drop policy. The name
+// labels the instance at the call site only; nothing reads it back.
 func NewFirewall(name string, m Matcher) *Firewall {
-	return &Firewall{name: name, matcher: m, DefaultAction: Drop, Matched: make(map[int]uint64)}
+	return &Firewall{matcher: m, DefaultAction: Drop, Matched: make(map[int]uint64)}
 }
-
-// Name implements Func.
-func (f *Firewall) Name() string { return f.name }
-
-// Matcher returns the rule matcher the firewall classifies with.
-func (f *Firewall) Matcher() Matcher { return f.matcher }
 
 // Process implements Func: non-IPv4-TCP/UDP traffic is dropped (a
 // firewall that cannot classify fails closed), otherwise the matcher

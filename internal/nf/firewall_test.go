@@ -11,6 +11,11 @@ func pfx(a, b, c, d byte, bits uint8) Prefix {
 	return Prefix{Addr: packet.Addr4{a, b, c, d}, Bits: bits}
 }
 
+// addrFrom builds an address from a big-endian integer.
+func addrFrom(v uint32) packet.Addr4 {
+	return packet.Addr4{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}
+}
+
 func flow(src, dst packet.Addr4, sp, dp uint16, proto uint8) packet.FiveTuple {
 	return packet.FiveTuple{Src: src, Dst: dst, SrcPort: sp, DstPort: dp, Proto: proto}
 }
@@ -147,7 +152,7 @@ func TestTupleSpaceCyclesIndependentOfRuleCount(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		rules = append(rules, Rule{
 			ID:       i,
-			Src:      Prefix{Addr: packet.Addr4From(uint32(0x0a000000 + i)), Bits: 32},
+			Src:      Prefix{Addr: addrFrom(uint32(0x0a000000 + i)), Bits: 32},
 			Dst:      pfx(192, 168, 0, 1, 32),
 			DstPorts: PortRange{80, 80}, Proto: packet.ProtoTCP,
 			Action: Accept,

@@ -56,16 +56,16 @@ func prefixEnds(p nf.Prefix) (lo, hi packet.Addr4) {
 	a := p.Addr.Uint32()
 	switch {
 	case p.Bits == 0:
-		return packet.Addr4From(0), packet.Addr4From(^uint32(0))
+		return nf.AddrFrom(0), nf.AddrFrom(^uint32(0))
 	case p.Bits > 32:
 		return p.Addr, p.Addr
 	}
 	host := ^uint32(0) >> p.Bits
-	return packet.Addr4From(a &^ host), packet.Addr4From(a | host)
+	return nf.AddrFrom(a &^ host), nf.AddrFrom(a | host)
 }
 
 func step(a packet.Addr4, d int32) packet.Addr4 {
-	return packet.Addr4From(a.Uint32() + uint32(d))
+	return nf.AddrFrom(a.Uint32() + uint32(d))
 }
 
 // ruleBytes is the size of one rule in the fuzz encoding: source and
@@ -182,7 +182,7 @@ func TestLinearMatcherAgreesWithScan(t *testing.T) {
 	addrs := []uint32{0, 0x0a000001, 0x0a420000, 0x0a42ffff, 0xc0a80109, 0xffffffff}
 	ports := []uint16{0, 1, 53, 80, 443, 2000, 65535}
 	protos := []uint8{0, packet.ProtoTCP, packet.ProtoUDP, 255}
-	addr := func() packet.Addr4 { return packet.Addr4From(addrs[r.Intn(len(addrs))] ^ uint32(r.Intn(4))) }
+	addr := func() packet.Addr4 { return nf.AddrFrom(addrs[r.Intn(len(addrs))] ^ uint32(r.Intn(4))) }
 	port := func() uint16 { return ports[r.Intn(len(ports))] + uint16(r.Intn(3)) }
 	tuples := func(n int) []packet.FiveTuple {
 		out := make([]packet.FiveTuple, n)

@@ -1,8 +1,7 @@
 // Package nf implements network functions that do genuine per-packet
 // work over frames from internal/packet: a 5-tuple firewall with two
-// matcher implementations, source NAT with incremental checksum
-// rewriting, a consistent-hash load balancer, an Aho–Corasick DPI
-// engine, and a flow counter.
+// matcher implementations, and a stateful connection tracker in front
+// of it with a bounded flow table.
 //
 // Every Process call returns the number of abstract CPU cycles the
 // operation consumed, derived from the work actually performed (rules
@@ -24,9 +23,6 @@ const (
 	Accept Verdict = iota
 	// Drop discards the packet.
 	Drop
-	// Rewritten forwards the packet after in-place modification
-	// (NAT, load balancing).
-	Rewritten
 )
 
 // String names the verdict.
@@ -36,8 +32,6 @@ func (v Verdict) String() string {
 		return "accept"
 	case Drop:
 		return "drop"
-	case Rewritten:
-		return "rewritten"
 	default:
 		return "unknown"
 	}
@@ -52,13 +46,10 @@ type Result struct {
 }
 
 // Func is a network function. Implementations receive the parsed view
-// of the frame (the caller owns and reuses the parser) and may mutate
-// the frame bytes in place when returning Rewritten. Implementations
-// are not safe for concurrent use unless stated; per-core pipelines
-// own their instances.
+// of the frame (the caller owns and reuses the parser) and must not
+// modify the frame. Implementations are not safe for concurrent use
+// unless stated; per-core pipelines own their instances.
 type Func interface {
-	// Name identifies the function in reports.
-	Name() string
 	// Process handles one packet.
 	Process(p *packet.Parser, frame []byte) (Result, error)
 }
@@ -66,9 +57,8 @@ type Func interface {
 // Cycle cost model. The constants approximate a ~3 GHz x86 core running
 // a DPDK-style run-to-completion dataplane; their absolute values only
 // set the simulator's clock scale, while their ratios (per-rule scan vs
-// hash lookup vs per-byte inspection) shape the performance differences
-// between implementations — which is what the evaluation methodology
-// consumes.
+// hash lookup) shape the performance differences between
+// implementations — which is what the evaluation methodology consumes.
 const (
 	// CyclesParse is charged for header parsing and validation.
 	CyclesParse = 60
@@ -76,49 +66,4 @@ const (
 	CyclesPerLinearRule = 6
 	// CyclesPerTupleGroup is charged per mask-group hash lookup.
 	CyclesPerTupleGroup = 24
-	// CyclesNATHit is the cost of an established-flow NAT rewrite.
-	CyclesNATHit = 90
-	// CyclesNATMiss is the additional cost of allocating a new binding.
-	CyclesNATMiss = 220
-	// CyclesLBPick is the cost of a consistent-hash backend pick.
-	CyclesLBPick = 70
-	// CyclesPerPayloadByte is charged per payload byte inspected by DPI.
-	CyclesPerPayloadByte = 2
-	// CyclesCount is the cost of a flow-counter update.
-	CyclesCount = 35
 )
-
-// Pipeline chains several functions; the first Drop wins and the cycle
-// costs accumulate. It implements Func itself.
-type Pipeline struct {
-	name  string
-	funcs []Func
-}
-
-// NewPipeline builds a pipeline.
-func NewPipeline(name string, funcs ...Func) *Pipeline {
-	return &Pipeline{name: name, funcs: funcs}
-}
-
-// Name implements Func.
-func (pl *Pipeline) Name() string { return pl.name }
-
-// Process runs each stage in order, stopping at the first Drop.
-func (pl *Pipeline) Process(p *packet.Parser, frame []byte) (Result, error) {
-	out := Result{Verdict: Accept}
-	for _, f := range pl.funcs {
-		r, err := f.Process(p, frame)
-		out.Cycles += r.Cycles
-		if err != nil {
-			return out, err
-		}
-		if r.Verdict == Drop {
-			out.Verdict = Drop
-			return out, nil
-		}
-		if r.Verdict == Rewritten {
-			out.Verdict = Rewritten
-		}
-	}
-	return out, nil
-}

@@ -83,9 +83,6 @@ func New(w io.Writer) *Tracer {
 	return &Tracer{w: w, reg: NewRegistry()}
 }
 
-// Enabled reports whether the tracer records anything (false for nil).
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Registry returns the tracer's metrics registry (nil for a nil tracer).
 func (t *Tracer) Registry() *Registry {
 	if t == nil {

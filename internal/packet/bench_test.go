@@ -66,7 +66,7 @@ func BenchmarkChecksum(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalChecksum measures the RFC 1624 NAT-style update
+// BenchmarkIncrementalChecksum measures the RFC 1624 incremental update
 // against full recomputation of a 1500-byte packet.
 func BenchmarkIncrementalChecksum(b *testing.B) {
 	b.Run("incremental", func(b *testing.B) {

@@ -96,15 +96,3 @@ func BuildTCP4(opts BuildOpts, flow FiveTuple, flags TCPFlags, seq, ack uint32, 
 	tcp.ChecksumTCP(flow.Src, flow.Dst, frame[tcpStart:tcpStart+tcpLen])
 	return frame, nil
 }
-
-// PadPayloadToFrameSize returns the UDP payload length that yields an
-// Ethernet frame of exactly frameBytes (Ethernet+IPv4+UDP headers
-// subtracted). It returns an error for frames below the minimum layered
-// size.
-func PadPayloadToFrameSize(frameBytes int) (int, error) {
-	overhead := EthernetHeaderLen + IPv4MinHeaderLen + UDPHeaderLen
-	if frameBytes < overhead {
-		return 0, fmt.Errorf("packet: frame size %d below header overhead %d", frameBytes, overhead)
-	}
-	return frameBytes - overhead, nil
-}

@@ -1,7 +1,8 @@
 package packet
 
 // Internet checksum (RFC 1071) and incremental update (RFC 1624),
-// needed by IPv4 header validation and by NAT's address rewriting.
+// needed by IPv4 header validation and by the scenario generator's
+// in-place five-tuple rewriting.
 
 // Checksum computes the 16-bit one's-complement internet checksum over
 // data, folding an initial partial sum. Pass 0 as initial for a fresh
@@ -34,23 +35,10 @@ func pseudoHeaderSum(src, dst [4]byte, proto uint8, length uint16) uint32 {
 	return sum
 }
 
-// pseudoHeaderSumV6 is the IPv6 analogue.
-func pseudoHeaderSumV6(src, dst [16]byte, proto uint8, length uint32) uint32 {
-	var sum uint32
-	for i := 0; i < 16; i += 2 {
-		sum += uint32(src[i])<<8 | uint32(src[i+1])
-		sum += uint32(dst[i])<<8 | uint32(dst[i+1])
-	}
-	sum += length >> 16
-	sum += length & 0xffff
-	sum += uint32(proto)
-	return sum
-}
-
 // UpdateChecksum16 incrementally updates a checksum when a 16-bit field
 // changes from old to new (RFC 1624, eqn. 3: HC' = ~(~HC + ~m + m')).
-// NAT uses this to fix IP and transport checksums after rewriting
-// addresses and ports without re-summing the whole packet.
+// The scenario generator uses it to fix IP and transport checksums
+// after rewriting addresses and ports without re-summing the packet.
 func UpdateChecksum16(check, old, new uint16) uint16 {
 	sum := uint32(^check&0xffff) + uint32(^old&0xffff) + uint32(new)
 	for sum > 0xffff {

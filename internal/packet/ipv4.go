@@ -16,11 +16,6 @@ func (a Addr4) Uint32() uint32 {
 	return uint32(a[0])<<24 | uint32(a[1])<<16 | uint32(a[2])<<8 | uint32(a[3])
 }
 
-// Addr4From builds an address from a big-endian integer.
-func Addr4From(v uint32) Addr4 {
-	return Addr4{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)}
-}
-
 // IPv4 is an IPv4 header. Options are preserved opaquely.
 type IPv4 struct {
 	Version    uint8 // always 4 after a successful decode

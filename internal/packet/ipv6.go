@@ -52,26 +52,3 @@ func (ip *IPv6) DecodeFromBytes(data []byte) error {
 	}
 	return nil
 }
-
-// SerializeTo writes the fixed header with PayloadLength set from
-// payloadLen. It returns IPv6HeaderLen.
-func (ip *IPv6) SerializeTo(buf []byte, payloadLen int) (int, error) {
-	if len(buf) < IPv6HeaderLen {
-		return 0, errTooShort(LayerTypeIPv6, IPv6HeaderLen, len(buf))
-	}
-	if payloadLen > 0xffff {
-		return 0, &DecodeError{Layer: LayerTypeIPv6, Reason: "payload too long"}
-	}
-	ip.Version = 6
-	ip.PayloadLength = uint16(payloadLen)
-	buf[0] = 6<<4 | ip.TrafficClass>>4
-	buf[1] = ip.TrafficClass<<4 | uint8(ip.FlowLabel>>16)&0x0f
-	buf[2] = byte(ip.FlowLabel >> 8)
-	buf[3] = byte(ip.FlowLabel)
-	putBeUint16(buf[4:6], ip.PayloadLength)
-	buf[6] = ip.NextHeader
-	buf[7] = ip.HopLimit
-	copy(buf[8:24], ip.Src[:])
-	copy(buf[24:40], ip.Dst[:])
-	return IPv6HeaderLen, nil
-}

@@ -1,7 +1,7 @@
 // Package packet implements a small, allocation-conscious packet stack
 // for the simulated network functions in this repository: Ethernet
-// (with 802.1Q VLAN), IPv4, IPv6, TCP and UDP encoding and decoding,
-// internet checksums (including RFC 1624 incremental update for NAT),
+// (with 802.1Q VLAN), IPv4, TCP and UDP encoding and decoding, IPv6
+// decoding, internet checksums (including RFC 1624 incremental update),
 // five-tuple flow keys, and a zero-allocation Parser in the style of
 // gopacket's DecodingLayerParser.
 //

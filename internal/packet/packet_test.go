@@ -135,29 +135,31 @@ func TestIPv4Options(t *testing.T) {
 	}
 }
 
-func TestIPv6RoundTrip(t *testing.T) {
-	ip := IPv6{TrafficClass: 0xb8, FlowLabel: 0xabcde, NextHeader: ProtoUDP, HopLimit: 64}
-	ip.Src[15], ip.Dst[15] = 1, 2
-	buf := make([]byte, 80)
-	n, err := ip.SerializeTo(buf, 8)
-	if err != nil || n != IPv6HeaderLen {
-		t.Fatalf("SerializeTo: %d %v", n, err)
-	}
+// ipv6Header is a fixed IPv6 header: traffic class 0xb8, flow label
+// 0xabcde, an 8-byte payload after next header nh, hop limit 64, and
+// source ::1 and destination ::2.
+func ipv6Header(nh uint8) []byte {
+	buf := make([]byte, IPv6HeaderLen+8)
+	copy(buf, []byte{0x6b, 0x8a, 0xbc, 0xde, 0, 8, nh, 64})
+	buf[23], buf[39] = 1, 2
+	return buf
+}
+
+func TestIPv6Decode(t *testing.T) {
 	var d IPv6
-	if err := d.DecodeFromBytes(buf[:48]); err != nil {
+	if err := d.DecodeFromBytes(ipv6Header(ProtoUDP)); err != nil {
 		t.Fatal(err)
 	}
-	if d.FlowLabel != 0xabcde || d.TrafficClass != 0xb8 || d.PayloadLength != 8 || d.Src != ip.Src {
-		t.Errorf("round trip mismatch: %+v", d)
+	want := IPv6{Version: 6, TrafficClass: 0xb8, FlowLabel: 0xabcde, PayloadLength: 8, NextHeader: ProtoUDP, HopLimit: 64}
+	want.Src[15], want.Dst[15] = 1, 2
+	if d != want {
+		t.Errorf("decoded %+v, want %+v", d, want)
 	}
 }
 
 func TestIPv6RejectsExtensionHeaders(t *testing.T) {
-	ip := IPv6{NextHeader: 0 /* hop-by-hop */, HopLimit: 1}
-	buf := make([]byte, 48)
-	_, _ = ip.SerializeTo(buf, 8)
 	var d IPv6
-	err := d.DecodeFromBytes(buf)
+	err := d.DecodeFromBytes(ipv6Header(0 /* hop-by-hop */))
 	if err == nil || !strings.Contains(err.Error(), "extension") {
 		t.Errorf("extension header decode err = %v", err)
 	}
@@ -231,9 +233,8 @@ func TestChecksumOddLength(t *testing.T) {
 }
 
 func TestIncrementalChecksumUpdateMatchesRecompute(t *testing.T) {
-	// RFC 1624: after rewriting the destination address (what NAT
-	// does), the incrementally updated checksum must equal a full
-	// recomputation.
+	// RFC 1624: after rewriting the destination address, the
+	// incrementally updated checksum must equal a full recomputation.
 	ip := IPv4{TTL: 64, Protocol: ProtoUDP, ID: 42,
 		Src: Addr4{10, 0, 0, 1}, Dst: Addr4{10, 0, 0, 2}}
 	buf := make([]byte, IPv4MinHeaderLen)

@@ -137,9 +137,9 @@ func TestParserUnknownEtherType(t *testing.T) {
 func TestParseBuildRoundTripProperty(t *testing.T) {
 	// Property: any generated frame parses back to its flow and payload.
 	r := rand.New(rand.NewSource(21))
-	f := func(srcIP, dstIP uint32, srcPort, dstPort uint16, isTCP bool, payLen uint8) bool {
+	f := func(srcIP, dstIP Addr4, srcPort, dstPort uint16, isTCP bool, payLen uint8) bool {
 		flow := FiveTuple{
-			Src: Addr4From(srcIP), Dst: Addr4From(dstIP),
+			Src: srcIP, Dst: dstIP,
 			SrcPort: srcPort, DstPort: dstPort,
 		}
 		payload := make([]byte, int(payLen))
@@ -193,26 +193,6 @@ func TestFiveTupleString(t *testing.T) {
 	got := udpFlow().String()
 	if got != "10.0.0.1:1234 -> 10.0.0.2:53/UDP" {
 		t.Errorf("String = %q", got)
-	}
-}
-
-func TestPadPayloadToFrameSize(t *testing.T) {
-	n, err := PadPayloadToFrameSize(64)
-	if err != nil || n != 64-42 {
-		t.Errorf("PadPayloadToFrameSize(64) = %d, %v", n, err)
-	}
-	if _, err := PadPayloadToFrameSize(10); err == nil {
-		t.Error("tiny frame should fail")
-	}
-	// Building with that payload yields... the padded minimum is 60,
-	// so a 64-byte request still produces a 64-byte frame.
-	payload := make([]byte, n)
-	frame, err := BuildUDP4(testOpts, udpFlow(), payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frame) != 64 {
-		t.Errorf("frame length = %d, want 64", len(frame))
 	}
 }
 

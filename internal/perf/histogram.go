@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 )
 
 // Histogram is a log-bucketed high-dynamic-range histogram of
@@ -96,11 +95,6 @@ func (h *Histogram) Record(v float64) error {
 	return nil
 }
 
-// RecordDuration records a time.Duration in nanoseconds.
-func (h *Histogram) RecordDuration(d time.Duration) error {
-	return h.Record(float64(d.Nanoseconds()))
-}
-
 // Count returns the number of recorded observations.
 func (h *Histogram) Count() uint64 { return h.total }
 
@@ -153,44 +147,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 	}
 	return h.max
-}
-
-// Merge adds all observations of o into h. The histograms must share a
-// growth factor.
-func (h *Histogram) Merge(o *Histogram) error {
-	if h.growth != o.growth {
-		return fmt.Errorf("perf: cannot merge histograms with growth %v and %v", h.growth, o.growth)
-	}
-	if len(o.counts) > len(h.counts) {
-		grown := make([]uint64, len(o.counts))
-		copy(grown, h.counts)
-		h.counts = grown
-	}
-	for i, c := range o.counts {
-		h.counts[i] += c
-	}
-	h.total += o.total
-	h.sum += o.sum
-	if o.total > 0 {
-		if o.min < h.min {
-			h.min = o.min
-		}
-		if o.max > h.max {
-			h.max = o.max
-		}
-	}
-	return nil
-}
-
-// Reset clears all recorded observations, retaining the growth factor.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.total = 0
-	h.sum = 0
-	h.min = math.Inf(1)
-	h.max = math.Inf(-1)
 }
 
 // Summary is a fixed set of distribution statistics, convenient for

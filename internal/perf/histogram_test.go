@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func TestHistogramBasic(t *testing.T) {
@@ -48,12 +47,11 @@ func TestHistogramEmptyQuantile(t *testing.T) {
 func TestHistogramQuantileBounds(t *testing.T) {
 	// Property: for any sample set, Quantile(q) is within growth-factor
 	// relative error above the exact quantile, and never exceeds max.
-	h := NewHistogram(1.02)
 	f := func(raw []uint32, qRaw uint8) bool {
 		if len(raw) == 0 {
 			return true
 		}
-		h.Reset()
+		h := NewHistogram(1.02)
 		samples := make([]float64, len(raw))
 		for i, r := range raw {
 			samples[i] = float64(r%1_000_000) + 0.5
@@ -90,59 +88,6 @@ func TestHistogramQuantileMonotone(t *testing.T) {
 			t.Fatalf("quantile not monotone: Q(%v)=%v < %v", q, v, prev)
 		}
 		prev = v
-	}
-}
-
-func TestHistogramMerge(t *testing.T) {
-	a, b := NewHistogram(1.05), NewHistogram(1.05)
-	for i := 1; i <= 100; i++ {
-		_ = a.Record(float64(i))
-	}
-	for i := 101; i <= 200; i++ {
-		_ = b.Record(float64(i))
-	}
-	if err := a.Merge(b); err != nil {
-		t.Fatalf("Merge: %v", err)
-	}
-	if a.Count() != 200 {
-		t.Errorf("merged Count = %d, want 200", a.Count())
-	}
-	if a.Min() != 1 || a.Max() != 200 {
-		t.Errorf("merged Min/Max = %v/%v", a.Min(), a.Max())
-	}
-	med := a.Quantile(0.5)
-	if med < 95 || med > 110 {
-		t.Errorf("merged median = %v, want ≈100", med)
-	}
-}
-
-func TestHistogramMergeMismatchedGrowth(t *testing.T) {
-	a, b := NewHistogram(1.02), NewHistogram(1.05)
-	if err := a.Merge(b); err == nil {
-		t.Error("merging histograms with different growth should fail")
-	}
-}
-
-func TestHistogramReset(t *testing.T) {
-	h := NewHistogram(0)
-	_ = h.Record(5)
-	h.Reset()
-	if h.Count() != 0 || h.Quantile(0.5) != 0 {
-		t.Error("Reset should clear observations")
-	}
-	_ = h.Record(3)
-	if h.Min() != 3 || h.Max() != 3 {
-		t.Errorf("post-reset Min/Max = %v/%v, want 3/3", h.Min(), h.Max())
-	}
-}
-
-func TestHistogramRecordDuration(t *testing.T) {
-	h := NewHistogram(0)
-	if err := h.RecordDuration(5 * time.Microsecond); err != nil {
-		t.Fatal(err)
-	}
-	if got := h.Mean(); got != 5000 {
-		t.Errorf("Mean = %v ns, want 5000", got)
 	}
 }
 

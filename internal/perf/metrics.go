@@ -57,56 +57,7 @@ func (t Throughput) PacketsPerSecond() float64 {
 // GbPerSecond returns the bit rate in Gb/s.
 func (t Throughput) GbPerSecond() float64 { return t.BitsPerSecond() / 1e9 }
 
-// Add combines two measurement windows covering the same elapsed
-// interval (e.g. per-core meters on one system). It returns an error if
-// the windows disagree on duration by more than 1%, which would make the
-// summed rate meaningless.
-func (t Throughput) Add(o Throughput) (Throughput, error) {
-	if t.Elapsed == 0 {
-		return o, nil
-	}
-	if o.Elapsed == 0 {
-		return t, nil
-	}
-	ratio := float64(t.Elapsed) / float64(o.Elapsed)
-	if ratio < 0.99 || ratio > 1.01 {
-		return Throughput{}, fmt.Errorf("perf: cannot add throughput over mismatched windows (%v vs %v)", t.Elapsed, o.Elapsed)
-	}
-	return Throughput{
-		Bits:    t.Bits + o.Bits,
-		Packets: t.Packets + o.Packets,
-		Elapsed: t.Elapsed,
-	}, nil
-}
-
 // String renders e.g. "9.87 Gb/s (1.2 Mpps)".
 func (t Throughput) String() string {
 	return fmt.Sprintf("%.3f Gb/s (%.3f Mpps)", t.GbPerSecond(), t.PacketsPerSecond()/1e6)
-}
-
-// LineRateBps returns the theoretical Ethernet line rate in payload bits
-// per second for a link of linkBps raw rate carrying frames of frameBytes,
-// accounting for the 20 bytes of per-frame overhead on the wire
-// (preamble 7 + SFD 1 + inter-frame gap 12). This is the standard
-// RFC 2544-style conversion between link speed and achievable frame
-// throughput.
-func LineRateBps(linkBps float64, frameBytes int) float64 {
-	if frameBytes <= 0 || linkBps <= 0 {
-		return 0
-	}
-	const wireOverhead = 20
-	frames := linkBps / (float64(frameBytes+wireOverhead) * 8)
-	return frames * float64(frameBytes) * 8
-}
-
-// LineRatePps returns the maximum frames per second on a link of linkBps
-// raw rate with frames of frameBytes (including the 20-byte wire
-// overhead). For 10 Gb/s and 64-byte frames this is the familiar
-// 14.88 Mpps.
-func LineRatePps(linkBps float64, frameBytes int) float64 {
-	if frameBytes <= 0 || linkBps <= 0 {
-		return 0
-	}
-	const wireOverhead = 20
-	return linkBps / (float64(frameBytes+wireOverhead) * 8)
 }

@@ -87,62 +87,10 @@ func TestThroughputRates(t *testing.T) {
 	}
 }
 
-func TestThroughputAdd(t *testing.T) {
-	a := Throughput{Bits: 100, Packets: 10, Elapsed: time.Second}
-	b := Throughput{Bits: 200, Packets: 20, Elapsed: time.Second}
-	sum, err := a.Add(b)
-	if err != nil {
-		t.Fatalf("Add: %v", err)
-	}
-	if sum.Bits != 300 || sum.Packets != 30 {
-		t.Errorf("sum = %+v", sum)
-	}
-
-	// Mismatched windows must fail.
-	c := Throughput{Bits: 1, Packets: 1, Elapsed: 2 * time.Second}
-	if _, err := a.Add(c); err == nil {
-		t.Error("adding mismatched windows should fail")
-	}
-
-	// Zero windows pass through.
-	if got, err := a.Add(Throughput{}); err != nil || got != a {
-		t.Errorf("a + zero = %+v, %v", got, err)
-	}
-	if got, err := (Throughput{}).Add(b); err != nil || got != b {
-		t.Errorf("zero + b = %+v, %v", got, err)
-	}
-}
-
 func TestThroughputString(t *testing.T) {
 	tp := Throughput{Bits: 9_870_000_000, Packets: 1_200_000, Elapsed: time.Second}
 	s := tp.String()
 	if !strings.Contains(s, "9.870 Gb/s") || !strings.Contains(s, "1.200 Mpps") {
 		t.Errorf("String = %q", s)
-	}
-}
-
-func TestLineRate64ByteFrames(t *testing.T) {
-	// Classic figure: 10 GbE with 64-byte frames carries 14.88 Mpps.
-	pps := LineRatePps(10e9, 64)
-	if math.Abs(pps-14_880_952.38) > 1 {
-		t.Errorf("LineRatePps(10G, 64) = %v, want ≈14.88M", pps)
-	}
-	bps := LineRateBps(10e9, 64)
-	want := pps * 64 * 8
-	if math.Abs(bps-want) > 1 {
-		t.Errorf("LineRateBps = %v, want %v", bps, want)
-	}
-}
-
-func TestLineRateLargeFramesApproachLink(t *testing.T) {
-	bps := LineRateBps(10e9, 1518)
-	if bps < 9.8e9 || bps >= 10e9 {
-		t.Errorf("1518B payload rate = %v, want just under 10e9", bps)
-	}
-}
-
-func TestLineRateDegenerate(t *testing.T) {
-	if LineRateBps(0, 64) != 0 || LineRateBps(10e9, 0) != 0 || LineRatePps(-1, 64) != 0 {
-		t.Error("degenerate line rates should be 0")
 	}
 }

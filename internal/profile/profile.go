@@ -339,20 +339,3 @@ func Run(t testbed.ProfileTarget, o Options) (Profile, error) {
 	}
 	return p, nil
 }
-
-// DeviceOrder returns the union of sampled device names across regimes
-// in first-seen order — map membership for dedup, slice for order, so
-// downstream report emitters never iterate a map.
-func DeviceOrder(regimes []RegimeBottleneck) []string {
-	seen := make(map[string]bool)
-	var order []string
-	for _, r := range regimes {
-		for _, st := range r.Stages {
-			if !seen[st.Device] {
-				seen[st.Device] = true
-				order = append(order, st.Device)
-			}
-		}
-	}
-	return order
-}

@@ -52,7 +52,7 @@ func TestProfileSmartNIC(t *testing.T) {
 	if p.System != "fw-smartnic" || p.SaturationPps <= 0 {
 		t.Fatalf("bad profile header: %+v", p)
 	}
-	if !p.SaturationCI.Contains(p.SaturationPps) {
+	if ci := p.SaturationCI; ci.Lo > p.SaturationPps || ci.Hi < p.SaturationPps {
 		t.Errorf("saturation CI %v excludes the median %v", p.SaturationCI, p.SaturationPps)
 	}
 	if len(p.Operators) != 3 {
@@ -61,7 +61,7 @@ func TestProfileSmartNIC(t *testing.T) {
 	byName := map[string]OperatorCost{}
 	for _, op := range p.Operators {
 		byName[op.Operator] = op
-		if !op.DeltaCI.Contains(op.DeltaPps) {
+		if ci := op.DeltaCI; ci.Lo > op.DeltaPps || ci.Hi < op.DeltaPps {
 			t.Errorf("%s: delta CI %v excludes the median delta %v", op.Operator, op.DeltaCI, op.DeltaPps)
 		}
 	}
@@ -102,29 +102,6 @@ func TestProfileDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Errorf("same seed, different profiles:\n%+v\n%+v", a, b)
-	}
-}
-
-// TestDeviceOrderDeterministic is the maporder regression test for the
-// profiler's per-stage aggregation: DeviceOrder dedups with a map but
-// must order by first appearance, never by map iteration.
-func TestDeviceOrderDeterministic(t *testing.T) {
-	var regimes []RegimeBottleneck
-	for r := 0; r < 2; r++ {
-		var stages []StageLoad
-		for i := 0; i < 64; i++ {
-			stages = append(stages, StageLoad{Device: fmt.Sprintf("dev-%02d", i)})
-		}
-		regimes = append(regimes, RegimeBottleneck{Regime: fmt.Sprintf("r%d", r), Stages: stages})
-	}
-	want := DeviceOrder(regimes)
-	if len(want) != 64 || want[0] != "dev-00" || want[63] != "dev-63" {
-		t.Fatalf("bad device order: %v", want)
-	}
-	for i := 0; i < 50; i++ {
-		if got := DeviceOrder(regimes); !reflect.DeepEqual(got, want) {
-			t.Fatalf("run %d: order changed: %v", i, got)
-		}
 	}
 }
 

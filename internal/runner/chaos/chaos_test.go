@@ -295,8 +295,11 @@ func TestTornWriteLeavesNoHalfArtifactAfterRetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec, _ := res.Manifest.Lookup("cell-00")
-	if rec.Status != runner.StatusOK || rec.Attempts != 2 {
+	if len(res.Manifest.Records) != 1 {
+		t.Fatalf("manifest records = %+v, want one", res.Manifest.Records)
+	}
+	rec := res.Manifest.Records[0]
+	if rec.Experiment != "cell-00" || rec.Status != runner.StatusOK || rec.Attempts != 2 {
 		t.Fatalf("record = %+v, want ok on the retry", rec)
 	}
 	data, err := os.ReadFile(filepath.Join(dir, "cell-00.txt"))

@@ -96,16 +96,6 @@ func (m Manifest) Save(path string) error {
 	return WriteFileAtomic(path, append(data, '\n'), 0o644)
 }
 
-// Lookup returns the record for the named experiment, if present.
-func (m Manifest) Lookup(experiment string) (Record, bool) {
-	for _, r := range m.Records {
-		if r.Experiment == experiment {
-			return r, true
-		}
-	}
-	return Record{}, false
-}
-
 // Upsert replaces the record for rec.Experiment or appends it.
 func (m *Manifest) Upsert(rec Record) {
 	for i, r := range m.Records {
@@ -115,29 +105,6 @@ func (m *Manifest) Upsert(rec Record) {
 		}
 	}
 	m.Records = append(m.Records, rec)
-}
-
-// Failed returns the records with StatusFailed.
-func (m Manifest) Failed() []Record {
-	var out []Record
-	for _, r := range m.Records {
-		if r.Status == StatusFailed {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// Completed reports whether the named experiment finished OK and every
-// artifact it recorded still exists (non-empty) under outDir. A
-// deleted or truncated artifact makes the experiment incomplete, so a
-// resumed sweep regenerates exactly the missing work.
-func (m Manifest) Completed(experiment, outDir string) bool {
-	rec, ok := m.Lookup(experiment)
-	if !ok {
-		return false
-	}
-	return completedRecord(rec, outDir)
 }
 
 // completedRecord reports whether a record represents a completed cell

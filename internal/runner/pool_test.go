@@ -292,10 +292,10 @@ func TestQuarantineThresholdExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec, _ := res.Manifest.Lookup("justFails"); rec.Status != StatusQuarantined || rec.Attempts != 3 {
+	if rec, _ := lookup(res.Manifest, "justFails"); rec.Status != StatusQuarantined || rec.Attempts != 3 {
 		t.Errorf("justFails = %+v, want quarantined after exactly 3 attempts", rec)
 	}
-	if rec, _ := res.Manifest.Lookup("justSucceeds"); rec.Status != StatusOK || rec.Attempts != 3 {
+	if rec, _ := lookup(res.Manifest, "justSucceeds"); rec.Status != StatusOK || rec.Attempts != 3 {
 		t.Errorf("justSucceeds = %+v, want ok on the final attempt", rec)
 	}
 }
@@ -320,7 +320,7 @@ func TestZeroRetriesConfigured(t *testing.T) {
 	if attempts != 1 {
 		t.Errorf("attempts = %d, want 1", attempts)
 	}
-	if rec, _ := res.Manifest.Lookup("once"); rec.Status != StatusFailed || rec.Attempts != 1 {
+	if rec, _ := lookup(res.Manifest, "once"); rec.Status != StatusFailed || rec.Attempts != 1 {
 		t.Errorf("record = %+v, want failed after one attempt", rec)
 	}
 }
@@ -346,7 +346,7 @@ func TestRunDeadlineShorterThanFirstBackoff(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Fatalf("run deadline did not interrupt the backoff (took %v)", elapsed)
 	}
-	rec, ok := res.Manifest.Lookup("backedOff")
+	rec, ok := lookup(res.Manifest, "backedOff")
 	if !ok || rec.Status != StatusFailed || !strings.Contains(rec.Error, "run deadline") {
 		t.Errorf("record = %+v, want failed with run-deadline cause", rec)
 	}

@@ -40,7 +40,7 @@ func TestSweepContinuesPastPanic(t *testing.T) {
 			t.Errorf("artifact %s missing after mid-sweep panic: %v", name, err)
 		}
 	}
-	rec, ok := res.Manifest.Lookup("boom")
+	rec, ok := lookup(res.Manifest, "boom")
 	if !ok || rec.Status != StatusFailed {
 		t.Fatalf("boom record = %+v, want failed", rec)
 	}
@@ -55,8 +55,14 @@ func TestSweepContinuesPastPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if failed := m.Failed(); len(failed) != 1 || failed[0].Experiment != "boom" {
-		t.Errorf("manifest failed records = %+v", failed)
+	var failed []string
+	for _, rec := range m.Records {
+		if rec.Status == StatusFailed {
+			failed = append(failed, rec.Experiment)
+		}
+	}
+	if len(failed) != 1 || failed[0] != "boom" {
+		t.Errorf("manifest failed records = %v, want [boom]", failed)
 	}
 }
 
@@ -77,7 +83,7 @@ func TestDeadlineExceededRecordsFailure(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Fatalf("deadline did not bound the experiment (took %v)", elapsed)
 	}
-	rec, _ := res.Manifest.Lookup("stuck")
+	rec, _ := lookup(res.Manifest, "stuck")
 	if rec.Status != StatusFailed || !strings.Contains(rec.Error, "deadline") {
 		t.Errorf("stuck record = %+v, want deadline failure", rec)
 	}
@@ -111,7 +117,7 @@ func TestRetryWithNextAttempt(t *testing.T) {
 	if len(attempts) != 3 || attempts[0] != 0 || attempts[2] != 2 {
 		t.Errorf("attempts = %v, want [0 1 2]", attempts)
 	}
-	rec, _ := res.Manifest.Lookup("flaky")
+	rec, _ := lookup(res.Manifest, "flaky")
 	if rec.Status != StatusOK || rec.Attempts != 3 {
 		t.Errorf("record = %+v, want ok after 3 attempts", rec)
 	}
@@ -123,7 +129,7 @@ func TestRetryWithNextAttempt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec, _ := res.Manifest.Lookup("flaky"); rec.Status != StatusQuarantined || rec.Attempts != 2 {
+	if rec, _ := lookup(res.Manifest, "flaky"); rec.Status != StatusQuarantined || rec.Attempts != 2 {
 		t.Errorf("exhausted record = %+v, want quarantined after 2 attempts", rec)
 	}
 	if res.Quarantined != 1 || len(res.QuarantinedExperiments) != 1 {
@@ -246,13 +252,14 @@ func TestManifestRoundTrip(t *testing.T) {
 		t.Errorf("round-trip = %+v", got)
 	}
 	// Completed: requires status ok and matching files.
-	if got.Completed("a", dir) {
+	rec, _ := lookup(got, "a")
+	if completedRecord(rec, dir) {
 		t.Error("a should be incomplete (artifact file missing)")
 	}
 	if err := os.WriteFile(filepath.Join(dir, "a.txt"), []byte("abc"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if !got.Completed("a", dir) {
+	if !completedRecord(rec, dir) {
 		t.Error("a should be complete with its artifact on disk")
 	}
 	// Missing manifest loads empty.
@@ -260,4 +267,14 @@ func TestManifestRoundTrip(t *testing.T) {
 	if err != nil || len(empty.Records) != 0 {
 		t.Errorf("missing manifest: %v, %+v", err, empty)
 	}
+}
+
+// lookup returns the manifest record for the named experiment.
+func lookup(m Manifest, experiment string) (Record, bool) {
+	for _, r := range m.Records {
+		if r.Experiment == experiment {
+			return r, true
+		}
+	}
+	return Record{}, false
 }

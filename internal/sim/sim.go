@@ -130,9 +130,6 @@ func (s *Sim) Now() Time { return s.now }
 // Processed returns the number of events executed so far.
 func (s *Sim) Processed() uint64 { return s.events }
 
-// Pending returns the number of scheduled, not-yet-executed events.
-func (s *Sim) Pending() int { return len(s.queue) }
-
 // ErrPastEvent is returned when scheduling before the current time.
 var ErrPastEvent = errors.New("sim: cannot schedule event in the past")
 
@@ -150,14 +147,6 @@ func (s *Sim) At(t Time, fn func()) error {
 	s.queue.push(event{at: t, seq: s.seq, fn: fn})
 	s.seq++
 	return nil
-}
-
-// After schedules fn to run delta seconds from now.
-func (s *Sim) After(delta float64, fn func()) error {
-	if delta < 0 {
-		return fmt.Errorf("%w: negative delay %v", ErrPastEvent, delta)
-	}
-	return s.At(s.now+Time(delta), fn)
 }
 
 // SetTrace installs a kernel progress hook, invoked after every

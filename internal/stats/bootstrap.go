@@ -32,11 +32,6 @@ func (i Interval) HalfWidth() float64 {
 	return (i.Hi - i.Lo) / 2
 }
 
-// Contains reports whether v lies inside the interval (inclusive).
-func (i Interval) Contains(v float64) bool {
-	return v >= i.Lo && v <= i.Hi
-}
-
 // String renders "[lo, hi]" with compact formatting.
 func (i Interval) String() string {
 	return fmt.Sprintf("[%.4g, %.4g]", i.Lo, i.Hi)

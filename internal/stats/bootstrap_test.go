@@ -36,7 +36,7 @@ func TestBootstrapCICoversTruth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ci.Contains(10.0) {
+	if ci.Lo > 10 || ci.Hi < 10 {
 		t.Errorf("CI %v should contain 10", ci)
 	}
 	if ci.HalfWidth() <= 0 || ci.HalfWidth() > 0.5 {

@@ -50,11 +50,6 @@ func (r *RNG) Intn(n int) int {
 	}
 }
 
-// Float64 returns a uniform value in [0, 1) with 53 bits of precision.
-func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
 // MixSeed derives an independent stream seed from a base seed and a
 // stream index using the SplitMix64 finalizer. Unlike additive schemes
 // (base+k), mixed seeds do not alias across (base, k) pairs — seed 1

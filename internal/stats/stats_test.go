@@ -109,12 +109,6 @@ func TestRNGDeterminismAndUniformity(t *testing.T) {
 			t.Errorf("Intn never produced %d", v)
 		}
 	}
-	// Float64 in [0, 1).
-	for i := 0; i < 1000; i++ {
-		if f := r.Float64(); f < 0 || f >= 1 {
-			t.Fatalf("Float64 out of range: %v", f)
-		}
-	}
 }
 
 func TestMixSeedNoAdditiveAliasing(t *testing.T) {

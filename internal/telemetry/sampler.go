@@ -3,16 +3,14 @@ package telemetry
 import (
 	"runtime"
 	"runtime/metrics"
-	"sort"
 	"time"
 )
 
 // The sampler records what the harness costs while it runs: goroutine
-// count, heap in use, cumulative GC pause, worker-pool occupancy, and
-// the value and rate of every registered counter. Samples are events
-// in the same stream as the cell transitions, so the reporter can
-// line "the pool was 40% idle here" up against "these three cells
-// were retrying".
+// count, heap in use, cumulative GC pause and worker-pool occupancy.
+// Samples are events in the same stream as the cell transitions, so
+// the reporter can line "the pool was 40% idle here" up against "these
+// three cells were retrying".
 
 // Sample takes one sample now and appends it to the stream. The
 // background loop started by StartSampler calls this on every tick;
@@ -28,34 +26,6 @@ func (r *Recorder) Sample() {
 		Busy:       int(r.busy.Load()),
 		CellsDone:  int(r.cellsDone.Load()),
 	}
-
-	r.countersMu.Lock()
-	if len(r.counters) > 0 {
-		now := r.clock.Now()
-		names := make([]string, 0, len(r.counters))
-		for name := range r.counters {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		counts := make(map[string]int64, len(names))
-		for _, name := range names {
-			counts[name] = r.counters[name].Value()
-		}
-		ev.Counters = counts
-		if r.lastSample.valid {
-			if dt := now.Sub(r.lastSample.t).Seconds(); dt > 0 {
-				rates := make(map[string]float64, len(names))
-				for _, name := range names {
-					rates[name] = float64(counts[name]-r.lastSample.counts[name]) / dt
-				}
-				ev.Rates = rates
-			}
-		}
-		r.lastSample.t = now
-		r.lastSample.valid = true
-		r.lastSample.counts = counts
-	}
-	r.countersMu.Unlock()
 
 	r.Event(ev)
 }

@@ -18,7 +18,7 @@
 // A Recorder writes an append-only JSONL stream: a self-identifying
 // header, one event per runner state transition (via the
 // runner.Observer adapter), periodic runtime samples (goroutines,
-// heap, GC pause totals, pool occupancy, counter rates), and a
+// heap, GC pause totals, pool occupancy), and a
 // closing run-end event. The reporter in this package turns the
 // stream back into a run summary and a cell-execution Gantt chart.
 package telemetry
@@ -99,14 +99,12 @@ type Event struct {
 	// Workers is the pool width after a pool-shrink event.
 	Workers int `json:"workers,omitempty"`
 	// Sample payload (sample events).
-	Goroutines int                `json:"goroutines,omitempty"`
-	HeapBytes  uint64             `json:"heap_bytes,omitempty"`
-	GCPauseMS  float64            `json:"gc_pause_ms,omitempty"`
-	NumGC      uint32             `json:"num_gc,omitempty"`
-	Busy       int                `json:"workers_busy,omitempty"`
-	CellsDone  int                `json:"cells_done,omitempty"`
-	Counters   map[string]int64   `json:"counters,omitempty"`
-	Rates      map[string]float64 `json:"rates,omitempty"`
+	Goroutines int     `json:"goroutines,omitempty"`
+	HeapBytes  uint64  `json:"heap_bytes,omitempty"`
+	GCPauseMS  float64 `json:"gc_pause_ms,omitempty"`
+	NumGC      uint32  `json:"num_gc,omitempty"`
+	Busy       int     `json:"workers_busy,omitempty"`
+	CellsDone  int     `json:"cells_done,omitempty"`
 }
 
 // Options configures a Recorder.
@@ -140,14 +138,6 @@ type Recorder struct {
 	// Pool occupancy and progress, readable by the sampler.
 	busy      atomic.Int64
 	cellsDone atomic.Int64
-
-	countersMu sync.Mutex
-	counters   map[string]*Counter
-	lastSample struct {
-		t      time.Time
-		valid  bool
-		counts map[string]int64
-	}
 }
 
 // New writes the stream to w (which the Recorder does not close).
@@ -156,11 +146,10 @@ func New(w io.Writer, o Options) *Recorder {
 		o.Clock = Wall
 	}
 	r := &Recorder{
-		clock:    o.Clock,
-		start:    o.Clock.Now(),
-		jobs:     o.Jobs,
-		w:        w,
-		counters: map[string]*Counter{},
+		clock: o.Clock,
+		start: o.Clock.Now(),
+		jobs:  o.Jobs,
+		w:     w,
 	}
 	r.emit(Header{
 		Telemetry:   Format,
@@ -253,29 +242,4 @@ func (r *Recorder) Close() error {
 		r.closer = nil
 	}
 	return r.err
-}
-
-// Counter is a named atomic counter whose value and rate the sampler
-// publishes. Cells bump counters for whatever throughput they want
-// tracked (sim events, packets); the zero counter-set costs nothing.
-type Counter struct {
-	v atomic.Int64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n int64) { c.v.Add(n) }
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Counter returns the named counter, creating it on first use.
-func (r *Recorder) Counter(name string) *Counter {
-	r.countersMu.Lock()
-	defer r.countersMu.Unlock()
-	c := r.counters[name]
-	if c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
 }

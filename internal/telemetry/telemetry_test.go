@@ -80,15 +80,12 @@ func TestSpan(t *testing.T) {
 	}
 }
 
-func TestSampleRecordsRuntimeAndCounterRates(t *testing.T) {
+func TestSampleRecordsRuntime(t *testing.T) {
 	clk := NewFakeClock(t0)
 	var buf bytes.Buffer
 	r := New(&buf, Options{Clock: clk, Jobs: 2})
-	c := r.Counter("events")
-	c.Add(100)
 	r.Sample()
 	clk.Advance(2 * time.Second)
-	c.Add(300)
 	r.Sample()
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
@@ -108,28 +105,6 @@ func TestSampleRecordsRuntimeAndCounterRates(t *testing.T) {
 	}
 	if samples[0].Goroutines <= 0 || samples[0].HeapBytes == 0 {
 		t.Errorf("first sample missing runtime figures: %+v", samples[0])
-	}
-	if samples[0].Counters["events"] != 100 || samples[1].Counters["events"] != 400 {
-		t.Errorf("counter values = %v, %v", samples[0].Counters, samples[1].Counters)
-	}
-	if len(samples[0].Rates) != 0 {
-		t.Errorf("first sample has no predecessor, rates = %v", samples[0].Rates)
-	}
-	// 300 events over the 2 fake seconds between samples.
-	if got := samples[1].Rates["events"]; got != 150 {
-		t.Errorf("rate = %v events/s, want 150", got)
-	}
-}
-
-func TestCounterIsStable(t *testing.T) {
-	r := New(&bytes.Buffer{}, Options{Clock: NewFakeClock(t0)})
-	a, b := r.Counter("x"), r.Counter("x")
-	if a != b {
-		t.Error("same name must return the same counter")
-	}
-	a.Add(3)
-	if b.Value() != 3 {
-		t.Errorf("value = %d", b.Value())
 	}
 }
 

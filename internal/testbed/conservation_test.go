@@ -13,8 +13,8 @@ import (
 // latency samples refused by the histogram.
 func requireNoLatencyRejects(t *testing.T, d *Deployment) {
 	t.Helper()
-	if n := d.LatencyRejects(); n != 0 {
-		t.Errorf("%s: %d latency samples rejected", d.Name(), n)
+	if n := d.latRejects; n != 0 {
+		t.Errorf("%s: %d latency samples rejected", d.cfg.Name, n)
 	}
 }
 
@@ -25,10 +25,10 @@ func requireConserved(t *testing.T, d *Deployment, res Result) {
 	lost := d.tput.LostPackets
 	if res.Offered.Packets != res.Processed.Packets+lost+d.inFlight {
 		t.Errorf("%s: offered %d != processed %d + lost %d + in flight %d",
-			d.Name(), res.Offered.Packets, res.Processed.Packets, lost, d.inFlight)
+			d.cfg.Name, res.Offered.Packets, res.Processed.Packets, lost, d.inFlight)
 	}
 	if res.Offered.Packets == 0 {
-		t.Errorf("%s: nothing offered", d.Name())
+		t.Errorf("%s: nothing offered", d.cfg.Name)
 	}
 	requireNoLatencyRejects(t, d)
 }
@@ -42,7 +42,7 @@ func TestConservationSwitchPredrop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Switch().PreDropped == 0 {
+	if d.sw.PreDropped == 0 {
 		t.Fatal("the switch pre-dropped nothing")
 	}
 	requireConserved(t, d, res)
@@ -65,7 +65,7 @@ func TestConservationFPGASpillToHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.FPGA().Overflowed == 0 {
+	if d.fpga.Overflowed == 0 {
 		t.Fatal("2 Mpps into a 1 Mpps pipeline did not overflow to the host")
 	}
 	requireConserved(t, d, res)
@@ -165,7 +165,7 @@ func TestConservationErrorIsTyped(t *testing.T) {
 	if !errors.As(err, &ce) {
 		t.Fatalf("collect error = %v, want a *ConservationError", err)
 	}
-	if ce.Offered != ce.Processed+ce.Lost+ce.InFlight+1 || ce.Deployment != d.Name() {
+	if ce.Offered != ce.Processed+ce.Lost+ce.InFlight+1 || ce.Deployment != d.cfg.Name {
 		t.Errorf("error counts = %+v, want offered one more than the rest", ce)
 	}
 }

@@ -100,7 +100,7 @@ func TestFPGAOverflowAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.FPGA().Overflowed == 0 {
+	if d.fpga.Overflowed == 0 {
 		t.Fatal("4 Mpps into a 1 Mpps pipeline did not overflow")
 	}
 	// Conservation: every offered packet is processed or counted as
@@ -168,7 +168,7 @@ func TestFPGAOutageFailsOverToHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.FPGA().Unavailable == 0 {
+	if d.fpga.Unavailable == 0 {
 		t.Fatal("outage window saw no pipeline rejections")
 	}
 	if res.LossFraction > 0.01 {
@@ -202,12 +202,12 @@ func TestSwitchOutageFailsOpen(t *testing.T) {
 		return d, res
 	}
 	dh, healthy := run(fault.Spec{})
-	if dh.Switch().PreDropped == 0 {
+	if dh.sw.PreDropped == 0 {
 		t.Fatal("healthy switch run pre-dropped nothing")
 	}
 	df, faulted := run(mustFaultSpec(t, "outage:dev=switch,at=0,for=0"))
-	if df.Switch().PreDropped != 0 {
-		t.Errorf("downed switch still processed %d packets", df.Switch().PreDropped)
+	if df.sw.PreDropped != 0 {
+		t.Errorf("downed switch still processed %d packets", df.sw.PreDropped)
 	}
 	if faulted.LossFraction > 0.01 {
 		t.Errorf("fail-open loss = %v, want ≈0", faulted.LossFraction)

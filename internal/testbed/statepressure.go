@@ -43,8 +43,7 @@ func (d *Deployment) armStateSampler(horizon sim.Time) error {
 // non-nil it receives per-class outcomes and periodic samples of its
 // registered probes; summarize it with sm.Summarize(durationSeconds)
 // after the run. Scenario frames alias the generator's templates; the
-// deployment parses them synchronously, and MutatesFrames configs get
-// private copies, exactly like Run.
+// deployment parses them synchronously, exactly like Run.
 func (d *Deployment) RunScenario(sg *workload.ScenarioGen, arrival workload.Arrival, offeredPps, durationSeconds float64, sm *measure.StateMeter) (Result, error) {
 	if offeredPps <= 0 || durationSeconds <= 0 {
 		return Result{}, fmt.Errorf("testbed: invalid scenario run params pps=%v duration=%v", offeredPps, durationSeconds)

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"time"
 
-	"fairbench/internal/cost"
 	"fairbench/internal/fault"
 	"fairbench/internal/hw"
 	"fairbench/internal/measure"
@@ -64,10 +63,6 @@ type Config struct {
 	// Required unless FPGA is set, in which case a single functional
 	// instance provides verdicts.
 	NewNF func(core int) (nf.Func, error)
-
-	// MutatesFrames must be set when the NF rewrites packets (NAT,
-	// LB) so the harness hands it private frame copies.
-	MutatesFrames bool
 
 	// AblateStages names pipeline stages to disable for this
 	// deployment — the saturation-delta profiler's stage toggles. An
@@ -173,7 +168,9 @@ type Deployment struct {
 	// out and not yet finished.
 	free     *pktInFlight
 	inFlight uint64
-	// latRejects counts latency samples the histogram refused.
+	// latRejects counts latency samples the histogram refused
+	// (non-finite or out of range): each is a packet missing from the
+	// reported percentiles, so a healthy run has none.
 	latRejects uint64
 }
 
@@ -239,9 +236,6 @@ func New(cfg Config) (*Deployment, error) {
 	return d, nil
 }
 
-// Name returns the deployment name.
-func (d *Deployment) Name() string { return d.cfg.Name }
-
 // Devices lists every powered component, in a stable order.
 func (d *Deployment) Devices() []hw.Device {
 	out := []hw.Device{d.chassis}
@@ -263,11 +257,6 @@ func (d *Deployment) Devices() []hw.Device {
 	return out
 }
 
-// Components returns the cost components for end-to-end composition.
-func (d *Deployment) Components() []cost.Component {
-	return hw.ComponentsOf(d.Devices()...)
-}
-
 // ProvisionedPowerWatts composes peak power across all devices.
 func (d *Deployment) ProvisionedPowerWatts() (float64, error) {
 	return hw.TotalPowerWatts(d.Devices()...)
@@ -275,12 +264,6 @@ func (d *Deployment) ProvisionedPowerWatts() (float64, error) {
 
 // SmartNIC exposes the SmartNIC model (nil if absent) for tests.
 func (d *Deployment) SmartNIC() *hw.SmartNIC { return d.smartnic }
-
-// Switch exposes the switch model (nil if absent) for tests.
-func (d *Deployment) Switch() *hw.Switch { return d.sw }
-
-// FPGA exposes the FPGA model (nil if absent) for tests.
-func (d *Deployment) FPGA() *hw.FPGA { return d.fpga }
 
 // kernelTraceEvery throttles kernel progress events: one record per
 // this many executed simulation events keeps traces compact while still
@@ -298,9 +281,6 @@ func (d *Deployment) Observe(tr *obs.Tracer, sampleEvery float64) {
 	d.tr = tr
 	d.sampleEvery = sampleEvery
 }
-
-// Tracer returns the attached tracer (nil when untraced).
-func (d *Deployment) Tracer() *obs.Tracer { return d.tr }
 
 // armObs installs the kernel hook and sampler for a traced run.
 func (d *Deployment) armObs(horizon sim.Time) {
@@ -383,12 +363,6 @@ func verdictLabel(forwarded bool) string {
 	}
 	return "drop"
 }
-
-// LatencyRejects returns how many latency samples of the last run the
-// latency histogram refused (non-finite or out of range). Every
-// rejected sample is a packet missing from the reported percentiles, so
-// a healthy run has none.
-func (d *Deployment) LatencyRejects() uint64 { return d.latRejects }
 
 // Result is the measured outcome of a Run.
 type Result struct {
@@ -671,8 +645,9 @@ func (p *pktInFlight) finish(out outcome, device string, so hw.Sojourn) {
 // offer is the one ingress step: every arriving packet, generated or
 // replayed, enters the deployment here, so it is the only place the
 // offered load is metered and the only place frames are copied. Frames
-// alias generator templates (or trace records) and are copied only for
-// link corruption and frame-mutating NFs. With a fault injector armed,
+// alias generator templates (or trace records), which network functions
+// only read, and are copied only for link corruption. With a fault
+// injector armed,
 // the link drops, corrupts and duplicates packets, drawing its coins in
 // that order.
 //
@@ -680,7 +655,6 @@ func (p *pktInFlight) finish(out outcome, device string, so hw.Sojourn) {
 func (d *Deployment) offer(pk workload.Pkt) {
 	d.tput.Offer(len(pk.Frame))
 	d.state.Offer(string(pk.Class), len(pk.Frame))
-	private := false
 	if d.inj != nil {
 		if d.inj.DropArrival() {
 			d.linkDropped++
@@ -696,23 +670,17 @@ func (d *Deployment) offer(pk workload.Pkt) {
 			//fairlint:allow hotalloc only link-corrupted packets copy: the flip must not reach the shared template
 			pk.Frame = append([]byte(nil), pk.Frame...)
 			pk.Frame[idx] ^= 0xff
-			private = true
 		}
 		if d.inj.DupArrival() {
 			// The link delivers the frame twice. Both deliveries share
-			// this arrival's link draws, so the copy is offered with the
-			// injector parked, and goes first: a frame-mutating NF must
-			// not rewrite pk before the copy is taken.
+			// this arrival's link draws, so the duplicate is offered with
+			// the injector parked; it goes first.
 			d.linkDuplicated++
 			inj := d.inj
 			d.inj = nil
 			d.offer(pk)
 			d.inj = inj
 		}
-	}
-	if d.cfg.MutatesFrames && !private {
-		//fairlint:allow hotalloc only frame-mutating NFs copy: they rewrite the frame in place
-		pk.Frame = append([]byte(nil), pk.Frame...)
 	}
 	d.dispatch(pk)
 }

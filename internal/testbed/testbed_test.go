@@ -10,7 +10,6 @@ import (
 	"fairbench/internal/hw"
 	"fairbench/internal/metric"
 	"fairbench/internal/nf"
-	"fairbench/internal/packet"
 	"fairbench/internal/workload"
 )
 
@@ -175,10 +174,10 @@ func TestSwitchPreFilteringOffloadsHost(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Switch().PreDropped == 0 {
+	if d.sw.PreDropped == 0 {
 		t.Fatal("switch never dropped attack traffic")
 	}
-	dropFrac := float64(d.Switch().PreDropped) / float64(d.Switch().PreDropped+d.Switch().Passed)
+	dropFrac := float64(d.sw.PreDropped) / float64(d.sw.PreDropped+d.sw.Passed)
 	if math.Abs(dropFrac-0.75) > 0.05 {
 		t.Errorf("switch pre-drop fraction = %.2f, want ≈0.75", dropFrac)
 	}
@@ -260,15 +259,11 @@ func TestCanonicalMatcherShared(t *testing.T) {
 	}
 	for _, d := range append(deps, ct) {
 		for core, f := range d.nfs {
-			var got nf.Matcher
-			switch f := f.(type) {
-			case *nf.Firewall:
-				got = f.Matcher()
-			case *nf.Conntrack:
-				got = f.Matcher()
-			}
-			if got != nf.Matcher(want) {
-				t.Errorf("%s core %d: matcher %p, want the shared %p", d.Name(), core, got, want)
+			// Firewall and Conntrack keep their matcher unexported;
+			// reflection reads it without an accessor only tests need.
+			got := reflect.ValueOf(f).Elem().FieldByName("matcher").Elem().Pointer()
+			if got != reflect.ValueOf(want).Pointer() {
+				t.Errorf("%s core %d: matcher %#x, want the shared %p", d.cfg.Name, core, got, want)
 			}
 		}
 	}
@@ -316,7 +311,7 @@ func TestCostVectorCoverage(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comps := d.Components()
+	comps := hw.ComponentsOf(d.Devices()...)
 	names := []string{metric.MetricPower, metric.MetricCores}
 	cov := costCoverage(names, comps)
 	if !cov[metric.MetricPower] {
@@ -352,76 +347,6 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
-func TestMutatingNFDeployment(t *testing.T) {
-	// A NAT deployment must see valid frames and keep them valid; the
-	// harness hands it copies so generator templates stay pristine, also
-	// when the link duplicates packets: a duplicate is a copy of the
-	// frame as it arrived, so it maps onto its flow's existing binding.
-	natAddr := packet.Addr4{203, 0, 113, 7}
-	var misses []uint64
-	var nats []*nf.NAT
-	nat := func() *Deployment {
-		d, err := New(Config{
-			Name:          "nat-host",
-			Cores:         1,
-			CoreCfg:       ScenarioCore,
-			ChassisWatts:  ScenarioChassisWatts,
-			NICWatts:      ScenarioNICWatts,
-			MutatesFrames: true,
-			NewNF: func(core int) (nf.Func, error) {
-				n := nf.NewNAT("nat", natAddr)
-				nats = append(nats, n)
-				return n, nil
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return d
-	}
-	for _, spec := range []string{"", "linkdup:prob=0.3"} {
-		g, err := workload.NewGenerator(workload.Spec{Flows: 64, Seed: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var res Result
-		if spec == "" {
-			res, err = nat().Run(g, workload.CBR{}, 1e6, testDuration)
-		} else {
-			var rep FaultReport
-			res, rep, err = nat().RunWithFaults(g, workload.CBR{}, 1e6, testDuration, mustFaultSpec(t, spec))
-			if err == nil && rep.LinkDuplicated == 0 {
-				t.Errorf("%q: no duplicates recorded", spec)
-			}
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.LossFraction > 0.001 {
-			t.Errorf("%q: NAT run loss = %v", spec, res.LossFraction)
-		}
-		if res.Forwarded.Packets != res.Processed.Packets {
-			t.Errorf("%q: NAT forwards everything it processes", spec)
-		}
-		misses = append(misses, nats[len(nats)-1].Misses)
-		// Generator templates must still parse and carry their own
-		// source (not corrupted by rewrites).
-		p := packet.NewParser()
-		for i := 0; i < 100; i++ {
-			pk, _ := g.Next()
-			if err := p.Parse(pk.Frame); err != nil {
-				t.Fatalf("%q: template corrupted by in-place rewrite: %v", spec, err)
-			}
-			if ft, _ := p.FiveTuple(); ft.Src == natAddr {
-				t.Fatalf("%q: template rewritten in place by the NAT", spec)
-			}
-		}
-	}
-	if misses[0] != misses[1] {
-		t.Errorf("duplicates opened new NAT bindings: %d misses healthy, %d with linkdup", misses[0], misses[1])
-	}
-}
-
 // costCoverage adapts cost.Coverage for brevity in tests.
 func costCoverage(names []string, comps []cost.Component) map[string]bool {
 	covered := make(map[string]bool, len(names))
@@ -438,9 +363,9 @@ func costCoverage(names []string, comps []cost.Component) map[string]bool {
 	return covered
 }
 
-// TestOfferCopiesArePrivate checks that the frames a frame-mutating NF
-// rewrites, and the frames a faulty link corrupts or duplicates, are
-// private copies: the generator's templates keep their exact bytes.
+// TestOfferCopiesArePrivate checks that the frames a faulty link
+// corrupts are private copies, also when it duplicates them: the
+// generator's templates keep their exact bytes.
 func TestOfferCopiesArePrivate(t *testing.T) {
 	g, err := workload.NewGenerator(workload.Spec{Flows: 4, Seed: 7})
 	if err != nil {
@@ -456,15 +381,12 @@ func TestOfferCopiesArePrivate(t *testing.T) {
 		templates = append(templates, snap{pk.Frame, append([]byte(nil), pk.Frame...)})
 	}
 	d, err := New(Config{
-		Name:          "nat-host",
-		Cores:         1,
-		CoreCfg:       ScenarioCore,
-		ChassisWatts:  ScenarioChassisWatts,
-		NICWatts:      ScenarioNICWatts,
-		MutatesFrames: true,
-		NewNF: func(core int) (nf.Func, error) {
-			return nf.NewNAT("nat", packet.Addr4{203, 0, 113, 7}), nil
-		},
+		Name:         "fw-host",
+		Cores:        1,
+		CoreCfg:      ScenarioCore,
+		ChassisWatts: ScenarioChassisWatts,
+		NICWatts:     ScenarioNICWatts,
+		NewNF:        firewallFactory(nf.NewLinearMatcher(FirewallRules(1))),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -18,46 +18,24 @@ import (
 type SizeDist interface {
 	// Next returns the next frame size in bytes (Ethernet, no FCS).
 	Next(rng *sim.RNG) int
-	// Mean returns the expected frame size in bytes.
-	Mean() float64
-	// Name labels the distribution in reports.
-	Name() string
 	// Sizes returns the support: every size Next can return. Callers
 	// must not modify it.
 	Sizes() []int
 }
 
-// FixedSize is a constant frame size — RFC 2544 throughput tests use
-// 64-byte minimum frames.
-type FixedSize int
-
-// Next implements SizeDist.
-func (f FixedSize) Next(*sim.RNG) int { return int(f) }
-
-// Mean implements SizeDist.
-func (f FixedSize) Mean() float64 { return float64(f) }
-
-// Name implements SizeDist.
-func (f FixedSize) Name() string { return fmt.Sprintf("fixed-%d", int(f)) }
-
-// Sizes implements SizeDist.
-func (f FixedSize) Sizes() []int { return []int{int(f)} }
-
 // Mix is a weighted mixture of frame sizes.
 type Mix struct {
-	name  string
 	sizes []int
 	cum   []float64
-	mean  float64
 }
 
 // NewMix builds a mixture from (size, weight) pairs; weights are
 // normalised.
-func NewMix(name string, sizes []int, weights []float64) (*Mix, error) {
+func NewMix(sizes []int, weights []float64) (*Mix, error) {
 	if len(sizes) == 0 || len(sizes) != len(weights) {
 		return nil, fmt.Errorf("workload: mix needs matching non-empty sizes and weights")
 	}
-	m := &Mix{name: name}
+	m := &Mix{}
 	var total float64
 	for i, s := range sizes {
 		if s < packet.MinFrameLen || s > packet.MaxFrameLen {
@@ -70,10 +48,9 @@ func NewMix(name string, sizes []int, weights []float64) (*Mix, error) {
 	}
 	m.sizes = append([]int(nil), sizes...)
 	var cum float64
-	for i, w := range weights {
+	for _, w := range weights {
 		cum += w / total
 		m.cum = append(m.cum, cum)
-		m.mean += w / total * float64(sizes[i])
 	}
 	return m, nil
 }
@@ -83,7 +60,7 @@ func NewMix(name string, sizes []int, weights []float64) (*Mix, error) {
 // padded to the 60-byte minimum our builder enforces (we model frames
 // without FCS; a wire 64-byte frame is 60 bytes here).
 func IMIX() *Mix {
-	m, err := NewMix("imix", []int{60, 594, 1514}, []float64{7, 4, 1})
+	m, err := NewMix([]int{60, 594, 1514}, []float64{7, 4, 1})
 	if err != nil {
 		panic(err) // static construction cannot fail
 	}
@@ -100,12 +77,6 @@ func (m *Mix) Next(rng *sim.RNG) int {
 	}
 	return m.sizes[len(m.sizes)-1]
 }
-
-// Mean implements SizeDist.
-func (m *Mix) Mean() float64 { return m.mean }
-
-// Name implements SizeDist.
-func (m *Mix) Name() string { return m.name }
 
 // Sizes implements SizeDist.
 func (m *Mix) Sizes() []int { return m.sizes }
@@ -232,16 +203,10 @@ func pickDstPort(proto uint8, i int) uint16 {
 	return 53
 }
 
-// Spec returns the effective specification.
-func (g *Generator) Spec() Spec { return g.spec }
-
 // ArrivalRNG returns a dedicated random stream for inter-arrival draws,
 // derived from the generator's seed so that packet content and arrival
 // timing are independently reproducible.
 func (g *Generator) ArrivalRNG() *sim.RNG { return sim.NewRNG(g.spec.Seed).Derive("arrivals") }
-
-// Flows returns the generated flow population size.
-func (g *Generator) Flows() int { return len(g.flows) }
 
 // Next produces the next packet. The frame aliases an internal
 // template; copy before mutating.
@@ -288,9 +253,9 @@ var genOpts = packet.BuildOpts{
 	DstMAC: packet.MAC{0x02, 0xfa, 0x1b, 0, 0, 2},
 }
 
-// filler is the payload of every generated frame: benign bytes with no
-// DPI signatures. The builders copy the payload into the new frame, so
-// all frames share this one read-only array.
+// filler is the payload of every generated frame: benign bytes. The
+// builders copy the payload into the new frame, so all frames share
+// this one read-only array.
 var filler = func() (f [packet.MaxFrameLen]byte) {
 	for i := range f {
 		f[i] = byte('a' + i%26)

@@ -533,15 +533,6 @@ func NewScenarioGen(sc Scenario) (*ScenarioGen, error) {
 	return g, nil
 }
 
-// Spec returns the effective scenario.
-func (g *ScenarioGen) Spec() Scenario { return g.sc }
-
-// Flows returns the concurrent flow population size.
-func (g *ScenarioGen) Flows() int { return g.sc.Flows }
-
-// Stats snapshots per-class generation counts.
-func (g *ScenarioGen) Stats() ScenarioStats { return g.stats }
-
 // ArrivalRNG returns a dedicated random stream for inter-arrival
 // draws, derived like Generator's so timing and content stay
 // independently reproducible.
@@ -766,9 +757,8 @@ func buildScenarioFrame(ft packet.FiveTuple, size int, syn bool) ([]byte, error)
 }
 
 // patchTuple rewrites the five-tuple fields of a built frame in place,
-// fixing the IP and transport checksums incrementally (RFC 1624) —
-// the same arithmetic the NAT fast path uses. old and new must share a
-// protocol, which templates guarantee.
+// fixing the IP and transport checksums incrementally (RFC 1624). old
+// and new must share a protocol, which templates guarantee.
 func patchTuple(frame []byte, old, new packet.FiveTuple) {
 	const ipStart = packet.EthernetHeaderLen
 	const l4Start = ipStart + packet.IPv4MinHeaderLen

@@ -35,7 +35,6 @@ type TraceRecord struct {
 type TraceWriter struct {
 	gz  *gzip.Writer
 	bw  *bufio.Writer
-	n   uint64
 	err error
 }
 
@@ -68,12 +67,8 @@ func (tw *TraceWriter) Write(rec TraceRecord) error {
 		tw.err = err
 		return err
 	}
-	tw.n++
 	return nil
 }
-
-// Count returns the number of records written.
-func (tw *TraceWriter) Count() uint64 { return tw.n }
 
 // Close flushes and closes the compressed stream (not the underlying
 // writer).

@@ -12,19 +12,6 @@ import (
 	"fairbench/internal/sim"
 )
 
-func TestFixedSize(t *testing.T) {
-	f := FixedSize(64)
-	rng := sim.NewRNG(1)
-	for i := 0; i < 10; i++ {
-		if f.Next(rng) != 64 {
-			t.Fatal("fixed size must be constant")
-		}
-	}
-	if f.Mean() != 64 || f.Name() != "fixed-64" {
-		t.Errorf("Mean/Name = %v/%q", f.Mean(), f.Name())
-	}
-}
-
 func TestIMIXDistribution(t *testing.T) {
 	m := IMIX()
 	rng := sim.NewRNG(2)
@@ -43,23 +30,19 @@ func TestIMIXDistribution(t *testing.T) {
 	if got := float64(counts[1514]) / n; math.Abs(got-1.0/12) > 0.01 {
 		t.Errorf("1514B fraction = %v, want ≈0.083", got)
 	}
-	wantMean := (7.0*60 + 4*594 + 1*1514) / 12
-	if math.Abs(m.Mean()-wantMean) > 1e-9 {
-		t.Errorf("Mean = %v, want %v", m.Mean(), wantMean)
-	}
 }
 
 func TestNewMixValidation(t *testing.T) {
-	if _, err := NewMix("m", nil, nil); err == nil {
+	if _, err := NewMix(nil, nil); err == nil {
 		t.Error("empty mix should fail")
 	}
-	if _, err := NewMix("m", []int{64}, []float64{1, 2}); err == nil {
+	if _, err := NewMix([]int{64}, []float64{1, 2}); err == nil {
 		t.Error("mismatched lengths should fail")
 	}
-	if _, err := NewMix("m", []int{10}, []float64{1}); err == nil {
+	if _, err := NewMix([]int{10}, []float64{1}); err == nil {
 		t.Error("sub-minimum frame should fail")
 	}
-	if _, err := NewMix("m", []int{64}, []float64{0}); err == nil {
+	if _, err := NewMix([]int{64}, []float64{0}); err == nil {
 		t.Error("zero weight should fail")
 	}
 }
@@ -204,11 +187,24 @@ func refFrame(t *testing.T, ft packet.FiveTuple, size int) []byte {
 	return f
 }
 
+// oversize is a size distribution NewMix would refuse to build.
+type oversize struct{}
+
+func (oversize) Next(*sim.RNG) int { return packet.MaxFrameLen + 1 }
+func (oversize) Sizes() []int      { return []int{packet.MaxFrameLen + 1} }
+
 // TestGeneratorTemplates checks the dense template table: every frame
 // equals one built from scratch, and a repeated (flow, size) draw
 // returns the same backing array instead of building it again.
 func TestGeneratorTemplates(t *testing.T) {
-	for _, sizes := range []SizeDist{FixedSize(60), FixedSize(200), FixedSize(packet.MaxFrameLen), IMIX()} {
+	fixed := func(size int) SizeDist {
+		m, err := NewMix([]int{size}, []float64{1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	for _, sizes := range []SizeDist{fixed(60), fixed(200), fixed(packet.MaxFrameLen), IMIX()} {
 		g, err := NewGenerator(Spec{Flows: 8, ZipfSkew: 1.1, TCPFraction: 0.5, Sizes: sizes, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
@@ -226,20 +222,20 @@ func TestGeneratorTemplates(t *testing.T) {
 			k := key{pk.Flow, len(pk.Frame)}
 			if first, ok := seen[k]; ok {
 				if first != &pk.Frame[0] {
-					t.Fatalf("%s: repeated draw of %v rebuilt its template", sizes.Name(), k)
+					t.Fatalf("%v: repeated draw of %v rebuilt its template", sizes.Sizes(), k)
 				}
 				continue
 			}
 			seen[k] = &pk.Frame[0]
 			if !bytes.Equal(pk.Frame, refFrame(t, pk.Flow, len(pk.Frame))) {
-				t.Fatalf("%s: frame for %v differs from a scratch build", sizes.Name(), k)
+				t.Fatalf("%v: frame for %v differs from a scratch build", sizes.Sizes(), k)
 			}
 		}
 		if want := 8 * len(sizes.Sizes()); len(seen) != want {
-			t.Errorf("%s: %d templates drawn, want all %d", sizes.Name(), len(seen), want)
+			t.Errorf("%v: %d templates drawn, want all %d", sizes.Sizes(), len(seen), want)
 		}
 	}
-	if _, err := NewGenerator(Spec{Sizes: FixedSize(packet.MaxFrameLen + 1)}); err == nil {
+	if _, err := NewGenerator(Spec{Sizes: oversize{}}); err == nil {
 		t.Error("a frame size above MaxFrameLen should fail")
 	}
 }
