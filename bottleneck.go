@@ -105,8 +105,7 @@ func RunBottleneckProfile(o ExpOptions) (BottleneckProfileResult, error) {
 		Seed:               o.Seed,
 		Trials:             o.Trials,
 		ResolutionFraction: o.SearchResolution,
-		Level:              o.CI,
-		Jobs:               o.Jobs,
+		Level:              ciLevel,
 	}
 
 	propTarget, err := testbed.FirewallProfileTarget("smartnic")

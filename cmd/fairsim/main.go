@@ -701,7 +701,6 @@ func printResult(w io.Writer, res testbed.Result) {
 // moved each metric. ppsSamples optionally carries the RFC 2544 search
 // rates (nil for fixed-rate runs). Deterministic in seed.
 func printReplication(w io.Writer, results []testbed.Result, ppsSamples []float64, level float64, seed uint64) error {
-	const resamples = 200
 	collect := func(get func(testbed.Result) float64) []float64 {
 		out := make([]float64, len(results))
 		for i, r := range results {
@@ -730,10 +729,10 @@ func printReplication(w io.Writer, results []testbed.Result, ppsSamples []float6
 	}
 	t := report.NewTable(
 		fmt.Sprintf("Replication over %d seeded trials (%.0f%% bootstrap CIs, %d resamples)",
-			len(results), level*100, resamples),
+			len(results), level*100, stats.Resamples),
 		"Metric", "Median", "CI", "Half-width", "CV")
 	for i, row := range rows {
-		interval, err := stats.MedianCI(row.samples, resamples, level, stats.MixSeed(seed, uint64(i)+100))
+		interval, err := stats.MedianCI(row.samples, stats.Resamples, level, stats.MixSeed(seed, uint64(i)+100))
 		if err != nil {
 			return err
 		}

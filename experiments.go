@@ -3,7 +3,6 @@ package fairbench
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
 	"fairbench/internal/core"
@@ -13,7 +12,6 @@ import (
 	"fairbench/internal/nf"
 	"fairbench/internal/report"
 	"fairbench/internal/rfc2544"
-	"fairbench/internal/runner"
 	"fairbench/internal/stats"
 	"fairbench/internal/testbed"
 	"fairbench/internal/workload"
@@ -26,10 +24,6 @@ import (
 
 // ErrBadTrials is the typed error for a negative trial count.
 var ErrBadTrials = errors.New("fairbench: Trials must be >= 0 (0 means the default of one trial)")
-
-// ErrBadCI is the typed error for a confidence level that is
-// non-finite or outside (0, 1).
-var ErrBadCI = errors.New("fairbench: CI level must be finite and in (0, 1)")
 
 // ExpOptions tunes experiment fidelity. The defaults favour accuracy;
 // Quick() is used by unit tests and iterative development.
@@ -48,26 +42,19 @@ type ExpOptions struct {
 	// behaviour). With Trials >= 2 the experiment drivers return
 	// replicated systems and verdicts carry bootstrap confidence.
 	Trials int
-	// CI is the confidence level for bootstrap intervals
-	// (default 0.95).
-	CI float64
-	// Jobs is the number of replicate trials measured concurrently
-	// (<= 1 = serial, the historical behaviour). Trials are seeded
-	// independently via TrialSeed, so results are byte-identical at any
-	// Jobs value; the concurrency itself lives in runner.Map, keeping
-	// the simulation kernel single-threaded. Jobs is an execution knob,
-	// never a determinism input — keep it out of artifact fingerprints.
-	Jobs int
 }
+
+// ciLevel is the confidence level of every bootstrap interval.
+const ciLevel = 0.95
 
 // DefaultExpOptions returns the standard fidelity (20 ms trials).
 func DefaultExpOptions() ExpOptions {
-	return ExpOptions{TrialSeconds: 0.02, Seed: 1, SearchResolution: 0.02, Trials: 1, CI: 0.95}
+	return ExpOptions{TrialSeconds: 0.02, Seed: 1, SearchResolution: 0.02, Trials: 1}
 }
 
 // Quick returns reduced-fidelity options for fast tests.
 func Quick() ExpOptions {
-	return ExpOptions{TrialSeconds: 0.008, Seed: 1, SearchResolution: 0.05, Trials: 1, CI: 0.95}
+	return ExpOptions{TrialSeconds: 0.008, Seed: 1, SearchResolution: 0.05, Trials: 1}
 }
 
 // Validate rejects structurally invalid options with typed errors
@@ -75,11 +62,6 @@ func Quick() ExpOptions {
 func (o ExpOptions) Validate() error {
 	if o.Trials < 0 {
 		return fmt.Errorf("%w: got %d", ErrBadTrials, o.Trials)
-	}
-	if o.CI != 0 {
-		if math.IsNaN(o.CI) || math.IsInf(o.CI, 0) || o.CI <= 0 || o.CI >= 1 {
-			return fmt.Errorf("%w: got %v", ErrBadCI, o.CI)
-		}
 	}
 	return nil
 }
@@ -97,9 +79,6 @@ func (o ExpOptions) withDefaults() ExpOptions {
 	}
 	if o.Trials == 0 {
 		o.Trials = d.Trials
-	}
-	if o.CI == 0 {
-		o.CI = d.CI
 	}
 	return o
 }
@@ -119,7 +98,7 @@ func TrialSeed(base uint64, k int) uint64 {
 // robustOptions maps experiment options onto the core bootstrap
 // configuration.
 func (o ExpOptions) robustOptions() core.RobustOptions {
-	return core.RobustOptions{Level: o.CI, Seed: o.Seed}
+	return core.RobustOptions{Level: ciLevel, Seed: o.Seed}
 }
 
 func (o ExpOptions) searchOpts(maxPps float64) rfc2544.Opts {
@@ -180,18 +159,39 @@ type ReplicatedSystem struct {
 	Seeds []uint64
 }
 
-// replicated wraps trials into a ReplicatedSystem, picking the
-// median-throughput trial as nominal (deterministic: stable sort by
-// throughput, lower-middle element).
-func replicated(trials []MeasuredSystem, seeds []uint64) ReplicatedSystem {
-	byTp := make([]int, len(trials))
-	for i := range byTp {
-		byTp[i] = i
+// replicate runs trial once per replicate, o.Trials times (at least
+// once), seeding trial k with TrialSeed(o.Seed, k). It returns the
+// replicates and their seeds in trial order; a failing trial's error
+// names its index and seed.
+func replicate[T any](o ExpOptions, trial func(seed uint64) (T, error)) ([]T, []uint64, error) {
+	k := max(o.Trials, 1)
+	out, seeds := make([]T, k), make([]uint64, k)
+	for t := range out {
+		seeds[t] = TrialSeed(o.Seed, t)
+		m, err := trial(seeds[t])
+		if err != nil {
+			return nil, nil, fmt.Errorf("trial %d (seed %d): %w", t, seeds[t], err)
+		}
+		out[t] = m
 	}
-	sort.SliceStable(byTp, func(a, b int) bool {
-		return trials[byTp[a]].ThroughputGbps < trials[byTp[b]].ThroughputGbps
-	})
-	nominal := trials[byTp[(len(trials)-1)/2]]
+	return out, seeds, nil
+}
+
+// medianBy picks the median trial by key: the lower-middle element of a
+// stable sort, so equal keys keep trial order.
+func medianBy[T any](trials []T, key func(T) float64) T {
+	idx := make([]int, len(trials))
+	for i := range idx {
+		idx[i] = i
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return key(trials[idx[a]]) < key(trials[idx[b]]) })
+	return trials[idx[(len(trials)-1)/2]]
+}
+
+// replicated wraps trials into a ReplicatedSystem, picking the
+// median-throughput trial as nominal.
+func replicated(trials []MeasuredSystem, seeds []uint64) ReplicatedSystem {
+	nominal := medianBy(trials, func(m MeasuredSystem) float64 { return m.ThroughputGbps })
 	return ReplicatedSystem{MeasuredSystem: nominal, Trials: trials, Seeds: seeds}
 }
 
@@ -250,26 +250,9 @@ func measureOnce(name string, dut rfc2544.DUTFactory, gen rfc2544.GenFactory, o 
 // measureThroughput measures a system over o.Trials independently
 // seeded RFC 2544 searches and returns the replicated result. With a
 // single trial this reduces exactly to the historical behaviour.
-// Trials fan out over runner.Map when o.Jobs > 1: each trial's seed is
-// a pure function of (o.Seed, trial index), so the replicated result —
-// and on failure, the reported error (lowest failing trial) — is
-// identical at any Jobs value.
 func measureThroughput(name string, dut rfc2544.DUTFactory, gen seededGen, o ExpOptions, maxPps float64) (ReplicatedSystem, error) {
-	k := o.Trials
-	if k < 1 {
-		k = 1
-	}
-	seeds := make([]uint64, k)
-	for t := 0; t < k; t++ {
-		seeds[t] = TrialSeed(o.Seed, t)
-	}
-	trials, err := runner.Map(o.Jobs, k, func(t int) (MeasuredSystem, error) {
-		m, err := measureOnce(name, dut,
-			func() (*workload.Generator, error) { return gen(seeds[t]) }, o, maxPps)
-		if err != nil {
-			return MeasuredSystem{}, fmt.Errorf("trial %d (seed %d): %w", t, seeds[t], err)
-		}
-		return m, nil
+	trials, seeds, err := replicate(o, func(seed uint64) (MeasuredSystem, error) {
+		return measureOnce(name, dut, func() (*workload.Generator, error) { return gen(seed) }, o, maxPps)
 	})
 	if err != nil {
 		return ReplicatedSystem{}, err
@@ -689,20 +672,8 @@ func RunLatency(o ExpOptions) (LatencyResult, error) {
 		}, nil
 	}
 	measureAt := func(name string, mk func() (*testbed.Deployment, error), pps float64) (ReplicatedSystem, error) {
-		k := o.Trials
-		if k < 1 {
-			k = 1
-		}
-		seeds := make([]uint64, k)
-		for t := 0; t < k; t++ {
-			seeds[t] = TrialSeed(o.Seed, t)
-		}
-		trials, err := runner.Map(o.Jobs, k, func(t int) (MeasuredSystem, error) {
-			m, err := measureOnceAt(name, mk, pps, seeds[t])
-			if err != nil {
-				return MeasuredSystem{}, fmt.Errorf("trial %d (seed %d): %w", t, seeds[t], err)
-			}
-			return m, nil
+		trials, seeds, err := replicate(o, func(seed uint64) (MeasuredSystem, error) {
+			return measureOnceAt(name, mk, pps, seed)
 		})
 		if err != nil {
 			return ReplicatedSystem{}, err

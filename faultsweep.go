@@ -2,14 +2,12 @@ package fairbench
 
 import (
 	"fmt"
-	"sort"
 
 	"fairbench/internal/core"
 	"fairbench/internal/fault"
 	"fairbench/internal/measure"
 	"fairbench/internal/metric"
 	"fairbench/internal/report"
-	"fairbench/internal/runner"
 	"fairbench/internal/stats"
 	"fairbench/internal/testbed"
 	"fairbench/internal/workload"
@@ -107,36 +105,17 @@ func runFaulted(mk func() (*testbed.Deployment, error), o ExpOptions, spec fault
 }
 
 // runFaultedTrials replicates runFaulted over o.Trials seeded trials
-// and returns the replicates in trial order. Trials fan out over
-// runner.Map when o.Jobs > 1; each trial builds its own deployment and
-// generator, so results are independent of worker count and identical
-// to a serial run.
+// and returns the replicates in trial order.
 func runFaultedTrials(mk func() (*testbed.Deployment, error), o ExpOptions, spec fault.Spec) ([]FaultedMeasurement, error) {
-	k := o.Trials
-	if k < 1 {
-		k = 1
-	}
-	return runner.Map(o.Jobs, k, func(t int) (FaultedMeasurement, error) {
-		seed := TrialSeed(o.Seed, t)
-		m, err := runFaulted(mk, o, spec, seed)
-		if err != nil {
-			return FaultedMeasurement{}, fmt.Errorf("trial %d (seed %d): %w", t, seed, err)
-		}
-		return m, nil
+	trials, _, err := replicate(o, func(seed uint64) (FaultedMeasurement, error) {
+		return runFaulted(mk, o, spec, seed)
 	})
+	return trials, err
 }
 
-// nominalFaulted picks the median-goodput trial (stable sort,
-// lower-middle element — the same rule replicated systems use).
+// nominalFaulted picks the median-goodput trial.
 func nominalFaulted(trials []FaultedMeasurement) FaultedMeasurement {
-	idx := make([]int, len(trials))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return trials[idx[a]].GoodputGbps < trials[idx[b]].GoodputGbps
-	})
-	return trials[idx[(len(trials)-1)/2]]
+	return medianBy(trials, func(m FaultedMeasurement) float64 { return m.GoodputGbps })
 }
 
 // faultedSamples extracts paired (goodput, power) samples for the
@@ -192,10 +171,10 @@ func RunFaultSweep(o ExpOptions) (FaultSweepResult, error) {
 		basePt, baseAvail := faultedSamples(baseTrials)
 		if o.Trials >= 2 {
 			// Independent resampling streams per (regime, system).
-			if row.ProposedAvailCI, err = stats.MedianCI(propAvail, 200, o.CI, stats.MixSeed(o.Seed, uint64(2*i)+50)); err != nil {
+			if row.ProposedAvailCI, err = stats.MedianCI(propAvail, stats.Resamples, ciLevel, stats.MixSeed(o.Seed, uint64(2*i)+50)); err != nil {
 				return out, fmt.Errorf("fault sweep: regime %s: %w", regime.Name, err)
 			}
-			if row.BaselineAvailCI, err = stats.MedianCI(baseAvail, 200, o.CI, stats.MixSeed(o.Seed, uint64(2*i)+51)); err != nil {
+			if row.BaselineAvailCI, err = stats.MedianCI(baseAvail, stats.Resamples, ciLevel, stats.MixSeed(o.Seed, uint64(2*i)+51)); err != nil {
 				return out, fmt.Errorf("fault sweep: regime %s: %w", regime.Name, err)
 			}
 		}
@@ -219,7 +198,7 @@ func RunFaultSweep(o ExpOptions) (FaultSweepResult, error) {
 	}
 	if o.Trials >= 2 {
 		robust, err := core.CompareUnderRegimesReplicated(core.DefaultPlane(), rpts, core.DefaultTolerance,
-			core.RobustOptions{Level: o.CI, Seed: o.Seed})
+			o.robustOptions())
 		if err != nil {
 			return out, fmt.Errorf("fault sweep: %w", err)
 		}

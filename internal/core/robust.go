@@ -60,8 +60,6 @@ func (ps PointSamples) resample(rng *stats.RNG, idx []int, perf, cost []float64)
 
 // RobustOptions tunes the bootstrap.
 type RobustOptions struct {
-	// Resamples is the bootstrap draw count (default 200).
-	Resamples int
 	// Level is the confidence level for per-axis intervals
 	// (default 0.95).
 	Level float64
@@ -71,9 +69,6 @@ type RobustOptions struct {
 }
 
 func (o RobustOptions) withDefaults() RobustOptions {
-	if o.Resamples == 0 {
-		o.Resamples = 200
-	}
 	if o.Level == 0 {
 		o.Level = 0.95
 	}
@@ -81,13 +76,6 @@ func (o RobustOptions) withDefaults() RobustOptions {
 		o.Seed = 1
 	}
 	return o
-}
-
-func (o RobustOptions) validate() error {
-	if o.Resamples < 0 {
-		return fmt.Errorf("%w: got %d", stats.ErrResamples, o.Resamples)
-	}
-	return stats.CheckLevel(o.Level)
 }
 
 // AxisSummary is the replicate statistics of one axis of one system.
@@ -105,7 +93,7 @@ type AxisSummary struct {
 // summarizeAxis computes an AxisSummary. Seed derivation uses MixSeed
 // per axis so each axis gets an independent resampling stream.
 func summarizeAxis(samples []float64, o RobustOptions, axisSeed uint64) (AxisSummary, error) {
-	ci, err := stats.MedianCI(samples, o.Resamples, o.Level, axisSeed)
+	ci, err := stats.MedianCI(samples, stats.Resamples, o.Level, axisSeed)
 	if err != nil {
 		return AxisSummary{}, err
 	}
@@ -167,7 +155,7 @@ func pointAt(base Point, perf, cost float64) Point {
 // verdict is. Deterministic in opts.Seed.
 func (e *Evaluator) EvaluateReplicated(proposed, baseline System, ps, bs PointSamples, opts RobustOptions) (RobustVerdict, error) {
 	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
+	if err := stats.CheckLevel(opts.Level); err != nil {
 		return RobustVerdict{}, err
 	}
 	if err := ps.validate(); err != nil {
@@ -179,7 +167,7 @@ func (e *Evaluator) EvaluateReplicated(proposed, baseline System, ps, bs PointSa
 
 	out := RobustVerdict{
 		Distribution:   make(map[Conclusion]int),
-		Resamples:      opts.Resamples,
+		Resamples:      stats.Resamples,
 		Level:          opts.Level,
 		ProposedTrials: len(ps.Perf),
 		BaselineTrials: len(bs.Perf),
@@ -216,7 +204,7 @@ func (e *Evaluator) EvaluateReplicated(proposed, baseline System, ps, bs PointSa
 	pPerf, pCost := make([]float64, len(ps.Perf)), make([]float64, len(ps.Perf))
 	bPerf, bCost := make([]float64, len(bs.Perf)), make([]float64, len(bs.Perf))
 	agree := 0
-	for r := 0; r < opts.Resamples; r++ {
+	for r := 0; r < stats.Resamples; r++ {
 		pp, pc := ps.resample(rng, pIdx, pPerf, pCost)
 		bp, bc := bs.resample(rng, bIdx, bPerf, bCost)
 		p, b := proposed, baseline
@@ -231,7 +219,7 @@ func (e *Evaluator) EvaluateReplicated(proposed, baseline System, ps, bs PointSa
 			agree++
 		}
 	}
-	out.Confidence = float64(agree) / float64(opts.Resamples)
+	out.Confidence = float64(agree) / stats.Resamples
 	out.Flips = flipsFromDistribution(out.Distribution, out.Conclusion)
 
 	// Compose with the deterministic sensitivity grid, perturbing by
@@ -313,7 +301,7 @@ func (r RelationStats) String() string {
 // of two points whose sample values are in perfUnit and costUnit.
 func RelationConfidence(p Plane, prop, base PointSamples, perfUnit, costUnit metric.Unit, tol float64, opts RobustOptions) (RelationStats, error) {
 	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
+	if err := stats.CheckLevel(opts.Level); err != nil {
 		return RelationStats{}, err
 	}
 	if err := prop.validate(); err != nil {
@@ -338,7 +326,7 @@ func RelationConfidence(p Plane, prop, base PointSamples, perfUnit, costUnit met
 	pPerf, pCost := make([]float64, len(prop.Perf)), make([]float64, len(prop.Perf))
 	bPerf, bCost := make([]float64, len(base.Perf)), make([]float64, len(base.Perf))
 	agree := 0
-	for r := 0; r < opts.Resamples; r++ {
+	for r := 0; r < stats.Resamples; r++ {
 		pp, pc := prop.resample(rng, pIdx, pPerf, pCost)
 		bp, bc := base.resample(rng, bIdx, bPerf, bCost)
 		rel, err := Compare(p, mk(pp, pc), mk(bp, bc), tol)
@@ -350,7 +338,7 @@ func RelationConfidence(p Plane, prop, base PointSamples, perfUnit, costUnit met
 			agree++
 		}
 	}
-	out.Agreement = float64(agree) / float64(opts.Resamples)
+	out.Agreement = float64(agree) / stats.Resamples
 	return out, nil
 }
 
@@ -393,7 +381,7 @@ func (d RobustDegradedComparison) Summary() string {
 // reproducible.
 func CompareUnderRegimesReplicated(p Plane, pts []ReplicatedRegimePoint, tol float64, opts RobustOptions) (RobustDegradedComparison, error) {
 	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
+	if err := stats.CheckLevel(opts.Level); err != nil {
 		return RobustDegradedComparison{}, err
 	}
 	nominal := make([]RegimePoint, 0, len(pts))

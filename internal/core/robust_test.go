@@ -60,7 +60,7 @@ func TestEvaluateReplicatedConfidenceBounds(t *testing.T) {
 	// resample.
 	ps := PointSamples{Perf: []float64{20, 14, 22, 13, 21}, Cost: []float64{70, 85, 72, 88, 69}}
 	bs := PointSamples{Perf: []float64{15, 19, 14, 21, 16}, Cost: []float64{80, 71, 82, 68, 79}}
-	rv, err := e.EvaluateReplicated(p, b, ps, bs, RobustOptions{Resamples: 300, Seed: 5})
+	rv, err := e.EvaluateReplicated(p, b, ps, bs, RobustOptions{Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,10 +71,10 @@ func TestEvaluateReplicatedConfidenceBounds(t *testing.T) {
 	for _, n := range rv.Distribution {
 		total += n
 	}
-	if total != 300 {
-		t.Errorf("distribution sums to %d, want 300", total)
+	if total != stats.Resamples || rv.Resamples != stats.Resamples {
+		t.Errorf("distribution sums to %d over %d resamples, want %d", total, rv.Resamples, stats.Resamples)
 	}
-	if rv.Distribution[rv.Conclusion] != int(rv.Confidence*300+0.5) {
+	if rv.Distribution[rv.Conclusion] != int(rv.Confidence*stats.Resamples+0.5) {
 		t.Errorf("confidence %v inconsistent with distribution %v", rv.Confidence, rv.Distribution)
 	}
 	// Flips exclude the nominal conclusion and are counted in the
@@ -112,11 +112,11 @@ func TestEvaluateReplicatedDeterminism(t *testing.T) {
 	// so a different seed must change the bootstrap outcome.
 	noisyP := PointSamples{Perf: []float64{20, 14, 22, 13, 21}, Cost: []float64{70, 85, 72, 88, 69}}
 	noisyB := PointSamples{Perf: []float64{15, 19, 14, 21, 16}, Cost: []float64{80, 71, 82, 68, 79}}
-	d1, err := e.EvaluateReplicated(p, b, noisyP, noisyB, RobustOptions{Seed: 9, Resamples: 500})
+	d1, err := e.EvaluateReplicated(p, b, noisyP, noisyB, RobustOptions{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := e.EvaluateReplicated(p, b, noisyP, noisyB, RobustOptions{Seed: 10, Resamples: 500})
+	d2, err := e.EvaluateReplicated(p, b, noisyP, noisyB, RobustOptions{Seed: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,9 +149,6 @@ func TestEvaluateReplicatedValidation(t *testing.T) {
 	good := PointSamples{Perf: []float64{20}, Cost: []float64{70}}
 	if _, err := e.EvaluateReplicated(p, b, good, ok, RobustOptions{Level: 1.5}); !errors.Is(err, stats.ErrLevel) {
 		t.Errorf("bad level: err = %v, want stats.ErrLevel", err)
-	}
-	if _, err := e.EvaluateReplicated(p, b, good, ok, RobustOptions{Resamples: -1}); !errors.Is(err, stats.ErrResamples) {
-		t.Errorf("negative resamples: err = %v, want stats.ErrResamples", err)
 	}
 }
 

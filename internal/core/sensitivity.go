@@ -18,17 +18,15 @@ type SensitivityOptions struct {
 	// RelError is the maximum relative perturbation applied to each
 	// coordinate (default 0.05 = ±5%).
 	RelError float64
-	// Steps is the number of grid points per axis per direction
-	// (default 2, i.e. {-e, -e/2, 0, +e/2, +e} per coordinate).
-	Steps int
 }
+
+// sensitivitySteps is the number of grid points per axis per direction:
+// {-e, -e/2, 0, +e/2, +e} per coordinate.
+const sensitivitySteps = 2
 
 func (o SensitivityOptions) withDefaults() SensitivityOptions {
 	if o.RelError == 0 {
 		o.RelError = 0.05
-	}
-	if o.Steps == 0 {
-		o.Steps = 2
 	}
 	return o
 }
@@ -56,14 +54,11 @@ func (r SensitivityResult) String() string {
 
 // SensitivityAnalysis evaluates proposed vs baseline across a grid of
 // relative perturbations of both systems' performance and cost values.
-// The grid has (2·Steps+1)⁴ points, so keep Steps small.
+// The grid has (2·sensitivitySteps+1)⁴ = 625 points.
 func SensitivityAnalysis(e *Evaluator, proposed, baseline System, opts SensitivityOptions) (SensitivityResult, error) {
 	opts = opts.withDefaults()
 	if opts.RelError < 0 || opts.RelError >= 1 {
 		return SensitivityResult{}, fmt.Errorf("core: relative error %v outside [0, 1)", opts.RelError)
-	}
-	if opts.Steps < 1 || opts.Steps > 5 {
-		return SensitivityResult{}, fmt.Errorf("core: steps %d outside [1, 5]", opts.Steps)
 	}
 
 	nominal, err := e.Evaluate(proposed, baseline)
@@ -78,8 +73,8 @@ func SensitivityAnalysis(e *Evaluator, proposed, baseline System, opts Sensitivi
 
 	// Perturbation factors per coordinate.
 	var factors []float64
-	for i := -opts.Steps; i <= opts.Steps; i++ {
-		factors = append(factors, 1+opts.RelError*float64(i)/float64(opts.Steps))
+	for i := -sensitivitySteps; i <= sensitivitySteps; i++ {
+		factors = append(factors, 1+opts.RelError*float64(i)/sensitivitySteps)
 	}
 
 	perturb := func(s System, pf, cf float64) System {

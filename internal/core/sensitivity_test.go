@@ -61,9 +61,6 @@ func TestSensitivityOptionsValidation(t *testing.T) {
 	if _, err := SensitivityAnalysis(e, a, b, SensitivityOptions{RelError: 1.5}); err == nil {
 		t.Error("RelError >= 1 should fail")
 	}
-	if _, err := SensitivityAnalysis(e, a, b, SensitivityOptions{Steps: 10}); err == nil {
-		t.Error("excessive steps should fail")
-	}
 }
 
 func TestSensitivityString(t *testing.T) {
@@ -79,7 +76,7 @@ func TestSensitivityDistributionSums(t *testing.T) {
 	res, err := SensitivityAnalysis(e,
 		System{Name: "a", Point: gp(50, 120), Scalable: true},
 		System{Name: "b", Point: gp(30, 80), Scalable: true},
-		SensitivityOptions{Steps: 1})
+		SensitivityOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +84,7 @@ func TestSensitivityDistributionSums(t *testing.T) {
 	for _, n := range res.Distribution {
 		total += n
 	}
-	if total != res.Evaluations || total != 81 { // 3^4
+	if total != res.Evaluations || total != 625 { // 5^4
 		t.Errorf("distribution sums to %d, evaluations %d", total, res.Evaluations)
 	}
 }

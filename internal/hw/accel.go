@@ -134,20 +134,11 @@ type FPGAConfig struct {
 	PipelineLatencySeconds float64
 	// IdleWatts and ActiveWatts bound board power (defaults 20 W, 45 W).
 	IdleWatts, ActiveWatts float64
-	// LUTsUsed and LUTsTotal describe resource consumption (defaults
-	// 180k of 1.2M).
-	LUTsUsed, LUTsTotal float64
-	// FlowTableSize, when positive, bounds the on-chip flow table the
-	// pipeline learns flows into (BRAM is scarce). Packets of unknown
-	// flows that find the table full are punted to the host slow path
-	// via SubmitFlow — overflow degrades throughput, it does not drop.
-	// Zero keeps the historical flow-agnostic pipeline.
-	FlowTableSize int
-	// TableEvict selects the full-table policy; EvictSeed drives
-	// EvictRandom.
-	TableEvict nf.EvictPolicy
-	EvictSeed  uint64
 }
+
+// fpgaLUTsUsed is the FPGA pipeline's LUT consumption, the LUT cost it
+// reports (180k of a 1.2M-LUT part).
+const fpgaLUTsUsed = 180e3
 
 func (c FPGAConfig) withDefaults() FPGAConfig {
 	if c.CapacityPps == 0 {
@@ -161,12 +152,6 @@ func (c FPGAConfig) withDefaults() FPGAConfig {
 	}
 	if c.ActiveWatts == 0 {
 		c.ActiveWatts = 45
-	}
-	if c.LUTsUsed == 0 {
-		c.LUTsUsed = 180e3
-	}
-	if c.LUTsTotal == 0 {
-		c.LUTsTotal = 1.2e6
 	}
 	return c
 }
@@ -184,24 +169,17 @@ type FPGA struct {
 
 	nextFree sim.Time
 	busy     float64
-	table    *nf.FlowTable
 	pending  completions
 	// Served, Overflowed and Unavailable count pipeline outcomes:
 	// served packets, ingress-buffer overflows, and packets arriving
 	// while the pipeline was down.
 	Served, Overflowed, Unavailable uint64
-	// TablePunts counts packets of unknown flows punted to the host
-	// because the flow table was full (SubmitFlow with a bound).
-	TablePunts uint64
 }
 
 // NewFPGA builds an FPGA accelerator attached to simulator s.
 func NewFPGA(name string, s *sim.Sim, cfg FPGAConfig) *FPGA {
 	f := &FPGA{name: name, cfg: cfg.withDefaults(), s: s}
 	f.pending = newCompletions(s, f.complete)
-	if f.cfg.FlowTableSize > 0 {
-		f.table = nf.NewFlowTable(f.cfg.FlowTableSize, f.cfg.TableEvict, f.cfg.EvictSeed)
-	}
 	return f
 }
 
@@ -249,23 +227,6 @@ func (f *FPGA) Submit(done func(Sojourn)) bool {
 	return true
 }
 
-// SubmitFlow offers a packet of a known five-tuple to the pipeline,
-// learning flows into the bounded on-chip table first. With no table
-// bound configured it is exactly Submit. Unknown flows that find the
-// table full are punted (returns false) — the overflow-to-slow-path
-// semantics, distinct from the ingress-buffer Overflowed outcome.
-func (f *FPGA) SubmitFlow(ft packet.FiveTuple, done func(Sojourn)) bool {
-	if f.table != nil && !f.Down() {
-		if _, known := f.table.Use(ft); !known {
-			if _, _, _, ok := f.table.Put(ft, 1); !ok {
-				f.TablePunts++
-				return false
-			}
-		}
-	}
-	return f.Submit(done)
-}
-
 // BusySeconds returns the pipeline's cumulative busy time (sampler
 // utilization probe).
 func (f *FPGA) BusySeconds() float64 { return f.busy }
@@ -301,6 +262,6 @@ func (f *FPGA) MaxPowerWatts() float64 { return f.cfg.ActiveWatts }
 func (f *FPGA) CostVector() cost.Vector {
 	return cost.Vector{
 		metric.MetricPower: metric.Q(f.cfg.ActiveWatts, metric.Watt),
-		metric.MetricLUTs:  metric.Q(f.cfg.LUTsUsed, metric.LUT),
+		metric.MetricLUTs:  metric.Q(fpgaLUTsUsed, metric.LUT),
 	}
 }

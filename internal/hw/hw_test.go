@@ -115,7 +115,7 @@ func TestTotalPowerComposesEndToEnd(t *testing.T) {
 	devices := []Device{
 		NewChassis("chassis", 15, 1),
 		NewCore("core0", s, CPUConfig{ActiveWatts: 30}),
-		NewNIC("nic", 10e9, 5),
+		NewNIC("nic", 5),
 	}
 	w, err := TotalPowerWatts(devices...)
 	if err != nil {
@@ -319,7 +319,7 @@ func TestDeviceDefaults(t *testing.T) {
 		t.Errorf("switch defaults = %+v", sw.Config())
 	}
 	fp := NewFPGA("f", s, FPGAConfig{})
-	if fp.Config().LUTsTotal != 1.2e6 {
+	if fp.Config().CapacityPps != 50e6 {
 		t.Errorf("fpga defaults = %+v", fp.Config())
 	}
 }
@@ -385,7 +385,7 @@ func TestZeroEndEnergy(t *testing.T) {
 	s := sim.New()
 	for _, d := range []Device{
 		NewCore("c", s, CPUConfig{}), NewChassis("ch", 30, 1),
-		NewNIC("n", 1e9, 5), NewSmartNIC("sn", s, SmartNICConfig{}),
+		NewNIC("n", 5), NewSmartNIC("sn", s, SmartNICConfig{}),
 		NewSwitch("sw", SwitchConfig{}), NewFPGA("f", s, FPGAConfig{}),
 	} {
 		if d.EnergyJoules(0) != 0 {

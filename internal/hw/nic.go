@@ -12,16 +12,13 @@ import (
 // cores (RSS by flow hash) and contributes constant power. It performs
 // no offload.
 type NIC struct {
-	name    string
-	RateBps float64
-	Watts   float64
-	// Delivered counts packets handed to the host.
-	Delivered uint64
+	name  string
+	Watts float64
 }
 
-// NewNIC builds a NIC with the given line rate and power draw.
-func NewNIC(name string, rateBps, watts float64) *NIC {
-	return &NIC{name: name, RateBps: rateBps, Watts: watts}
+// NewNIC builds a NIC with the given power draw.
+func NewNIC(name string, watts float64) *NIC {
+	return &NIC{name: name, Watts: watts}
 }
 
 // Name implements Device.

@@ -51,48 +51,3 @@ func TestSmartNICLRUTableTracksLiveFlows(t *testing.T) {
 	})
 	s.RunAll()
 }
-
-func TestFPGAFlowTableOverflowPunts(t *testing.T) {
-	s := sim.New()
-	f := NewFPGA("fpga", s, FPGAConfig{FlowTableSize: 2})
-	served, punted := 0, 0
-	_ = s.At(0, func() {
-		for i := 0; i < 6; i++ {
-			if f.SubmitFlow(flow(i), nil) {
-				served++
-			} else {
-				punted++
-			}
-		}
-		// Known flows still ride the pipeline at a full table.
-		if !f.SubmitFlow(flow(0), nil) {
-			t.Error("known flow punted")
-		}
-	})
-	s.RunAll()
-	if served != 2 || punted != 4 {
-		t.Errorf("served/punted = %d/%d, want 2/4", served, punted)
-	}
-	if f.TablePunts != 4 {
-		t.Errorf("TablePunts = %d", f.TablePunts)
-	}
-	if f.table.Len() != 2 {
-		t.Errorf("table len = %d", f.table.Len())
-	}
-}
-
-func TestFPGAUnboundedKeepsHistoricalBehaviour(t *testing.T) {
-	s := sim.New()
-	f := NewFPGA("fpga", s, FPGAConfig{})
-	_ = s.At(0, func() {
-		for i := 0; i < 64; i++ {
-			if !f.SubmitFlow(flow(i), nil) {
-				t.Fatalf("flow %d rejected with no table bound", i)
-			}
-		}
-	})
-	s.RunAll()
-	if f.table != nil || f.TablePunts != 0 {
-		t.Errorf("unbounded pipeline grew state: table=%v punts=%d", f.table != nil, f.TablePunts)
-	}
-}

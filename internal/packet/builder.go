@@ -11,15 +11,10 @@ import "fmt"
 type BuildOpts struct {
 	SrcMAC, DstMAC MAC
 	VLAN           uint16 // 0 = untagged
-	TTL            uint8  // 0 = 64
 }
 
-func (o BuildOpts) ttl() uint8 {
-	if o.TTL == 0 {
-		return 64
-	}
-	return o.TTL
-}
+// buildTTL is the IPv4 TTL of every built frame.
+const buildTTL = 64
 
 // BuildUDP4 returns an Ethernet+IPv4+UDP frame carrying payload, padded
 // to the 60-byte Ethernet minimum.
@@ -44,7 +39,7 @@ func BuildUDP4(opts BuildOpts, flow FiveTuple, payload []byte) ([]byte, error) {
 	if _, err := eth.SerializeTo(frame); err != nil {
 		return nil, err
 	}
-	ip := IPv4{TTL: opts.ttl(), Protocol: ProtoUDP, Src: flow.Src, Dst: flow.Dst}
+	ip := IPv4{TTL: buildTTL, Protocol: ProtoUDP, Src: flow.Src, Dst: flow.Dst}
 	ipLen, err := ip.SerializeTo(frame[ethLen:], udpLen)
 	if err != nil {
 		return nil, err
@@ -82,7 +77,7 @@ func BuildTCP4(opts BuildOpts, flow FiveTuple, flags TCPFlags, seq, ack uint32, 
 	if _, err := eth.SerializeTo(frame); err != nil {
 		return nil, err
 	}
-	ip := IPv4{TTL: opts.ttl(), Protocol: ProtoTCP, Src: flow.Src, Dst: flow.Dst}
+	ip := IPv4{TTL: buildTTL, Protocol: ProtoTCP, Src: flow.Src, Dst: flow.Dst}
 	ipLen, err := ip.SerializeTo(frame[ethLen:], tcpLen)
 	if err != nil {
 		return nil, err

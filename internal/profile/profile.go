@@ -34,7 +34,6 @@ import (
 
 	"fairbench/internal/obs"
 	"fairbench/internal/rfc2544"
-	"fairbench/internal/runner"
 	"fairbench/internal/stats"
 	"fairbench/internal/testbed"
 	"fairbench/internal/workload"
@@ -59,22 +58,20 @@ type Options struct {
 	// ResolutionFraction is the binary-search stopping width
 	// (default 0.02).
 	ResolutionFraction float64
-	// Resamples and Level parameterise the bootstrap CIs
-	// (defaults 200, 0.95).
-	Resamples int
-	Level     float64
-	// PreKneeFraction and PostKneeFraction position the two observed
-	// load regimes relative to the measured saturation rate
-	// (defaults 0.6 and 1.1: comfortably below the knee, and past it).
-	PreKneeFraction, PostKneeFraction float64
-	// SampleCount is how many sampler ticks the bottleneck observation
-	// run spreads over TrialSeconds (default 50).
-	SampleCount int
-	// Jobs is the number of replicated searches run concurrently
-	// (<= 1 = serial). Per-trial seeds are pure functions of (Seed,
-	// trial), so the profile is identical at any Jobs value.
-	Jobs int
+	// Level is the confidence level of the bootstrap CIs (default
+	// 0.95).
+	Level float64
 }
+
+// The fixed conditions of every profile: the two observed load regimes
+// relative to the measured saturation rate (comfortably below the knee,
+// and past it), and the sampler ticks the bottleneck observation run
+// spreads over TrialSeconds.
+const (
+	preKneeFraction  = 0.6
+	postKneeFraction = 1.1
+	observeSamples   = 50
+)
 
 func (o Options) withDefaults() Options {
 	if o.TrialSeconds == 0 {
@@ -89,20 +86,8 @@ func (o Options) withDefaults() Options {
 	if o.ResolutionFraction == 0 {
 		o.ResolutionFraction = 0.02
 	}
-	if o.Resamples == 0 {
-		o.Resamples = 200
-	}
 	if o.Level == 0 {
 		o.Level = 0.95
-	}
-	if o.PreKneeFraction == 0 {
-		o.PreKneeFraction = 0.6
-	}
-	if o.PostKneeFraction == 0 {
-		o.PostKneeFraction = 1.1
-	}
-	if o.SampleCount == 0 {
-		o.SampleCount = 50
 	}
 	return o
 }
@@ -116,10 +101,6 @@ func (o Options) validate() error {
 		return bad("TrialSeconds", o.TrialSeconds)
 	case o.Trials < 0:
 		return bad("Trials", o.Trials)
-	case o.PreKneeFraction < 0 || o.PostKneeFraction < 0:
-		return bad("KneeFraction", o.PreKneeFraction)
-	case o.SampleCount < 0:
-		return bad("SampleCount", o.SampleCount)
 	}
 	return nil
 }
@@ -209,8 +190,7 @@ type Profile struct {
 // ablated variants see identical workloads trial by trial — the deltas
 // are paired.
 func saturations(t testbed.ProfileTarget, ablate []string, o Options) (pps, gbps []float64, err error) {
-	type point struct{ pps, gbps float64 }
-	pts, err := runner.Map(o.Jobs, o.Trials, func(k int) (point, error) {
+	for k := 0; k < o.Trials; k++ {
 		seed := trialSeed(o.Seed, k)
 		res, err := rfc2544.Throughput(
 			func() (*testbed.Deployment, error) { return t.Make(ablate) },
@@ -222,16 +202,10 @@ func saturations(t testbed.ProfileTarget, ablate []string, o Options) (pps, gbps
 				ResolutionFraction: o.ResolutionFraction,
 			})
 		if err != nil {
-			return point{}, fmt.Errorf("profile: %s (ablate %v) trial %d: %w", t.System, ablate, k, err)
+			return nil, nil, fmt.Errorf("profile: %s (ablate %v) trial %d: %w", t.System, ablate, k, err)
 		}
-		return point{pps: res.Pps, gbps: res.Gbps}, nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	for _, p := range pts {
-		pps = append(pps, p.pps)
-		gbps = append(gbps, p.gbps)
+		pps = append(pps, res.Pps)
+		gbps = append(gbps, res.Gbps)
 	}
 	return pps, gbps, nil
 }
@@ -249,7 +223,7 @@ func bottleneckAt(t testbed.ProfileTarget, regime string, frac, satPps float64, 
 		return out, err
 	}
 	tr := obs.New(nil)
-	d.Observe(tr, o.TrialSeconds/float64(o.SampleCount))
+	d.Observe(tr, o.TrialSeconds/observeSamples)
 	res, err := d.Run(g, workload.CBR{}, out.OfferedPps, o.TrialSeconds)
 	if err != nil {
 		return out, err
@@ -297,7 +271,7 @@ func Run(t testbed.ProfileTarget, o Options) (Profile, error) {
 	if p.SaturationPps == 0 {
 		return p, fmt.Errorf("%w: %s", ErrNoSaturation, t.System)
 	}
-	p.SaturationCI, err = stats.MedianCI(fullPps, o.Resamples, o.Level, stats.MixSeed(o.Seed, 1))
+	p.SaturationCI, err = stats.MedianCI(fullPps, stats.Resamples, o.Level, stats.MixSeed(o.Seed, 1))
 	if err != nil {
 		return p, err
 	}
@@ -311,7 +285,7 @@ func Run(t testbed.ProfileTarget, o Options) (Profile, error) {
 		for k := range ablPps {
 			deltas[k] = ablPps[k] - fullPps[k]
 		}
-		ci, err := stats.MedianCI(deltas, o.Resamples, o.Level, stats.MixSeed(o.Seed, uint64(i)+2))
+		ci, err := stats.MedianCI(deltas, stats.Resamples, o.Level, stats.MixSeed(o.Seed, uint64(i)+2))
 		if err != nil {
 			return p, err
 		}
@@ -330,7 +304,7 @@ func Run(t testbed.ProfileTarget, o Options) (Profile, error) {
 	for _, reg := range []struct {
 		name string
 		frac float64
-	}{{"pre-knee", o.PreKneeFraction}, {"post-knee", o.PostKneeFraction}} {
+	}{{"pre-knee", preKneeFraction}, {"post-knee", postKneeFraction}} {
 		rb, err := bottleneckAt(t, reg.name, reg.frac, p.SaturationPps, o)
 		if err != nil {
 			return p, err

@@ -12,15 +12,13 @@ import (
 
 // quick returns low-fidelity options fast enough for unit tests.
 func quick() Options {
-	return Options{TrialSeconds: 0.004, Seed: 1, Trials: 1, ResolutionFraction: 0.1, SampleCount: 20}
+	return Options{TrialSeconds: 0.004, Seed: 1, Trials: 1, ResolutionFraction: 0.1}
 }
 
 func TestOptionsValidate(t *testing.T) {
 	for _, o := range []Options{
 		{TrialSeconds: -1},
 		{Trials: -2},
-		{PreKneeFraction: -0.5},
-		{SampleCount: -3},
 	} {
 		if _, err := Run(testbed.ProfileTarget{}, o); err == nil {
 			t.Errorf("options %+v should be rejected", o)

@@ -118,19 +118,6 @@ func TestPlanePlotSVG(t *testing.T) {
 	}
 }
 
-func TestPlanePlotLatencyOrientation(t *testing.T) {
-	p := &PlanePlot{
-		Title: "latency", CostLabel: "W", PerfLabel: "µs",
-		Points:          []PlanePoint{{Label: "A", Cost: 100, Perf: 5}},
-		Region:          &PlanePoint{Cost: 100, Perf: 5},
-		PerfLowerBetter: true,
-	}
-	svg := p.SVG()
-	if !strings.Contains(svg, "<rect") {
-		t.Error("region not shaded")
-	}
-}
-
 func TestPlanePlotEscaping(t *testing.T) {
 	p := &PlanePlot{Title: "a<b&c", CostLabel: "x", PerfLabel: "y",
 		Points: []PlanePoint{{Label: "p<q", Cost: 1, Perf: 1}}}

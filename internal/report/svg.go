@@ -30,10 +30,8 @@ type PlanePlot struct {
 	// Region, when non-nil, shades the comparison region of this point
 	// (better-performance-and-cheaper dominating quadrant and its
 	// opposite), as in Figure 2. Assumes higher perf is better and
-	// lower cost is better; for lower-is-better performance axes
-	// (latency), set PerfLowerBetter.
-	Region          *PlanePoint
-	PerfLowerBetter bool
+	// lower cost is better.
+	Region *PlanePoint
 	// ScalingFrom, when non-nil, draws the ideal linear-scaling ray
 	// from the origin through this point, as in Figure 3.
 	ScalingFrom *PlanePoint
@@ -80,20 +78,11 @@ func (p *PlanePlot) SVG() string {
 	// Comparison-region shading (Figure 2).
 	if p.Region != nil {
 		rx, ry := x(p.Region.Cost), y(p.Region.Perf)
-		var domX, domY, subX, subY [2]float64
-		if !p.PerfLowerBetter {
-			// Dominating quadrant: cheaper (left) and faster (up).
-			domX = [2]float64{marginL, rx}
-			domY = [2]float64{marginT, ry}
-			subX = [2]float64{rx, svgW - marginR}
-			subY = [2]float64{ry, svgH - marginB}
-		} else {
-			// Lower perf value is better: dominating = left and down.
-			domX = [2]float64{marginL, rx}
-			domY = [2]float64{ry, svgH - marginB}
-			subX = [2]float64{rx, svgW - marginR}
-			subY = [2]float64{marginT, ry}
-		}
+		// Dominating quadrant: cheaper (left) and faster (up).
+		domX := [2]float64{marginL, rx}
+		domY := [2]float64{marginT, ry}
+		subX := [2]float64{rx, svgW - marginR}
+		subY := [2]float64{ry, svgH - marginB}
 		fmt.Fprintf(&b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="#3b82f6" opacity="0.12"/>`+"\n",
 			domX[0], domY[0], domX[1]-domX[0], domY[1]-domY[0])
 		fmt.Fprintf(&b, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="#f59e0b" opacity="0.12"/>`+"\n",

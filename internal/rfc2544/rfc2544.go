@@ -28,20 +28,18 @@ type GenFactory func() (*workload.Generator, error)
 type Opts struct {
 	// MinPps and MaxPps bound the binary search (defaults 0.1M, 50M).
 	MinPps, MaxPps float64
-	// LossThreshold is the maximum acceptable loss fraction for a trial
-	// to pass; RFC 2544 throughput is strictly zero-loss, but a small
-	// epsilon (default 0.1%) keeps discrete-event edge effects from
-	// dominating.
-	LossThreshold float64
 	// TrialSeconds is the simulated duration per trial (default 20 ms;
 	// the RFC's 60 s is unnecessary for a deterministic simulator).
 	TrialSeconds float64
 	// ResolutionFraction stops the search when the bracket is within
 	// this relative width (default 2%).
 	ResolutionFraction float64
-	// Arrival is the offered-load process (default CBR, per the RFC).
-	Arrival workload.Arrival
 }
+
+// lossThreshold is the maximum loss fraction of a passing search trial.
+// RFC 2544 throughput is strictly zero-loss, but this small epsilon
+// (0.1%) keeps discrete-event edge effects from dominating.
+const lossThreshold = 0.001
 
 func (o Opts) withDefaults() Opts {
 	if o.MinPps == 0 {
@@ -50,17 +48,11 @@ func (o Opts) withDefaults() Opts {
 	if o.MaxPps == 0 {
 		o.MaxPps = 50e6
 	}
-	if o.LossThreshold == 0 {
-		o.LossThreshold = 0.001
-	}
 	if o.TrialSeconds == 0 {
 		o.TrialSeconds = 0.02
 	}
 	if o.ResolutionFraction == 0 {
 		o.ResolutionFraction = 0.02
-	}
-	if o.Arrival == nil {
-		o.Arrival = workload.CBR{}
 	}
 	return o
 }
@@ -87,8 +79,9 @@ type ThroughputResult struct {
 	Trials []Trial
 }
 
-// runTrial executes one independent trial.
-func runTrial(dut DUTFactory, gen GenFactory, arrival workload.Arrival, pps, seconds float64) (Trial, error) {
+// runTrial executes one independent trial. Offered load is always CBR,
+// as the RFC requires.
+func runTrial(dut DUTFactory, gen GenFactory, pps, seconds float64) (Trial, error) {
 	d, err := dut()
 	if err != nil {
 		return Trial{}, fmt.Errorf("rfc2544: building DUT: %w", err)
@@ -97,7 +90,7 @@ func runTrial(dut DUTFactory, gen GenFactory, arrival workload.Arrival, pps, sec
 	if err != nil {
 		return Trial{}, fmt.Errorf("rfc2544: building generator: %w", err)
 	}
-	res, err := d.Run(g, arrival, pps, seconds)
+	res, err := d.Run(g, workload.CBR{}, pps, seconds)
 	if err != nil {
 		return Trial{}, err
 	}
@@ -114,7 +107,7 @@ func Throughput(dut DUTFactory, gen GenFactory, opts Opts) (ThroughputResult, er
 	var out ThroughputResult
 
 	record := func(t Trial) bool {
-		t.Pass = t.Loss <= opts.LossThreshold
+		t.Pass = t.Loss <= lossThreshold
 		out.Trials = append(out.Trials, t)
 		if t.Pass && t.OfferedPps > out.Pps {
 			out.Pps = t.OfferedPps
@@ -124,7 +117,7 @@ func Throughput(dut DUTFactory, gen GenFactory, opts Opts) (ThroughputResult, er
 	}
 
 	// Establish brackets.
-	lo, err := runTrial(dut, gen, opts.Arrival, opts.MinPps, opts.TrialSeconds)
+	lo, err := runTrial(dut, gen, opts.MinPps, opts.TrialSeconds)
 	if err != nil {
 		return out, err
 	}
@@ -132,7 +125,7 @@ func Throughput(dut DUTFactory, gen GenFactory, opts Opts) (ThroughputResult, er
 		// Even the minimum rate overloads: report zero throughput.
 		return out, nil
 	}
-	hi, err := runTrial(dut, gen, opts.Arrival, opts.MaxPps, opts.TrialSeconds)
+	hi, err := runTrial(dut, gen, opts.MaxPps, opts.TrialSeconds)
 	if err != nil {
 		return out, err
 	}
@@ -145,7 +138,7 @@ func Throughput(dut DUTFactory, gen GenFactory, opts Opts) (ThroughputResult, er
 	loPps, hiPps := opts.MinPps, opts.MaxPps
 	for hiPps-loPps > opts.ResolutionFraction*hiPps {
 		mid := (loPps + hiPps) / 2
-		t, err := runTrial(dut, gen, opts.Arrival, mid, opts.TrialSeconds)
+		t, err := runTrial(dut, gen, mid, opts.TrialSeconds)
 		if err != nil {
 			return out, err
 		}
@@ -181,7 +174,7 @@ func LatencyAtLoads(dut DUTFactory, gen GenFactory, throughputPps float64, fract
 		if f <= 0 {
 			return nil, fmt.Errorf("rfc2544: non-positive load fraction %v", f)
 		}
-		t, err := runTrial(dut, gen, opts.Arrival, throughputPps*f, opts.TrialSeconds)
+		t, err := runTrial(dut, gen, throughputPps*f, opts.TrialSeconds)
 		if err != nil {
 			return nil, err
 		}
@@ -210,7 +203,7 @@ func FrameLossCurve(dut DUTFactory, gen GenFactory, rates []float64, opts Opts) 
 		if r <= 0 {
 			return nil, fmt.Errorf("rfc2544: non-positive rate %v", r)
 		}
-		t, err := runTrial(dut, gen, opts.Arrival, r, opts.TrialSeconds)
+		t, err := runTrial(dut, gen, r, opts.TrialSeconds)
 		if err != nil {
 			return nil, err
 		}
@@ -229,7 +222,7 @@ func BackToBack(dut DUTFactory, gen GenFactory, burstPps float64, maxBurst int, 
 	}
 	lossless := func(burst int) (bool, error) {
 		seconds := float64(burst) / burstPps
-		t, err := runTrial(dut, gen, workload.CBR{}, burstPps, seconds)
+		t, err := runTrial(dut, gen, burstPps, seconds)
 		if err != nil {
 			return false, err
 		}

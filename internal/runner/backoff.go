@@ -11,11 +11,12 @@ import (
 // where waiting cannot help).
 type BackoffConfig struct {
 	// Base is the delay before the first retry; attempt k waits
-	// Base<<k, capped at Max.
+	// Base<<k, capped at backoffCap×Base.
 	Base time.Duration
-	// Max caps the exponential growth (0 = 16*Base).
-	Max time.Duration
 }
+
+// backoffCap caps the exponential growth at this multiple of Base.
+const backoffCap = 16
 
 // delay returns the wait before retrying the named cell's attempt
 // (attempt 0 = the wait between the first failure and the first
@@ -26,10 +27,7 @@ func (c BackoffConfig) delay(cell string, attempt int) time.Duration {
 	if c.Base <= 0 {
 		return 0
 	}
-	max := c.Max
-	if max <= 0 {
-		max = 16 * c.Base
-	}
+	max := backoffCap * c.Base
 	d := c.Base
 	for i := 0; i < attempt && d < max; i++ {
 		d *= 2

@@ -15,7 +15,7 @@ func TestBackoffZeroBaseIsImmediate(t *testing.T) {
 }
 
 func TestBackoffGrowsAndCaps(t *testing.T) {
-	c := BackoffConfig{Base: 100 * time.Millisecond, Max: 400 * time.Millisecond}
+	c := BackoffConfig{Base: 100 * time.Millisecond}
 	// Jitter is +/-25%, so bound each attempt's delay rather than pin it.
 	within := func(d, nominal time.Duration) bool {
 		return d >= nominal*3/4 && d < nominal*5/4
@@ -26,9 +26,12 @@ func TestBackoffGrowsAndCaps(t *testing.T) {
 	if d := c.delay("cell", 1); !within(d, 200*time.Millisecond) {
 		t.Errorf("attempt 1 delay = %v, want ~200ms", d)
 	}
-	for attempt := 2; attempt < 10; attempt++ {
-		if d := c.delay("cell", attempt); !within(d, 400*time.Millisecond) {
-			t.Errorf("attempt %d delay = %v, want capped ~400ms", attempt, d)
+	if d := c.delay("cell", 3); !within(d, 800*time.Millisecond) {
+		t.Errorf("attempt 3 delay = %v, want ~800ms", d)
+	}
+	for attempt := 4; attempt < 10; attempt++ {
+		if d := c.delay("cell", attempt); !within(d, 1600*time.Millisecond) {
+			t.Errorf("attempt %d delay = %v, want capped ~1600ms", attempt, d)
 		}
 	}
 }

@@ -252,7 +252,7 @@ func TestPoolShrinksUnderRepeatedPanics(t *testing.T) {
 			panic("systemic failure")
 		}})
 	}
-	res, err := Run(cells, Options{OutDir: t.TempDir(), Jobs: 4, ShrinkAfter: 2})
+	res, err := Run(cells, Options{OutDir: t.TempDir(), Jobs: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

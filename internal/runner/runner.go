@@ -82,12 +82,6 @@ type Options struct {
 	// cutoffs, pool shrinks) for telemetry. Nil means no observation;
 	// an Observer never changes execution or output bytes.
 	Observer Observer
-	// ShrinkAfter retires one pool worker after this many consecutive
-	// panicking cells (0 = default of 3). A run of panics usually means
-	// a systemic resource problem that more parallelism makes worse;
-	// the pool shrinks gracefully down to one worker and the sweep
-	// still completes.
-	ShrinkAfter int
 	// WriteArtifact overrides artifact IO (nil = WriteFileAtomic). The
 	// chaos harness injects torn writes and ENOSPC here.
 	WriteArtifact func(path string, data []byte, perm os.FileMode) error
@@ -288,6 +282,12 @@ func loadPrior(journalPath, manifestPath string, o Options) (map[string]Record, 
 	return prior, nil
 }
 
+// shrinkAfter is the streak of consecutive panicking cells after which
+// the pool retires one worker. A run of panics usually means a systemic
+// resource problem that more parallelism makes worse; the pool shrinks
+// gracefully down to one worker and the sweep still completes.
+const shrinkAfter = 3
+
 // runPool fans the pending cells across the worker pool and returns
 // one record per cell, indexed like pending (nil = never started).
 func runPool(pending []Experiment, o Options, j *journal, logf func(string, ...any), res *Result) []*Record {
@@ -301,10 +301,6 @@ func runPool(pending []Experiment, o Options, j *journal, logf func(string, ...a
 	}
 	if jobs > len(pending) {
 		jobs = len(pending)
-	}
-	shrinkAfter := o.ShrinkAfter
-	if shrinkAfter <= 0 {
-		shrinkAfter = 3
 	}
 	var deadline time.Time
 	if o.RunTimeout > 0 {

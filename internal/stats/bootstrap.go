@@ -10,6 +10,10 @@ import (
 // non-finite.
 var ErrLevel = errors.New("stats: confidence level must be finite and in (0, 1)")
 
+// Resamples is the bootstrap draw count of every interval and
+// replicated verdict the experiments report.
+const Resamples = 200
+
 // ErrResamples is returned for a non-positive resample count.
 var ErrResamples = errors.New("stats: resample count must be positive")
 

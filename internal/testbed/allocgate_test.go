@@ -10,7 +10,6 @@ import (
 	"fairbench/internal/nf"
 	"fairbench/internal/obs"
 	"fairbench/internal/packet"
-	"fairbench/internal/runner"
 	"fairbench/internal/sim"
 	"fairbench/internal/workload"
 )
@@ -165,7 +164,7 @@ var allocRows = []allocRow{
 	}},
 	// Header parse and validation, cycling over UDP and TCP frames.
 	{name: "packet-parse", maxAllocs: 0.05, maxBytes: 4, calls: 20000, setup: func(t *testing.T) (func(), float64) {
-		frames := allocGateFrames(t, workload.Spec{Flows: 64, TCPFraction: 0.3, Seed: 1})
+		frames := allocGateScenarioFrames(t, "zipf:flows=64,tcp=0.3;seed:1")
 		p := packet.NewParser()
 		k := 0
 		return func() {
@@ -178,7 +177,7 @@ var allocRows = []allocRow{
 	// The canonical firewall's rule match and verdict on parsed packets.
 	{name: "nf-firewall-process", maxAllocs: 0.05, maxBytes: 4, calls: 20000, setup: func(t *testing.T) (func(), float64) {
 		fw := nf.NewFirewall("gate", nf.NewLinearMatcher(FirewallRules(DefaultFillerRules)))
-		parsers := allocGateParsers(t, workload.Spec{Flows: 64, TCPFraction: 0.3, AttackFraction: 0.2, Seed: 1})
+		parsers := allocGateParsers(t, allocGateScenarioFrames(t, "zipf:flows=64,attack=0.2,tcp=0.3;seed:1"))
 		k := 0
 		return func() {
 			k++
@@ -234,12 +233,6 @@ var allocRows = []allocRow{
 			sp.End("gate", "forward")
 		}, 1
 	}},
-	// The sweep executor over 2000-event simulator cells: serial, and
-	// with four workers. The worker count is fixed, not the CPU count,
-	// so the per-call goroutine cost and the bound are the same on
-	// every machine.
-	{name: "runner-cell-serial", maxAllocs: 5.5, maxBytes: 184, calls: 20, setup: allocGateRunnerCells(1)},
-	{name: "runner-cell-parallel", maxAllocs: 5.5, maxBytes: 208, calls: 20, setup: allocGateRunnerCells(4)},
 	// Bounded conntrack at a 4:1 flow-to-table ratio, so every policy
 	// runs its degradation path (refusal or eviction) continuously.
 	{name: "nf-conntrack-evict-none", maxAllocs: 0.05, maxBytes: 4, calls: 20000, setup: allocGateConntrack(nf.EvictNone)},
@@ -290,10 +283,31 @@ func allocGateFrames(t *testing.T, spec workload.Spec) [][]byte {
 	return frames
 }
 
-// allocGateParsers returns one parser per flow of spec, each holding
-// that flow's parsed frame.
-func allocGateParsers(t *testing.T, spec workload.Spec) []*packet.Parser {
-	frames := allocGateFrames(t, spec)
+// allocGateScenarioFrames draws 64 frames from the scenario spec: the
+// UDP generator has no TCP flows, a scenario mixes both transports.
+func allocGateScenarioFrames(t *testing.T, spec string) [][]byte {
+	sc, err := workload.ParseScenario(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := workload.NewScenarioGen(sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := make([][]byte, 64)
+	for i := range frames {
+		pk, _, err := g.NextAt(float64(i) * 1e-6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		frames[i] = pk.Frame
+	}
+	return frames
+}
+
+// allocGateParsers returns one parser per frame, each holding that
+// frame parsed.
+func allocGateParsers(t *testing.T, frames [][]byte) []*packet.Parser {
 	parsers := make([]*packet.Parser, len(frames))
 	for i, f := range frames {
 		parsers[i] = packet.NewParser()
@@ -311,7 +325,7 @@ func allocGateConntrack(policy nf.EvictPolicy) func(t *testing.T) (func(), float
 		const flows, entries = 4096, 1024
 		ct := nf.NewConntrackWith("gate", nf.NewLinearMatcher(FirewallRules(DefaultFillerRules)),
 			nf.ConntrackConfig{MaxEntries: entries, Policy: policy, Seed: 1})
-		parsers := allocGateParsers(t, workload.Spec{Flows: flows, Seed: 1})
+		parsers := allocGateParsers(t, allocGateFrames(t, workload.Spec{Flows: flows, Seed: 1}))
 		process := func(i int) {
 			if _, err := ct.Process(parsers[i%flows], nil); err != nil {
 				t.Fatal(err)
@@ -326,32 +340,5 @@ func allocGateConntrack(policy nf.EvictPolicy) func(t *testing.T) (func(), float
 			k++
 			process(k)
 		}, 1
-	}
-}
-
-// allocGateRunnerCells gates runner.Map at the given worker count; one
-// call maps 64 cells, each a 2000-event simulator burst.
-func allocGateRunnerCells(jobs int) func(t *testing.T) (func(), float64) {
-	return func(t *testing.T) (func(), float64) {
-		const cells = 64
-		cell := func(int) (int, error) {
-			s := sim.New()
-			n := 0
-			var tick func()
-			tick = func() {
-				n++
-				if n < 2000 {
-					_ = s.At(s.Now()+1, tick)
-				}
-			}
-			_ = s.At(1, tick)
-			s.RunAll()
-			return n, nil
-		}
-		return func() {
-			if _, err := runner.Map(jobs, cells, cell); err != nil {
-				t.Fatal(err)
-			}
-		}, cells
 	}
 }

@@ -38,13 +38,9 @@ type Config struct {
 	CoreCfg hw.CPUConfig
 	// ChassisWatts is the host's fixed power overhead (default 15 W).
 	ChassisWatts float64
-	// ChassisRackUnits is the host's rack occupancy (default 1).
-	ChassisRackUnits float64
 	// NICWatts is the regular NIC's power (default 5 W). Ignored when
 	// a SmartNIC is configured (the SmartNIC replaces it).
 	NICWatts float64
-	// NICRateBps is the NIC line rate (default 100 Gb/s).
-	NICRateBps float64
 
 	// SmartNIC, when non-nil, adds a flow-offload SmartNIC.
 	SmartNIC *hw.SmartNICConfig
@@ -78,6 +74,9 @@ type Config struct {
 	AblateStages []string
 }
 
+// chassisRackUnits is every host chassis's rack occupancy.
+const chassisRackUnits = 1
+
 func (c Config) withDefaults() Config {
 	if c.Cores == 0 && c.FPGA == nil {
 		c.Cores = 1
@@ -85,14 +84,8 @@ func (c Config) withDefaults() Config {
 	if c.ChassisWatts == 0 {
 		c.ChassisWatts = 15
 	}
-	if c.ChassisRackUnits == 0 {
-		c.ChassisRackUnits = 1
-	}
 	if c.NICWatts == 0 {
 		c.NICWatts = 5
-	}
-	if c.NICRateBps == 0 {
-		c.NICRateBps = 100e9
 	}
 	return c
 }
@@ -187,7 +180,7 @@ func New(cfg Config) (*Deployment, error) {
 		return nil, fmt.Errorf("testbed: %s: FPGA deployments cannot also have SmartNIC/switch", cfg.Name)
 	}
 	d := &Deployment{cfg: cfg, s: sim.New()}
-	d.chassis = hw.NewChassis(cfg.Name+"/chassis", cfg.ChassisWatts, cfg.ChassisRackUnits)
+	d.chassis = hw.NewChassis(cfg.Name+"/chassis", cfg.ChassisWatts, chassisRackUnits)
 
 	nInstances := cfg.Cores
 	if cfg.FPGA != nil && nInstances == 0 {
@@ -208,7 +201,7 @@ func New(cfg Config) (*Deployment, error) {
 	case cfg.SmartNIC != nil:
 		d.smartnic = hw.NewSmartNIC(cfg.Name+"/smartnic", d.s, *cfg.SmartNIC)
 	default:
-		d.nic = hw.NewNIC(cfg.Name+"/nic", cfg.NICRateBps, cfg.NICWatts)
+		d.nic = hw.NewNIC(cfg.Name+"/nic", cfg.NICWatts)
 	}
 	if cfg.Switch != nil {
 		d.sw = hw.NewSwitch(cfg.Name+"/switch", *cfg.Switch)
@@ -711,12 +704,12 @@ func (d *Deployment) dispatch(pk workload.Pkt) {
 		}
 	}
 
-	// Stage 2: FPGA full offload; overflow, flow-table punts and outage
-	// fail over to the host slow path when cores exist.
+	// Stage 2: FPGA full offload; overflow and outage fail over to the
+	// host slow path when cores exist.
 	if d.fpga != nil {
 		p.fwd = d.functionalVerdict(pk) != nf.Drop
 		p.device = d.fpga.Name()
-		if d.fpga.SubmitFlow(pk.Flow, p.done) {
+		if d.fpga.Submit(p.done) {
 			return
 		}
 		if len(d.cores) > 0 {

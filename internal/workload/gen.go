@@ -14,15 +14,6 @@ import (
 	"fairbench/internal/sim"
 )
 
-// SizeDist selects frame sizes.
-type SizeDist interface {
-	// Next returns the next frame size in bytes (Ethernet, no FCS).
-	Next(rng *sim.RNG) int
-	// Sizes returns the support: every size Next can return. Callers
-	// must not modify it.
-	Sizes() []int
-}
-
 // Mix is a weighted mixture of frame sizes.
 type Mix struct {
 	sizes []int
@@ -67,19 +58,19 @@ func IMIX() *Mix {
 	return m
 }
 
-// Next implements SizeDist.
-func (m *Mix) Next(rng *sim.RNG) int {
+// Next returns the next frame size in bytes (Ethernet, no FCS).
+func (m *Mix) Next(rng *sim.RNG) int { return m.sizes[m.pick(rng)] }
+
+// pick draws the index of the next frame size.
+func (m *Mix) pick(rng *sim.RNG) int {
 	u := rng.Float64()
 	for i, c := range m.cum {
 		if u <= c {
-			return m.sizes[i]
+			return i
 		}
 	}
-	return m.sizes[len(m.sizes)-1]
+	return len(m.sizes) - 1
 }
-
-// Sizes implements SizeDist.
-func (m *Mix) Sizes() []int { return m.sizes }
 
 // Spec configures a traffic generator.
 type Spec struct {
@@ -87,16 +78,10 @@ type Spec struct {
 	Flows int
 	// ZipfSkew skews flow popularity; 0 draws flows uniformly.
 	ZipfSkew float64
-	// Sizes selects frame sizes (default IMIX).
-	Sizes SizeDist
 	// AttackFraction is the probability a generated flow originates
 	// from the blocklisted prefix AttackPrefix — traffic the firewall
 	// examples drop, and the switch experiment pre-drops in-network.
 	AttackFraction float64
-	// TCPFraction is the probability a flow is TCP rather than UDP
-	// (default 0 — UDP keeps generation cheap; TCP flows exercise the
-	// TCP path).
-	TCPFraction float64
 	// Seed derives all random streams (default 1).
 	Seed uint64
 }
@@ -107,9 +92,6 @@ var AttackPrefix = packet.Addr4{10, 66, 0, 0}
 func (s Spec) withDefaults() Spec {
 	if s.Flows == 0 {
 		s.Flows = 1024
-	}
-	if s.Sizes == nil {
-		s.Sizes = IMIX()
 	}
 	if s.Seed == 0 {
 		s.Seed = 1
@@ -129,19 +111,20 @@ type Pkt struct {
 	Class  Class
 }
 
-// Generator produces packets per a Spec. Frames are pre-built per
+// Generator produces UDP packets per a Spec, with IMIX frame sizes
+// (TCP traffic comes from ScenarioGen). Frames are pre-built per
 // (flow, size) template and the returned slice aliases the template:
 // consumers that rewrite frames in place must copy first.
 type Generator struct {
 	spec  Spec
 	flows []flowState
-	sizes []int // the size distribution's support
+	sizes *Mix
 	zipf  *sim.Zipf
 	rng   *sim.RNG
 	// Generated counts packets produced.
 	Generated uint64
 	// templates holds the built frame of flow f and size sizes[i] at
-	// f*len(sizes)+i. It is allocated on the first Next, so generators
+	// f*len(sizes.sizes)+i. It is allocated on the first Next, so generators
 	// that are built but never drawn from cost nothing.
 	templates [][]byte
 }
@@ -154,15 +137,10 @@ type flowState struct {
 // NewGenerator builds a generator.
 func NewGenerator(spec Spec) (*Generator, error) {
 	spec = spec.withDefaults()
-	if spec.Flows < 0 || spec.AttackFraction < 0 || spec.AttackFraction > 1 || spec.TCPFraction < 0 || spec.TCPFraction > 1 {
+	if spec.Flows < 0 || spec.AttackFraction < 0 || spec.AttackFraction > 1 {
 		return nil, fmt.Errorf("workload: invalid spec %+v", spec)
 	}
-	g := &Generator{spec: spec, sizes: spec.Sizes.Sizes(), rng: sim.NewRNG(spec.Seed)}
-	for _, s := range g.sizes {
-		if s > packet.MaxFrameLen {
-			return nil, fmt.Errorf("workload: frame size %d above %d", s, packet.MaxFrameLen)
-		}
-	}
+	g := &Generator{spec: spec, sizes: IMIX(), rng: sim.NewRNG(spec.Seed)}
 	flowRng := g.rng.Derive("flows")
 	for i := 0; i < spec.Flows; i++ {
 		attack := flowRng.Float64() < spec.AttackFraction
@@ -172,16 +150,17 @@ func NewGenerator(spec Spec) (*Generator, error) {
 		} else {
 			src = packet.Addr4{10, byte(1 + i%60), byte(i >> 8), byte(i)}
 		}
-		proto := packet.ProtoUDP
-		if flowRng.Float64() < spec.TCPFraction {
-			proto = packet.ProtoTCP
-		}
+		// This draw once chose TCP for a configurable fraction of
+		// flows. Every flow is UDP now, but the draw stays: dropping it
+		// would shift every later flow's attack draw, and with it every
+		// seeded artifact.
+		_ = flowRng.Float64()
 		ft := packet.FiveTuple{
 			Src:     src,
 			Dst:     packet.Addr4{192, 168, 1, byte(1 + i%200)},
 			SrcPort: uint16(1024 + i%60000),
-			DstPort: pickDstPort(proto, i),
-			Proto:   proto,
+			DstPort: pickDstPort(i),
+			Proto:   packet.ProtoUDP,
 		}
 		g.flows = append(g.flows, flowState{ft: ft, attack: attack})
 	}
@@ -192,11 +171,8 @@ func NewGenerator(spec Spec) (*Generator, error) {
 }
 
 // pickDstPort steers generated flows toward the example rule sets'
-// accept ports (443/TCP, 53/UDP) with some spread.
-func pickDstPort(proto uint8, i int) uint16 {
-	if proto == packet.ProtoTCP {
-		return 443
-	}
+// UDP accept port 53, with some spread.
+func pickDstPort(i int) uint16 {
 	if i%5 == 0 {
 		return uint16(2000 + i%100)
 	}
@@ -223,21 +199,15 @@ func (g *Generator) Next() (Pkt, error) {
 		idx = g.rng.Intn(len(g.flows))
 	}
 	fs := g.flows[idx]
-	size := g.spec.Sizes.Next(g.rng)
-	si := 0
-	for si < len(g.sizes) && g.sizes[si] != size {
-		si++
-	}
-	if si == len(g.sizes) {
-		return Pkt{}, fmt.Errorf("workload: drew size %d outside the size distribution's support", size)
-	}
+	si := g.sizes.pick(g.rng)
+	n := len(g.sizes.sizes)
 	if g.templates == nil {
 		//fairlint:allow hotalloc the template table is allocated once, on a generator's first draw
-		g.templates = make([][]byte, len(g.flows)*len(g.sizes))
+		g.templates = make([][]byte, len(g.flows)*n)
 	}
-	slot := &g.templates[idx*len(g.sizes)+si]
+	slot := &g.templates[idx*n+si]
 	if *slot == nil {
-		frame, err := buildFrame(fs.ft, size)
+		frame, err := buildFrame(fs.ft, g.sizes.sizes[si])
 		if err != nil {
 			return Pkt{}, err
 		}

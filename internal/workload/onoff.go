@@ -14,40 +14,23 @@ import (
 // fair while burst-sensitivity (queue depths, SmartNIC punting,
 // back-to-back tolerance) is exercised.
 type OnOff struct {
-	// OnFraction is the long-run fraction of time spent ON, in (0, 1)
-	// (default 0.2 — bursty).
-	OnFraction float64
-	// MeanCycleSeconds is the mean ON+OFF cycle length (default 2 ms).
-	MeanCycleSeconds float64
-	// OffRateFraction is the OFF-state rate as a fraction of nominal
-	// (default 0.01; zero would starve the arrival loop).
-	OffRateFraction float64
-
 	on        bool
 	remaining float64 // seconds left in the current state
 	init      bool
 }
 
-func (o *OnOff) params() (onFrac, cycle, offFrac float64) {
-	onFrac = o.OnFraction
-	if onFrac <= 0 || onFrac >= 1 {
-		onFrac = 0.2
-	}
-	cycle = o.MeanCycleSeconds
-	if cycle <= 0 {
-		cycle = 2e-3
-	}
-	offFrac = o.OffRateFraction
-	if offFrac <= 0 || offFrac >= 1 {
-		offFrac = 0.01
-	}
-	return
-}
+// The OnOff process's shape: the long-run fraction of time spent ON,
+// the mean ON+OFF cycle length, and the OFF-state rate as a fraction of
+// nominal (non-zero, or the arrival loop would starve).
+const (
+	onOffOnFraction  = 0.2
+	onOffCycleSecs   = 2e-3
+	onOffOffFraction = 0.01
+)
 
 // Name implements Arrival.
 func (o *OnOff) Name() string {
-	onFrac, cycle, _ := o.params()
-	return fmt.Sprintf("onoff-%.0f%%-%.1fms", onFrac*100, cycle*1e3)
+	return fmt.Sprintf("onoff-%.0f%%-%.1fms", onOffOnFraction*100, onOffCycleSecs*1e3)
 }
 
 // NextGap implements Arrival. The ON-state rate is chosen so the
@@ -55,14 +38,13 @@ func (o *OnOff) Name() string {
 //
 //	onRate·onFrac + offRate·(1-onFrac) = pps
 func (o *OnOff) NextGap(rng *sim.RNG, pps float64) float64 {
-	onFrac, cycle, offFrac := o.params()
-	offRate := pps * offFrac
-	onRate := (pps - offRate*(1-onFrac)) / onFrac
+	offRate := pps * onOffOffFraction
+	onRate := (pps - offRate*(1-onOffOnFraction)) / onOffOnFraction
 
 	if !o.init {
 		o.init = true
-		o.on = rng.Float64() < onFrac
-		o.remaining = o.sojourn(rng, onFrac, cycle)
+		o.on = rng.Float64() < onOffOnFraction
+		o.remaining = o.sojourn(rng)
 	}
 
 	var gap float64
@@ -81,16 +63,16 @@ func (o *OnOff) NextGap(rng *sim.RNG, pps float64) float64 {
 		// the state boundary and flip.
 		gap += o.remaining
 		o.on = !o.on
-		o.remaining = o.sojourn(rng, onFrac, cycle)
+		o.remaining = o.sojourn(rng)
 	}
 }
 
 // sojourn draws the next state's duration: mean onFrac·cycle for ON,
 // (1-onFrac)·cycle for OFF.
-func (o *OnOff) sojourn(rng *sim.RNG, onFrac, cycle float64) float64 {
-	mean := (1 - onFrac) * cycle
+func (o *OnOff) sojourn(rng *sim.RNG) float64 {
+	mean := (1 - onOffOnFraction) * onOffCycleSecs
 	if o.on {
-		mean = onFrac * cycle
+		mean = onOffOnFraction * onOffCycleSecs
 	}
 	return rng.Exp(1 / mean)
 }

@@ -2,7 +2,6 @@ package workload
 
 import (
 	"math"
-	"strings"
 	"testing"
 
 	"fairbench/internal/sim"
@@ -54,18 +53,8 @@ func TestOnOffIsBurstier(t *testing.T) {
 
 func TestOnOffDefaultsAndName(t *testing.T) {
 	o := &OnOff{}
-	if !strings.HasPrefix(o.Name(), "onoff-20%") {
-		t.Errorf("Name = %q", o.Name())
-	}
-	custom := &OnOff{OnFraction: 0.5, MeanCycleSeconds: 4e-3}
-	if !strings.HasPrefix(custom.Name(), "onoff-50%") {
-		t.Errorf("Name = %q", custom.Name())
-	}
-	// Out-of-range params fall back to defaults rather than breaking.
-	bad := &OnOff{OnFraction: 7, OffRateFraction: -2}
-	rng := sim.NewRNG(1)
-	if g := bad.NextGap(rng, 1e6); g <= 0 || math.IsNaN(g) {
-		t.Errorf("gap with bad params = %v", g)
+	if got := o.Name(); got != "onoff-20%-2.0ms" {
+		t.Errorf("Name = %q", got)
 	}
 }
 

@@ -72,7 +72,7 @@ func TestGeneratorDeterminism(t *testing.T) {
 }
 
 func TestGeneratorFramesParseAndMatchFlow(t *testing.T) {
-	g, err := NewGenerator(Spec{Flows: 32, TCPFraction: 0.5, Seed: 4})
+	g, err := NewGenerator(Spec{Flows: 32, Seed: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,9 +157,6 @@ func TestGeneratorSpecValidation(t *testing.T) {
 	if _, err := NewGenerator(Spec{AttackFraction: 1.5}); err == nil {
 		t.Error("attack fraction > 1 should fail")
 	}
-	if _, err := NewGenerator(Spec{TCPFraction: -0.1}); err == nil {
-		t.Error("negative TCP fraction should fail")
-	}
 }
 
 // refFrame builds the frame the generator must emit for ft at size from
@@ -167,76 +164,49 @@ func TestGeneratorSpecValidation(t *testing.T) {
 func refFrame(t *testing.T, ft packet.FiveTuple, size int) []byte {
 	t.Helper()
 	overhead := packet.EthernetHeaderLen + packet.IPv4MinHeaderLen + packet.UDPHeaderLen
-	if ft.Proto == packet.ProtoTCP {
-		overhead = packet.EthernetHeaderLen + packet.IPv4MinHeaderLen + packet.TCPMinHeaderLen
-	}
 	payload := make([]byte, max(size-overhead, 0))
 	for i := range payload {
 		payload[i] = byte('a' + i%26)
 	}
-	var f []byte
-	var err error
-	if ft.Proto == packet.ProtoUDP {
-		f, err = packet.BuildUDP4(genOpts, ft, payload)
-	} else {
-		f, err = packet.BuildTCP4(genOpts, ft, packet.FlagACK, 1, 1, payload)
-	}
+	f, err := packet.BuildUDP4(genOpts, ft, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return f
 }
 
-// oversize is a size distribution NewMix would refuse to build.
-type oversize struct{}
-
-func (oversize) Next(*sim.RNG) int { return packet.MaxFrameLen + 1 }
-func (oversize) Sizes() []int      { return []int{packet.MaxFrameLen + 1} }
-
 // TestGeneratorTemplates checks the dense template table: every frame
 // equals one built from scratch, and a repeated (flow, size) draw
 // returns the same backing array instead of building it again.
 func TestGeneratorTemplates(t *testing.T) {
-	fixed := func(size int) SizeDist {
-		m, err := NewMix([]int{size}, []float64{1})
+	g, err := NewGenerator(Spec{Flows: 8, ZipfSkew: 1.1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type key struct {
+		ft   packet.FiveTuple
+		size int
+	}
+	seen := map[key]*byte{}
+	for i := 0; i < 2000; i++ {
+		pk, err := g.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m
-	}
-	for _, sizes := range []SizeDist{fixed(60), fixed(200), fixed(packet.MaxFrameLen), IMIX()} {
-		g, err := NewGenerator(Spec{Flows: 8, ZipfSkew: 1.1, TCPFraction: 0.5, Sizes: sizes, Seed: 3})
-		if err != nil {
-			t.Fatal(err)
-		}
-		type key struct {
-			ft   packet.FiveTuple
-			size int
-		}
-		seen := map[key]*byte{}
-		for i := 0; i < 2000; i++ {
-			pk, err := g.Next()
-			if err != nil {
-				t.Fatal(err)
+		k := key{pk.Flow, len(pk.Frame)}
+		if first, ok := seen[k]; ok {
+			if first != &pk.Frame[0] {
+				t.Fatalf("repeated draw of %v rebuilt its template", k)
 			}
-			k := key{pk.Flow, len(pk.Frame)}
-			if first, ok := seen[k]; ok {
-				if first != &pk.Frame[0] {
-					t.Fatalf("%v: repeated draw of %v rebuilt its template", sizes.Sizes(), k)
-				}
-				continue
-			}
-			seen[k] = &pk.Frame[0]
-			if !bytes.Equal(pk.Frame, refFrame(t, pk.Flow, len(pk.Frame))) {
-				t.Fatalf("%v: frame for %v differs from a scratch build", sizes.Sizes(), k)
-			}
+			continue
 		}
-		if want := 8 * len(sizes.Sizes()); len(seen) != want {
-			t.Errorf("%v: %d templates drawn, want all %d", sizes.Sizes(), len(seen), want)
+		seen[k] = &pk.Frame[0]
+		if !bytes.Equal(pk.Frame, refFrame(t, pk.Flow, len(pk.Frame))) {
+			t.Fatalf("frame for %v differs from a scratch build", k)
 		}
 	}
-	if _, err := NewGenerator(Spec{Sizes: oversize{}}); err == nil {
-		t.Error("a frame size above MaxFrameLen should fail")
+	if want := 8 * len(IMIX().sizes); len(seen) != want {
+		t.Errorf("%d templates drawn, want all %d", len(seen), want)
 	}
 }
 
@@ -245,7 +215,7 @@ func TestGeneratorTemplates(t *testing.T) {
 // from runtime.MemStats as a float per draw, so a draw that allocates
 // only now and then still fails.
 func TestGeneratorNextAllocs(t *testing.T) {
-	g, err := NewGenerator(Spec{Flows: 64, ZipfSkew: 1.1, TCPFraction: 0.3, Seed: 2})
+	g, err := NewGenerator(Spec{Flows: 64, ZipfSkew: 1.1, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ import (
 // fidelity, and the replication machinery is what is under test here,
 // not measurement accuracy.
 func replicationOpts(trials int) ExpOptions {
-	return ExpOptions{TrialSeconds: 0.004, Seed: 1, SearchResolution: 0.1, Trials: trials, CI: 0.95}
+	return ExpOptions{TrialSeconds: 0.004, Seed: 1, SearchResolution: 0.1, Trials: trials}
 }
 
 func TestTrialSeedDerivation(t *testing.T) {
@@ -43,11 +43,6 @@ func TestExpOptionsValidate(t *testing.T) {
 	if err := (ExpOptions{Trials: -1}).Validate(); !errors.Is(err, ErrBadTrials) {
 		t.Errorf("Trials=-1: err = %v, want ErrBadTrials", err)
 	}
-	for _, ci := range []float64{-0.5, 1.5, nan()} {
-		if err := (ExpOptions{CI: ci}).Validate(); !errors.Is(err, ErrBadCI) {
-			t.Errorf("CI=%v: err = %v, want ErrBadCI", ci, err)
-		}
-	}
 	// Zero values mean "use defaults" and are valid.
 	if err := (ExpOptions{}).Validate(); err != nil {
 		t.Errorf("zero options: %v", err)
@@ -59,14 +54,6 @@ func TestExpOptionsValidate(t *testing.T) {
 	if _, err := RunSmartNIC(ExpOptions{Trials: -3}); !errors.Is(err, ErrBadTrials) {
 		t.Errorf("RunSmartNIC bad trials: %v", err)
 	}
-	if _, err := RunFigure1(ExpOptions{CI: 2}); !errors.Is(err, ErrBadCI) {
-		t.Errorf("RunFigure1 bad CI: %v", err)
-	}
-}
-
-func nan() float64 {
-	var zero float64
-	return zero / zero
 }
 
 func TestReplicatedNominalIsMedianTrial(t *testing.T) {

@@ -2,14 +2,12 @@ package fairbench
 
 import (
 	"fmt"
-	"sort"
 
 	"fairbench/internal/core"
 	"fairbench/internal/measure"
 	"fairbench/internal/metric"
 	"fairbench/internal/nf"
 	"fairbench/internal/report"
-	"fairbench/internal/runner"
 	"fairbench/internal/stats"
 	"fairbench/internal/testbed"
 	"fairbench/internal/workload"
@@ -228,34 +226,17 @@ func runStatePressure(mk func(seed uint64) (*testbed.Deployment, []measure.State
 }
 
 // runStatePressureTrials replicates runStatePressure over o.Trials
-// seeded trials; trials fan out over runner.Map when o.Jobs > 1 and
-// are byte-identical at any worker count.
+// seeded trials and returns the replicates in trial order.
 func runStatePressureTrials(mk func(seed uint64) (*testbed.Deployment, []measure.StateProbe, error), o ExpOptions, sc workload.Scenario) ([]StatePressureMeasurement, error) {
-	k := o.Trials
-	if k < 1 {
-		k = 1
-	}
-	return runner.Map(o.Jobs, k, func(t int) (StatePressureMeasurement, error) {
-		seed := TrialSeed(o.Seed, t)
-		m, err := runStatePressure(mk, o, sc, seed)
-		if err != nil {
-			return StatePressureMeasurement{}, fmt.Errorf("trial %d (seed %d): %w", t, seed, err)
-		}
-		return m, nil
+	trials, _, err := replicate(o, func(seed uint64) (StatePressureMeasurement, error) {
+		return runStatePressure(mk, o, sc, seed)
 	})
+	return trials, err
 }
 
-// nominalStatePressure picks the median-goodput trial (stable sort,
-// lower-middle element — the rule every replicated driver uses).
+// nominalStatePressure picks the median-goodput trial.
 func nominalStatePressure(trials []StatePressureMeasurement) StatePressureMeasurement {
-	idx := make([]int, len(trials))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return trials[idx[a]].GoodputGbps < trials[idx[b]].GoodputGbps
-	})
-	return trials[idx[(len(trials)-1)/2]]
+	return medianBy(trials, func(m StatePressureMeasurement) float64 { return m.GoodputGbps })
 }
 
 // statePressureSamples extracts paired (goodput, power) samples for
@@ -326,10 +307,10 @@ func RunStatePressure(o ExpOptions) (StatePressureResult, error) {
 		if o.Trials >= 2 {
 			// Independent resampling streams per (regime, system),
 			// offset away from the other drivers' streams.
-			if row.ProposedCollateralCI, err = stats.MedianCI(propColl, 200, o.CI, stats.MixSeed(o.Seed, uint64(2*i)+70)); err != nil {
+			if row.ProposedCollateralCI, err = stats.MedianCI(propColl, stats.Resamples, ciLevel, stats.MixSeed(o.Seed, uint64(2*i)+70)); err != nil {
 				return out, fmt.Errorf("state pressure: regime %s: %w", regime.Name, err)
 			}
-			if row.BaselineCollateralCI, err = stats.MedianCI(baseColl, 200, o.CI, stats.MixSeed(o.Seed, uint64(2*i)+71)); err != nil {
+			if row.BaselineCollateralCI, err = stats.MedianCI(baseColl, stats.Resamples, ciLevel, stats.MixSeed(o.Seed, uint64(2*i)+71)); err != nil {
 				return out, fmt.Errorf("state pressure: regime %s: %w", regime.Name, err)
 			}
 		}
@@ -353,7 +334,7 @@ func RunStatePressure(o ExpOptions) (StatePressureResult, error) {
 	}
 	if o.Trials >= 2 {
 		robust, err := core.CompareUnderRegimesReplicated(plane, rpts, core.DefaultTolerance,
-			core.RobustOptions{Level: o.CI, Seed: o.Seed})
+			o.robustOptions())
 		if err != nil {
 			return out, fmt.Errorf("state pressure: %w", err)
 		}
@@ -405,7 +386,7 @@ func RunStatePressure(o ExpOptions) (StatePressureResult, error) {
 	}
 	if o.Trials >= 2 {
 		robust, err := core.CompareUnderRegimesReplicated(plane, flipRpts, core.DefaultTolerance,
-			core.RobustOptions{Level: o.CI, Seed: o.Seed})
+			o.robustOptions())
 		if err != nil {
 			return out, fmt.Errorf("state pressure: flip map: %w", err)
 		}

@@ -96,32 +96,6 @@ func TestRunStatePressure(t *testing.T) {
 	}
 }
 
-// TestRunStatePressureDeterministicAcrossJobs is the satellite
-// determinism gate: a replicated run must render byte-identically at
-// any -jobs value (Jobs is an execution knob, never a determinism
-// input) and across repeated runs.
-func TestRunStatePressureDeterministicAcrossJobs(t *testing.T) {
-	render := func(jobs int) (string, string, string, string) {
-		o := Quick()
-		o.Trials = 2
-		o.Jobs = jobs
-		r, err := RunStatePressure(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return StatePressureReport(r), StatePressureCSV(r), StatePressureCurvesCSV(r), StatePressureFlipCSV(r)
-	}
-	r1, c1, u1, f1 := render(1)
-	r8, c8, u8, f8 := render(8)
-	if r1 != r8 || c1 != c8 || u1 != u8 || f1 != f8 {
-		t.Error("state-pressure artifacts differ between -jobs 1 and -jobs 8")
-	}
-	r1b, _, _, _ := render(1)
-	if r1 != r1b {
-		t.Error("state-pressure report is not deterministic across identical runs")
-	}
-}
-
 func TestRunStatePressureReplicated(t *testing.T) {
 	o := Quick()
 	o.Trials = 3
