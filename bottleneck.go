@@ -8,6 +8,7 @@ import (
 	"fairbench/internal/fault"
 	"fairbench/internal/profile"
 	"fairbench/internal/report"
+	"fairbench/internal/stats"
 	"fairbench/internal/testbed"
 	"fairbench/internal/workload"
 )
@@ -105,7 +106,7 @@ func RunBottleneckProfile(o ExpOptions) (BottleneckProfileResult, error) {
 		Seed:               o.Seed,
 		Trials:             o.Trials,
 		ResolutionFraction: o.SearchResolution,
-		Level:              ciLevel,
+		Level:              stats.CILevel,
 	}
 
 	propTarget, err := testbed.FirewallProfileTarget("smartnic")
@@ -139,11 +140,11 @@ func RunBottleneckProfile(o ExpOptions) (BottleneckProfileResult, error) {
 		return res, err
 	}
 	res.Robust, err = e.EvaluateReplicated(
-		res.ProposedSys.ThroughputPowerSystem(true),
-		res.BaselineSys.ThroughputPowerSystem(true),
+		res.ProposedSys.ThroughputPowerSystem(),
+		res.BaselineSys.ThroughputPowerSystem(),
 		res.ProposedSys.ThroughputPowerSamples(),
 		res.BaselineSys.ThroughputPowerSamples(),
-		o.robustOptions())
+		o.Seed)
 	if err != nil {
 		return res, err
 	}

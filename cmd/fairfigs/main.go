@@ -149,7 +149,7 @@ func run(args []string, stdout io.Writer) error {
 		}
 		rec = r
 		observer = rec.RunnerObserver()
-		stop := rec.StartSampler(0)
+		stop := rec.StartSampler()
 		stopped := false
 		stopSampler = func() {
 			if !stopped {
@@ -191,7 +191,7 @@ func run(args []string, stdout io.Writer) error {
 	elapsed := time.Since(start).Round(time.Millisecond) //fairlint:allow wallclock operator progress reporting, never enters artifacts
 	fmt.Fprintf(stdout, "%d artifacts in %v (%d experiments run, %d skipped, %d quarantined, %d unfinished)\n",
 		res.ArtifactsWritten, elapsed, res.Ran, res.Skipped, res.Quarantined, res.Unfinished)
-	if slow := res.SlowestCells(3); len(slow) > 0 {
+	if slow := res.SlowestCells(); len(slow) > 0 {
 		parts := make([]string, len(slow))
 		for i, cw := range slow {
 			parts[i] = fmt.Sprintf("%s %.0f ms", cw.Experiment, cw.WallMS)

@@ -72,8 +72,10 @@
 // (per-packet lifecycle spans with per-stage latency attribution,
 // kernel progress, and — with -sample-every — periodic per-device
 // utilization/queue/power samples) and prints the per-stage latency
-// breakdown. -metrics additionally exports the metrics registry
-// snapshot (CSV, or JSONL when the file name ends in .jsonl).
+// breakdown. -metrics additionally exports the end-of-run metrics —
+// span counts per verdict and each sampled device's last utilization,
+// queue depth and power (CSV, or JSONL when the file name ends in
+// .jsonl).
 //
 // -trace records the simulation's virtual-time events and is part of
 // the deterministic output; -telemetry instead records wall-clock
@@ -124,7 +126,7 @@ func run(args []string, stdout io.Writer) (err error) {
 	search := fs.Bool("search", false, "RFC 2544 throughput search instead of a fixed-rate run")
 	profileFlag := fs.Bool("profile", false, "saturation-delta bottleneck profile of the deployment's canonical scenario")
 	trials := fs.Int("trials", 1, "independently seeded replicate runs (>= 2 enables bootstrap CIs)")
-	ci := fs.Float64("ci", 0.95, "bootstrap confidence level for -trials >= 2, in (0, 1)")
+	ci := fs.Float64("ci", stats.CILevel, "bootstrap confidence level for -trials >= 2, in (0, 1)")
 	faults := fs.String("faults", "", "fault spec, e.g. 'outage:dev=smartnic,at=10ms,for=10ms;linkloss:prob=0.01'")
 	scenario := fs.String("scenario", "", "overload scenario spec, e.g. 'zipf:flows=1000000,skew=1.1;synflood:rate=0.5;churn:life=10ms'")
 	record := fs.String("record", "", "record a trace of the workload to this file and exit")
@@ -368,7 +370,7 @@ func run(args []string, stdout io.Writer) (err error) {
 			fmt.Fprintf(stdout, "\ntrace: %d events to %s\n", tr.Events(), *trace)
 			printBreakdown(stdout, tr.Breakdown())
 			if *metrics != "" {
-				if err := exportMetrics(*metrics, tr.Registry()); err != nil {
+				if err := exportMetrics(*metrics, tr); err != nil {
 					return err
 				}
 				fmt.Fprintf(stdout, "metrics snapshot to %s\n", *metrics)
@@ -526,7 +528,7 @@ func runScenario(w io.Writer, spec, system string, cores int, pps, seconds float
 		case "host":
 			return testbed.StatePressureHost(fmt.Sprintf("fw-host-%dcore-ct", cores), cores, ct)
 		case "smartnic":
-			return testbed.StatePressureSmartNIC("fw-smartnic-ct", testbed.ScenarioSmartNIC, ct)
+			return testbed.StatePressureSmartNIC(testbed.ScenarioSmartNIC, ct)
 		default:
 			return nil, nil, fmt.Errorf("-scenario supports the bounded-table host and smartnic systems, not %q", system)
 		}
@@ -660,18 +662,18 @@ func printBreakdown(w io.Writer, bd *obs.Breakdown) {
 	fmt.Fprint(w, t.Text())
 }
 
-// exportMetrics writes the registry snapshot: JSONL when the path ends
-// in .jsonl, CSV otherwise.
-func exportMetrics(path string, reg *obs.Registry) error {
+// exportMetrics writes the tracer's end-of-run metrics: JSONL when the
+// path ends in .jsonl, CSV otherwise.
+func exportMetrics(path string, tr *obs.Tracer) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if strings.HasSuffix(path, ".jsonl") {
-		return reg.ExportJSONL(f)
+	if err := tr.WriteMetrics(f, strings.HasSuffix(path, ".jsonl")); err != nil {
+		f.Close()
+		return err
 	}
-	return reg.ExportCSV(f)
+	return f.Close()
 }
 
 func printResult(w io.Writer, res testbed.Result) {
@@ -732,7 +734,7 @@ func printReplication(w io.Writer, results []testbed.Result, ppsSamples []float6
 			len(results), level*100, stats.Resamples),
 		"Metric", "Median", "CI", "Half-width", "CV")
 	for i, row := range rows {
-		interval, err := stats.MedianCI(row.samples, stats.Resamples, level, stats.MixSeed(seed, uint64(i)+100))
+		interval, err := stats.MedianCI(row.samples, level, stats.MixSeed(seed, uint64(i)+100))
 		if err != nil {
 			return err
 		}

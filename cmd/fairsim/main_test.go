@@ -243,26 +243,12 @@ func TestReplayWithTrace(t *testing.T) {
 	}
 }
 
+// TestMetricsJSONLExport pins the -metrics JSONL of a sampled 16-core
+// host run, whose device names check the series-key order (core10
+// before core1).
 func TestMetricsJSONLExport(t *testing.T) {
-	dir := t.TempDir()
-	tracePath := filepath.Join(dir, "out.jsonl")
-	metricsPath := filepath.Join(dir, "metrics.jsonl")
-	var out bytes.Buffer
-	err := run([]string{"-system", "host", "-pps", "1e6", "-seconds", "0.003",
-		"-trace", tracePath, "-metrics", metricsPath}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := os.ReadFile(metricsPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, ln := range strings.Split(strings.TrimSpace(string(raw)), "\n") {
-		var p obs.Point
-		if err := json.Unmarshal([]byte(ln), &p); err != nil {
-			t.Fatalf("metrics line %d does not parse: %v", i, err)
-		}
-	}
+	checkMetricsGolden(t, "metrics-host16.jsonl", "-system", "host", "-cores", "16", "-pps", "1e6",
+		"-seconds", "0.003", "-sample-every", "0.001")
 }
 
 func TestRunWithFaultsFlag(t *testing.T) {
@@ -597,5 +583,39 @@ func TestScenarioFlagConflicts(t *testing.T) {
 		if !strings.Contains(err.Error(), c.frag) {
 			t.Errorf("%s: error %q does not mention %q", c.name, err, c.frag)
 		}
+	}
+}
+
+// TestMetricsGolden pins fairsim's -metrics export of one seeded traced
+// run: every row, its order and its number format, in both encodings.
+func TestMetricsGolden(t *testing.T) {
+	for _, ext := range []string{"csv", "jsonl"} {
+		checkMetricsGolden(t, "metrics-smartnic."+ext, "-system", "smartnic", "-seconds", "0.01",
+			"-sample-every", "0.002")
+	}
+}
+
+// checkMetricsGolden runs fairsim with args plus -trace and -metrics,
+// the metrics file taking golden's extension, and fails unless the
+// export equals testdata/golden byte for byte.
+func checkMetricsGolden(t *testing.T, golden string, args ...string) {
+	t.Helper()
+	dir := t.TempDir()
+	got := filepath.Join(dir, "metrics"+filepath.Ext(golden))
+	var out bytes.Buffer
+	args = append(args, "-trace", filepath.Join(dir, "trace.jsonl"), "-metrics", got)
+	if err := run(args, &out); err != nil {
+		t.Fatal(err)
+	}
+	gotB, err := os.ReadFile(got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(gotB, want) {
+		t.Errorf("-metrics differs from testdata/%s\n--- got ---\n%s--- want ---\n%s", golden, gotB, want)
 	}
 }

@@ -28,8 +28,8 @@ func attachTelemetry(telemetryPath, pprofDir string) (finish func(*error), err e
 			stopProfiles()
 			return nil, err
 		}
-		stopSampler = rec.StartSampler(0)
-		endSpan = rec.Span("fairsim")
+		stopSampler = rec.StartSampler()
+		endSpan = rec.Span()
 	}
 	return func(errp *error) {
 		endSpan(*errp)

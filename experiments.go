@@ -44,9 +44,6 @@ type ExpOptions struct {
 	Trials int
 }
 
-// ciLevel is the confidence level of every bootstrap interval.
-const ciLevel = 0.95
-
 // DefaultExpOptions returns the standard fidelity (20 ms trials).
 func DefaultExpOptions() ExpOptions {
 	return ExpOptions{TrialSeconds: 0.02, Seed: 1, SearchResolution: 0.02, Trials: 1}
@@ -83,23 +80,9 @@ func (o ExpOptions) withDefaults() ExpOptions {
 	return o
 }
 
-// TrialSeed derives the workload seed for replicate trial k. Trial 0
-// uses the base seed unchanged, preserving single-trial determinism
-// with historical artifacts; later trials use SplitMix-style mixing so
-// (seed, trial) pairs never alias the way additive seed+k derivation
-// does (seed 1 trial 2 vs seed 2 trial 1).
-func TrialSeed(base uint64, k int) uint64 {
-	if k == 0 {
-		return base
-	}
-	return stats.MixSeed(base, uint64(k))
-}
-
-// robustOptions maps experiment options onto the core bootstrap
-// configuration.
-func (o ExpOptions) robustOptions() core.RobustOptions {
-	return core.RobustOptions{Level: ciLevel, Seed: o.Seed}
-}
+// TrialSeed derives the workload seed for replicate trial k; see
+// stats.TrialSeed.
+func TrialSeed(base uint64, k int) uint64 { return stats.TrialSeed(base, k) }
 
 func (o ExpOptions) searchOpts(maxPps float64) rfc2544.Opts {
 	return rfc2544.Opts{
@@ -120,10 +103,10 @@ type MeasuredSystem struct {
 	LatencyP99Us   float64
 }
 
-// ThroughputPowerSystem converts the measurement into an evaluator
-// System in the throughput/power plane.
-func (m MeasuredSystem) ThroughputPowerSystem(scalable bool) System {
-	return SystemPoint{Name: m.Name, Gbps: m.ThroughputGbps, Watts: m.PowerWatts, Scalable: scalable}.throughputSystem()
+// ThroughputPowerSystem converts the measurement into a scalable
+// evaluator System in the throughput/power plane.
+func (m MeasuredSystem) ThroughputPowerSystem() System {
+	return SystemPoint{Name: m.Name, Gbps: m.ThroughputGbps, Watts: m.PowerWatts, Scalable: true}.throughputSystem()
 }
 
 // CheckFinite rejects measurements poisoned by an empty or fully
@@ -323,17 +306,18 @@ type Figure1Result struct {
 	VerdictSamePerf          Verdict
 }
 
-// tupleSpaceFirewall builds the optimized firewall deployment: same
-// host, same rules, tuple-space matcher. The §4.2.1-style port-range
-// rule is expanded to exact ports for the tuple-space representation.
-func tupleSpaceFirewall(cores int) (*testbed.Deployment, error) {
+// tupleSpaceFirewall builds the optimized one-core firewall deployment:
+// same host, same rules, tuple-space matcher. The §4.2.1-style
+// port-range rule is expanded to exact ports for the tuple-space
+// representation.
+func tupleSpaceFirewall() (*testbed.Deployment, error) {
 	m, err := nf.NewTupleSpaceMatcher(expandRanges(testbed.FirewallRules(testbed.DefaultFillerRules)))
 	if err != nil {
 		return nil, err
 	}
 	return testbed.New(testbed.Config{
-		Name:         fmt.Sprintf("fw-tuplespace-%dcore", cores),
-		Cores:        cores,
+		Name:         "fw-tuplespace-1core",
+		Cores:        1,
 		CoreCfg:      testbed.ScenarioCore,
 		ChassisWatts: testbed.ScenarioChassisWatts,
 		NICWatts:     testbed.ScenarioNICWatts,
@@ -389,7 +373,7 @@ func RunFigure1(o ExpOptions) (Figure1Result, error) {
 		return res, err
 	}
 	res.NewSameCost, err = measureThroughput("fw-tuplespace-1core",
-		func() (*testbed.Deployment, error) { return tupleSpaceFirewall(1) }, gen, o, 16e6)
+		tupleSpaceFirewall, gen, o, 16e6)
 	if err != nil {
 		return res, err
 	}
@@ -398,8 +382,8 @@ func RunFigure1(o ExpOptions) (Figure1Result, error) {
 		return res, err
 	}
 	res.VerdictSameCost, err = e.Evaluate(
-		res.NewSameCost.ThroughputPowerSystem(true),
-		res.OldSameCost.ThroughputPowerSystem(true))
+		res.NewSameCost.ThroughputPowerSystem(),
+		res.OldSameCost.ThroughputPowerSystem())
 	if err != nil {
 		return res, err
 	}
@@ -461,8 +445,7 @@ func RunFigure2(o ExpOptions) (Figure2Result, error) {
 		return Figure2Result{}, err
 	}
 	region, err := core.NewRegion(core.DefaultPlane(),
-		core.Pt(metric.Q(ref.ThroughputGbps, metric.GigabitPerSecond), metric.Q(ref.PowerWatts, metric.Watt)),
-		core.DefaultTolerance)
+		core.Pt(metric.Q(ref.ThroughputGbps, metric.GigabitPerSecond), metric.Q(ref.PowerWatts, metric.Watt)))
 	if err != nil {
 		return Figure2Result{}, err
 	}
@@ -519,18 +502,18 @@ func RunSwitchScaling(o ExpOptions) (SwitchScalingResult, error) {
 		return res, err
 	}
 	res.Verdict, err = e.Evaluate(
-		res.Proposed.ThroughputPowerSystem(true),
-		res.Baseline.ThroughputPowerSystem(true))
+		res.Proposed.ThroughputPowerSystem(),
+		res.Baseline.ThroughputPowerSystem())
 	if err != nil {
 		return res, err
 	}
 	if o.Trials >= 2 {
 		rv, err := e.EvaluateReplicated(
-			res.Proposed.ThroughputPowerSystem(true),
-			res.Baseline.ThroughputPowerSystem(true),
+			res.Proposed.ThroughputPowerSystem(),
+			res.Baseline.ThroughputPowerSystem(),
 			res.Proposed.ThroughputPowerSamples(),
 			res.Baseline.ThroughputPowerSamples(),
-			o.robustOptions())
+			o.Seed)
 		if err != nil {
 			return res, err
 		}
@@ -588,23 +571,23 @@ func RunSmartNIC(o ExpOptions) (SmartNICResult, error) {
 		return res, err
 	}
 	if res.VerdictVs1, err = e.Evaluate(
-		res.Proposed.ThroughputPowerSystem(true),
-		res.Baseline1.ThroughputPowerSystem(true)); err != nil {
+		res.Proposed.ThroughputPowerSystem(),
+		res.Baseline1.ThroughputPowerSystem()); err != nil {
 		return res, err
 	}
 	res.VerdictVs2, err = e.Evaluate(
-		res.Proposed.ThroughputPowerSystem(true),
-		res.Baseline2.ThroughputPowerSystem(true))
+		res.Proposed.ThroughputPowerSystem(),
+		res.Baseline2.ThroughputPowerSystem())
 	if err != nil {
 		return res, err
 	}
 	if o.Trials >= 2 {
 		rv, err := e.EvaluateReplicated(
-			res.Proposed.ThroughputPowerSystem(true),
-			res.Baseline2.ThroughputPowerSystem(true),
+			res.Proposed.ThroughputPowerSystem(),
+			res.Baseline2.ThroughputPowerSystem(),
 			res.Proposed.ThroughputPowerSamples(),
 			res.Baseline2.ThroughputPowerSamples(),
-			o.robustOptions())
+			o.Seed)
 		if err != nil {
 			return res, err
 		}
@@ -786,6 +769,6 @@ func RunRFC2544(o ExpOptions) (RFC2544Result, error) {
 	if err != nil {
 		return res, err
 	}
-	res.BackToBack, err = rfc2544.BackToBack(dut, gen, 12e6, 4096, o.searchOpts(16e6))
+	res.BackToBack, err = rfc2544.BackToBack(dut, gen)
 	return res, err
 }

@@ -171,10 +171,10 @@ func RunFaultSweep(o ExpOptions) (FaultSweepResult, error) {
 		basePt, baseAvail := faultedSamples(baseTrials)
 		if o.Trials >= 2 {
 			// Independent resampling streams per (regime, system).
-			if row.ProposedAvailCI, err = stats.MedianCI(propAvail, stats.Resamples, ciLevel, stats.MixSeed(o.Seed, uint64(2*i)+50)); err != nil {
+			if row.ProposedAvailCI, err = stats.MedianCI(propAvail, stats.CILevel, stats.MixSeed(o.Seed, uint64(2*i)+50)); err != nil {
 				return out, fmt.Errorf("fault sweep: regime %s: %w", regime.Name, err)
 			}
-			if row.BaselineAvailCI, err = stats.MedianCI(baseAvail, stats.Resamples, ciLevel, stats.MixSeed(o.Seed, uint64(2*i)+51)); err != nil {
+			if row.BaselineAvailCI, err = stats.MedianCI(baseAvail, stats.CILevel, stats.MixSeed(o.Seed, uint64(2*i)+51)); err != nil {
 				return out, fmt.Errorf("fault sweep: regime %s: %w", regime.Name, err)
 			}
 		}
@@ -192,13 +192,13 @@ func RunFaultSweep(o ExpOptions) (FaultSweepResult, error) {
 		})
 	}
 	var err error
-	out.Comparison, err = core.CompareUnderRegimes(core.DefaultPlane(), pts, core.DefaultTolerance)
+	out.Comparison, err = core.CompareUnderRegimes(core.DefaultPlane(), pts)
 	if err != nil {
 		return out, fmt.Errorf("fault sweep: %w", err)
 	}
 	if o.Trials >= 2 {
-		robust, err := core.CompareUnderRegimesReplicated(core.DefaultPlane(), rpts, core.DefaultTolerance,
-			o.robustOptions())
+		robust, err := core.CompareUnderRegimesReplicated(core.DefaultPlane(), rpts,
+			o.Seed)
 		if err != nil {
 			return out, fmt.Errorf("fault sweep: %w", err)
 		}

@@ -77,7 +77,7 @@ func RunFrontier(o ExpOptions) (FrontierResult, error) {
 		})
 		byName[s.Name] = s
 	}
-	frontier, dominated, err := core.NamedFrontier(plane, named, core.DefaultTolerance)
+	frontier, dominated, err := core.NamedFrontier(plane, named)
 	if err != nil {
 		return res, err
 	}

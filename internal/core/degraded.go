@@ -45,23 +45,23 @@ type DegradedComparison struct {
 }
 
 // CompareUnderRegimes evaluates the proposed/baseline pair in every
-// regime. The first entry is the reference regime (conventionally the
-// healthy one); stability is judged against it. Points must be finite
-// and unit-compatible with the plane — a fully-dropped window that
-// produced a NaN measurement is rejected here rather than silently
-// classified.
-func CompareUnderRegimes(p Plane, pts []RegimePoint, tol float64) (DegradedComparison, error) {
+// regime at DefaultTolerance. The first entry is the reference regime
+// (conventionally the healthy one); stability is judged against it.
+// Points must be finite and unit-compatible with the plane — a
+// fully-dropped window that produced a NaN measurement is rejected
+// here rather than silently classified.
+func CompareUnderRegimes(p Plane, pts []RegimePoint) (DegradedComparison, error) {
 	if len(pts) == 0 {
 		return DegradedComparison{}, fmt.Errorf("core: no regimes to compare")
 	}
 	out := DegradedComparison{Plane: p, Stable: true}
 	var reference Relation
 	for i, rp := range pts {
-		rel, err := Compare(p, rp.Proposed, rp.Baseline, tol)
+		rel, err := Compare(p, rp.Proposed, rp.Baseline, DefaultTolerance)
 		if err != nil {
 			return DegradedComparison{}, fmt.Errorf("core: regime %q: %w", rp.Regime, err)
 		}
-		region, err := NewRegion(p, rp.Baseline, tol)
+		region, err := NewRegion(p, rp.Baseline)
 		if err != nil {
 			return DegradedComparison{}, fmt.Errorf("core: regime %q: %w", rp.Regime, err)
 		}

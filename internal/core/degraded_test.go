@@ -18,7 +18,7 @@ func TestCompareUnderRegimesStable(t *testing.T) {
 	d, err := CompareUnderRegimes(p, []RegimePoint{
 		{Regime: "healthy", Proposed: regimePt(20, 70), Baseline: regimePt(10, 80)},
 		{Regime: "brownout", Proposed: regimePt(12, 70), Baseline: regimePt(6, 80)},
-	}, DefaultTolerance)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestCompareUnderRegimesFlips(t *testing.T) {
 		// Under the outage the proposed system collapses below the
 		// baseline on performance while remaining cheaper: incomparable.
 		{Regime: "smartnic-outage", Proposed: regimePt(4, 70), Baseline: regimePt(10, 80)},
-	}, DefaultTolerance)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestCompareUnderRegimesRejectsNonFinite(t *testing.T) {
 		_, err := CompareUnderRegimes(p, []RegimePoint{
 			{Regime: "healthy", Proposed: regimePt(20, 70), Baseline: regimePt(10, 80)},
 			{Regime: "fully-dropped", Proposed: bad, Baseline: regimePt(10, 80)},
-		}, DefaultTolerance)
+		})
 		if err == nil {
 			t.Errorf("non-finite point %v accepted", bad)
 			continue
@@ -81,7 +81,7 @@ func TestCompareUnderRegimesRejectsNonFinite(t *testing.T) {
 }
 
 func TestCompareUnderRegimesEmpty(t *testing.T) {
-	if _, err := CompareUnderRegimes(DefaultPlane(), nil, DefaultTolerance); err == nil {
+	if _, err := CompareUnderRegimes(DefaultPlane(), nil); err == nil {
 		t.Error("no regimes accepted")
 	}
 }

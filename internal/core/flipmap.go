@@ -36,11 +36,12 @@ type FlipMapEntry struct {
 	Flipped bool
 }
 
+// flipParam names the swept parameter in reports.
+const flipParam = "offload-table entries"
+
 // FlipMap is the swept comparison.
 type FlipMap struct {
 	Plane Plane
-	// Param names the swept parameter ("offload-table entries").
-	Param string
 	// Reference is the first entry's relation; flips are judged
 	// against it.
 	Reference Relation
@@ -51,29 +52,29 @@ type FlipMap struct {
 }
 
 // FlipMapOverParam evaluates the proposed/baseline pair at every swept
-// value. The first entry is the reference; paramName labels the knob in
-// reports. Points must be finite and unit-compatible with the plane.
-func FlipMapOverParam(p Plane, paramName string, pts []ParamPoint, tol float64) (FlipMap, error) {
+// value at DefaultTolerance. The first entry is the reference. Points
+// must be finite and unit-compatible with the plane.
+func FlipMapOverParam(p Plane, pts []ParamPoint) (FlipMap, error) {
 	if len(pts) == 0 {
 		return FlipMap{}, fmt.Errorf("core: no parameter points to compare")
 	}
-	out := FlipMap{Plane: p, Param: paramName}
+	out := FlipMap{Plane: p}
 	for i, pp := range pts {
 		label := pp.Label
 		if label == "" {
 			label = strconv.FormatFloat(pp.Param, 'g', -1, 64)
 		}
-		rel, err := Compare(p, pp.Proposed, pp.Baseline, tol)
+		rel, err := Compare(p, pp.Proposed, pp.Baseline, DefaultTolerance)
 		if err != nil {
-			return FlipMap{}, fmt.Errorf("core: %s=%s: %w", paramName, label, err)
+			return FlipMap{}, fmt.Errorf("core: %s=%s: %w", flipParam, label, err)
 		}
-		region, err := NewRegion(p, pp.Baseline, tol)
+		region, err := NewRegion(p, pp.Baseline)
 		if err != nil {
-			return FlipMap{}, fmt.Errorf("core: %s=%s: %w", paramName, label, err)
+			return FlipMap{}, fmt.Errorf("core: %s=%s: %w", flipParam, label, err)
 		}
 		class, err := region.Classify(pp.Proposed)
 		if err != nil {
-			return FlipMap{}, fmt.Errorf("core: %s=%s: %w", paramName, label, err)
+			return FlipMap{}, fmt.Errorf("core: %s=%s: %w", flipParam, label, err)
 		}
 		e := FlipMapEntry{Param: pp.Param, Label: label, Relation: rel, Class: class}
 		if i == 0 {
@@ -98,8 +99,8 @@ func (f FlipMap) Summary() string {
 	ref := f.Entries[0]
 	if f.Stable() {
 		return fmt.Sprintf("verdict stable over %s sweep (%d points): proposed %s baseline from %s down",
-			f.Param, len(f.Entries), ref.Relation, ref.Label)
+			flipParam, len(f.Entries), ref.Relation, ref.Label)
 	}
 	return fmt.Sprintf("verdict flips along the %s sweep: proposed %s baseline at %s, but the relation changes at %v — the claim must state its provisioning regime",
-		f.Param, ref.Relation, ref.Label, f.FlipParams)
+		flipParam, ref.Relation, ref.Label, f.FlipParams)
 }

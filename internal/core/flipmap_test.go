@@ -21,7 +21,7 @@ func TestFlipMapDetectsFlip(t *testing.T) {
 		// power draw — incomparable, the verdict has flipped.
 		{Param: 1024, Proposed: gbpsW(8, 70), Baseline: gbpsW(15, 80)},
 	}
-	fm, err := FlipMapOverParam(p, "offload-table entries", pts, 0)
+	fm, err := FlipMapOverParam(p, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestFlipMapStable(t *testing.T) {
 		{Param: 4096, Label: "4Ki", Proposed: gbpsW(20, 70), Baseline: gbpsW(15, 80)},
 		{Param: 1024, Label: "1Ki", Proposed: gbpsW(19, 70), Baseline: gbpsW(15, 80)},
 	}
-	fm, err := FlipMapOverParam(p, "entries", pts, 0)
+	fm, err := FlipMapOverParam(p, pts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,11 +65,11 @@ func TestFlipMapStable(t *testing.T) {
 
 func TestFlipMapErrors(t *testing.T) {
 	p := DefaultPlane()
-	if _, err := FlipMapOverParam(p, "entries", nil, 0); err == nil {
+	if _, err := FlipMapOverParam(p, nil); err == nil {
 		t.Error("empty sweep should fail")
 	}
 	bad := []ParamPoint{{Param: 1, Proposed: Pt(metric.Q(5, metric.Watt), metric.Q(70, metric.Watt)), Baseline: gbpsW(15, 80)}}
-	if _, err := FlipMapOverParam(p, "entries", bad, 0); err == nil {
+	if _, err := FlipMapOverParam(p, bad); err == nil {
 		t.Error("unit-incompatible point should fail")
 	}
 }

@@ -50,24 +50,20 @@ func (c RegionClass) String() string {
 type Region struct {
 	Plane     Plane
 	Reference Point
-	Tol       float64
 }
 
-// NewRegion builds the comparison region of reference in plane p with
-// tolerance tol (use DefaultTolerance).
-func NewRegion(p Plane, reference Point, tol float64) (Region, error) {
+// NewRegion builds the comparison region of reference in plane p.
+func NewRegion(p Plane, reference Point) (Region, error) {
 	if err := reference.Validate(p); err != nil {
 		return Region{}, err
 	}
-	if tol < 0 {
-		return Region{}, fmt.Errorf("core: negative tolerance %v", tol)
-	}
-	return Region{Plane: p, Reference: reference, Tol: tol}, nil
+	return Region{Plane: p, Reference: reference}, nil
 }
 
-// Classify places candidate relative to the region.
+// Classify places candidate relative to the region, with axis equality
+// at DefaultTolerance.
 func (r Region) Classify(candidate Point) (RegionClass, error) {
-	rel, err := Compare(r.Plane, candidate, r.Reference, r.Tol)
+	rel, err := Compare(r.Plane, candidate, r.Reference, DefaultTolerance)
 	if err != nil {
 		return OutsideCheaperWorse, err
 	}
@@ -95,8 +91,8 @@ type NamedPoint struct {
 
 // NamedFrontier computes the Pareto frontier over named systems,
 // returning frontier members and dominated systems separately, each
-// preserving input order.
-func NamedFrontier(p Plane, systems []NamedPoint, tol float64) (frontier, dominated []NamedPoint, err error) {
+// preserving input order. Axis equality is at DefaultTolerance.
+func NamedFrontier(p Plane, systems []NamedPoint) (frontier, dominated []NamedPoint, err error) {
 	for _, s := range systems {
 		if verr := s.Point.Validate(p); verr != nil {
 			return nil, nil, fmt.Errorf("core: frontier system %q: %w", s.Name, verr)
@@ -108,7 +104,7 @@ func NamedFrontier(p Plane, systems []NamedPoint, tol float64) (frontier, domina
 			if i == j {
 				continue
 			}
-			rel, cerr := Compare(p, a.Point, b.Point, tol)
+			rel, cerr := Compare(p, a.Point, b.Point, DefaultTolerance)
 			if cerr != nil {
 				return nil, nil, cerr
 			}

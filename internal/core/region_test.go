@@ -11,7 +11,7 @@ func TestRegionClassifyFigure2(t *testing.T) {
 	// quadrants are the "?" zones.
 	p := DefaultPlane()
 	a := gp(50, 100)
-	region, err := NewRegion(p, a, DefaultTolerance)
+	region, err := NewRegion(p, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,11 +41,8 @@ func TestRegionClassifyFigure2(t *testing.T) {
 
 func TestRegionValidation(t *testing.T) {
 	p := DefaultPlane()
-	if _, err := NewRegion(p, lp(5, 100), DefaultTolerance); err == nil {
+	if _, err := NewRegion(p, lp(5, 100)); err == nil {
 		t.Error("latency point on throughput plane should fail")
-	}
-	if _, err := NewRegion(p, gp(1, 1), -0.1); err == nil {
-		t.Error("negative tolerance should fail")
 	}
 }
 
@@ -62,7 +59,7 @@ func frontier(t *testing.T, p Plane, pts []Point) []Point {
 	for i, pt := range pts {
 		named[i] = NamedPoint{Point: pt}
 	}
-	front, _, err := NamedFrontier(p, named, 0)
+	front, _, err := NamedFrontier(p, named)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +109,7 @@ func TestFrontierProperties(t *testing.T) {
 		for _, a := range pts {
 			covered := false
 			for _, f := range front {
-				rel, _ := Compare(p, f, a, 0)
+				rel, _ := Compare(p, f, a, DefaultTolerance)
 				if rel == Dominates || rel == Equal {
 					covered = true
 					break
@@ -127,7 +124,7 @@ func TestFrontierProperties(t *testing.T) {
 				if i == j {
 					continue
 				}
-				rel, _ := Compare(p, a, b, 0)
+				rel, _ := Compare(p, a, b, DefaultTolerance)
 				if rel == Dominates {
 					t.Fatalf("frontier point %s dominates frontier point %s", a, b)
 				}
@@ -166,7 +163,7 @@ func TestNamedFrontier(t *testing.T) {
 		{Name: "bad", Point: gp(15, 120)},
 		{Name: "fast", Point: gp(30, 200)},
 	}
-	front, dominated, err := NamedFrontier(p, systems, 0)
+	front, dominated, err := NamedFrontier(p, systems)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +185,7 @@ func TestNamedFrontier(t *testing.T) {
 func TestNamedFrontierUnitError(t *testing.T) {
 	p := DefaultPlane()
 	bad := []NamedPoint{{Name: "x", Point: lp(5, 100)}}
-	if _, _, err := NamedFrontier(p, bad, 0); err == nil {
+	if _, _, err := NamedFrontier(p, bad); err == nil {
 		t.Error("latency point on throughput plane should fail")
 	}
 }

@@ -58,24 +58,14 @@ func (ps PointSamples) resample(rng *stats.RNG, idx []int, perf, cost []float64)
 	return stats.Median(perf), stats.Median(cost)
 }
 
-// RobustOptions tunes the bootstrap.
-type RobustOptions struct {
-	// Level is the confidence level for per-axis intervals
-	// (default 0.95).
-	Level float64
-	// Seed drives the resampling generator; the same seed yields a
-	// byte-identical RobustVerdict (default 1).
-	Seed uint64
-}
-
-func (o RobustOptions) withDefaults() RobustOptions {
-	if o.Level == 0 {
-		o.Level = 0.95
+// bootstrapSeed maps a caller's seed to the resampling seed: 0 selects
+// 1. The same seed yields byte-identical results; per-axis intervals
+// are at stats.CILevel.
+func bootstrapSeed(seed uint64) uint64 {
+	if seed == 0 {
+		return 1
 	}
-	if o.Seed == 0 {
-		o.Seed = 1
-	}
-	return o
+	return seed
 }
 
 // AxisSummary is the replicate statistics of one axis of one system.
@@ -92,8 +82,8 @@ type AxisSummary struct {
 
 // summarizeAxis computes an AxisSummary. Seed derivation uses MixSeed
 // per axis so each axis gets an independent resampling stream.
-func summarizeAxis(samples []float64, o RobustOptions, axisSeed uint64) (AxisSummary, error) {
-	ci, err := stats.MedianCI(samples, stats.Resamples, o.Level, axisSeed)
+func summarizeAxis(samples []float64, axisSeed uint64) (AxisSummary, error) {
+	ci, err := stats.MedianCI(samples, stats.CILevel, axisSeed)
 	if err != nil {
 		return AxisSummary{}, err
 	}
@@ -101,7 +91,7 @@ func summarizeAxis(samples []float64, o RobustOptions, axisSeed uint64) (AxisSum
 		Median:   stats.Median(samples),
 		CI:       ci,
 		CV:       stats.CV(samples),
-		Outliers: len(stats.Outliers(samples, stats.DefaultOutlierK)),
+		Outliers: len(stats.Outliers(samples)),
 	}, nil
 }
 
@@ -119,9 +109,6 @@ type RobustVerdict struct {
 	// Flips lists the non-nominal conclusions observed, most frequent
 	// first — the ways this comparison can go wrong.
 	Flips []Conclusion
-	// Resamples and Level echo the bootstrap configuration.
-	Resamples int
-	Level     float64
 	// Trials is the replicate count per system (proposed, baseline).
 	ProposedTrials, BaselineTrials int
 	// Per-axis summaries (median, CI, CV, outlier count).
@@ -138,7 +125,7 @@ type RobustVerdict struct {
 // "proposed-superior (confidence 98% over 200 resamples of 5+5 trials)".
 func (r RobustVerdict) String() string {
 	return fmt.Sprintf("%s (confidence %.0f%% over %d resamples of %d+%d trials)",
-		r.Conclusion, r.Confidence*100, r.Resamples, r.ProposedTrials, r.BaselineTrials)
+		r.Conclusion, r.Confidence*100, stats.Resamples, r.ProposedTrials, r.BaselineTrials)
 }
 
 // pointAt rebuilds a system's point with new coordinate values, keeping
@@ -152,12 +139,9 @@ func pointAt(base Point, perf, cost float64) Point {
 // their points; their coordinates are replaced by the across-trial
 // medians for the nominal verdict, then bootstrap-resampled (paired
 // per trial, independently per system) to estimate how stable that
-// verdict is. Deterministic in opts.Seed.
-func (e *Evaluator) EvaluateReplicated(proposed, baseline System, ps, bs PointSamples, opts RobustOptions) (RobustVerdict, error) {
-	opts = opts.withDefaults()
-	if err := stats.CheckLevel(opts.Level); err != nil {
-		return RobustVerdict{}, err
-	}
+// verdict is. Deterministic in seed.
+func (e *Evaluator) EvaluateReplicated(proposed, baseline System, ps, bs PointSamples, seed uint64) (RobustVerdict, error) {
+	seed = bootstrapSeed(seed)
 	if err := ps.validate(); err != nil {
 		return RobustVerdict{}, fmt.Errorf("core: proposed %q: %w", proposed.Name, err)
 	}
@@ -167,24 +151,22 @@ func (e *Evaluator) EvaluateReplicated(proposed, baseline System, ps, bs PointSa
 
 	out := RobustVerdict{
 		Distribution:   make(map[Conclusion]int),
-		Resamples:      stats.Resamples,
-		Level:          opts.Level,
 		ProposedTrials: len(ps.Perf),
 		BaselineTrials: len(bs.Perf),
 	}
 
 	// Per-axis summaries on independent streams derived from the seed.
 	var err error
-	if out.ProposedPerf, err = summarizeAxis(ps.Perf, opts, stats.MixSeed(opts.Seed, 1)); err != nil {
+	if out.ProposedPerf, err = summarizeAxis(ps.Perf, stats.MixSeed(seed, 1)); err != nil {
 		return RobustVerdict{}, err
 	}
-	if out.ProposedCost, err = summarizeAxis(ps.Cost, opts, stats.MixSeed(opts.Seed, 2)); err != nil {
+	if out.ProposedCost, err = summarizeAxis(ps.Cost, stats.MixSeed(seed, 2)); err != nil {
 		return RobustVerdict{}, err
 	}
-	if out.BaselinePerf, err = summarizeAxis(bs.Perf, opts, stats.MixSeed(opts.Seed, 3)); err != nil {
+	if out.BaselinePerf, err = summarizeAxis(bs.Perf, stats.MixSeed(seed, 3)); err != nil {
 		return RobustVerdict{}, err
 	}
-	if out.BaselineCost, err = summarizeAxis(bs.Cost, opts, stats.MixSeed(opts.Seed, 4)); err != nil {
+	if out.BaselineCost, err = summarizeAxis(bs.Cost, stats.MixSeed(seed, 4)); err != nil {
 		return RobustVerdict{}, err
 	}
 
@@ -198,7 +180,7 @@ func (e *Evaluator) EvaluateReplicated(proposed, baseline System, ps, bs PointSa
 
 	// Bootstrap the conclusion: resample trials (paired axes) per
 	// system, re-evaluate at the resampled medians.
-	rng := stats.NewRNG(stats.MixSeed(opts.Seed, 0))
+	rng := stats.NewRNG(stats.MixSeed(seed, 0))
 	pIdx := make([]int, len(ps.Perf))
 	bIdx := make([]int, len(bs.Perf))
 	pPerf, pCost := make([]float64, len(ps.Perf)), make([]float64, len(ps.Perf))
@@ -297,13 +279,11 @@ func (r RelationStats) String() string {
 	return fmt.Sprintf("%s (agreement %.0f%%)", r.Nominal, r.Agreement*100)
 }
 
-// RelationConfidence bootstraps Compare over replicated measurements
-// of two points whose sample values are in perfUnit and costUnit.
-func RelationConfidence(p Plane, prop, base PointSamples, perfUnit, costUnit metric.Unit, tol float64, opts RobustOptions) (RelationStats, error) {
-	opts = opts.withDefaults()
-	if err := stats.CheckLevel(opts.Level); err != nil {
-		return RelationStats{}, err
-	}
+// RelationConfidence bootstraps Compare (at DefaultTolerance) over
+// replicated measurements of two points whose sample values are in
+// perfUnit and costUnit.
+func RelationConfidence(p Plane, prop, base PointSamples, perfUnit, costUnit metric.Unit, seed uint64) (RelationStats, error) {
+	seed = bootstrapSeed(seed)
 	if err := prop.validate(); err != nil {
 		return RelationStats{}, err
 	}
@@ -317,11 +297,11 @@ func RelationConfidence(p Plane, prop, base PointSamples, perfUnit, costUnit met
 	var err error
 	out.Nominal, err = Compare(p,
 		mk(stats.Median(prop.Perf), stats.Median(prop.Cost)),
-		mk(stats.Median(base.Perf), stats.Median(base.Cost)), tol)
+		mk(stats.Median(base.Perf), stats.Median(base.Cost)), DefaultTolerance)
 	if err != nil {
 		return RelationStats{}, err
 	}
-	rng := stats.NewRNG(stats.MixSeed(opts.Seed, 0))
+	rng := stats.NewRNG(stats.MixSeed(seed, 0))
 	pIdx, bIdx := make([]int, len(prop.Perf)), make([]int, len(base.Perf))
 	pPerf, pCost := make([]float64, len(prop.Perf)), make([]float64, len(prop.Perf))
 	bPerf, bCost := make([]float64, len(base.Perf)), make([]float64, len(base.Perf))
@@ -329,7 +309,7 @@ func RelationConfidence(p Plane, prop, base PointSamples, perfUnit, costUnit met
 	for r := 0; r < stats.Resamples; r++ {
 		pp, pc := prop.resample(rng, pIdx, pPerf, pCost)
 		bp, bc := base.resample(rng, bIdx, bPerf, bCost)
-		rel, err := Compare(p, mk(pp, pc), mk(bp, bc), tol)
+		rel, err := Compare(p, mk(pp, pc), mk(bp, bc), DefaultTolerance)
 		if err != nil {
 			return RelationStats{}, fmt.Errorf("core: resample %d: %w", r, err)
 		}
@@ -376,14 +356,11 @@ func (d RobustDegradedComparison) Summary() string {
 
 // CompareUnderRegimesReplicated evaluates the pair in every regime at
 // the across-trial median points and attaches bootstrap relation
-// confidence per regime. Regime seeds are derived from opts.Seed via
+// confidence per regime. Regime seeds are derived from seed via
 // MixSeed so the per-regime resampling streams are independent but
 // reproducible.
-func CompareUnderRegimesReplicated(p Plane, pts []ReplicatedRegimePoint, tol float64, opts RobustOptions) (RobustDegradedComparison, error) {
-	opts = opts.withDefaults()
-	if err := stats.CheckLevel(opts.Level); err != nil {
-		return RobustDegradedComparison{}, err
-	}
+func CompareUnderRegimesReplicated(p Plane, pts []ReplicatedRegimePoint, seed uint64) (RobustDegradedComparison, error) {
+	seed = bootstrapSeed(seed)
 	nominal := make([]RegimePoint, 0, len(pts))
 	for _, rp := range pts {
 		if err := rp.ProposedSamples.validate(); err != nil {
@@ -402,16 +379,14 @@ func CompareUnderRegimesReplicated(p Plane, pts []ReplicatedRegimePoint, tol flo
 				metric.Q(stats.Median(rp.BaselineSamples.Cost), rp.Baseline.Cost.Unit)),
 		})
 	}
-	base, err := CompareUnderRegimes(p, nominal, tol)
+	base, err := CompareUnderRegimes(p, nominal)
 	if err != nil {
 		return RobustDegradedComparison{}, err
 	}
 	out := RobustDegradedComparison{DegradedComparison: base}
 	for i, rp := range pts {
-		ro := opts
-		ro.Seed = stats.MixSeed(opts.Seed, uint64(i)+5)
 		rs, err := RelationConfidence(p, rp.ProposedSamples, rp.BaselineSamples,
-			rp.Proposed.Perf.Unit, rp.Proposed.Cost.Unit, tol, ro)
+			rp.Proposed.Perf.Unit, rp.Proposed.Cost.Unit, stats.MixSeed(seed, uint64(i)+5))
 		if err != nil {
 			return RobustDegradedComparison{}, fmt.Errorf("core: regime %q: %w", rp.Regime, err)
 		}

@@ -31,14 +31,14 @@ func TestComposeOrderInvariant(t *testing.T) {
 	f := func(nRaw uint8) bool {
 		n := int(nRaw%6) + 2
 		comps := randComponents(r, n)
-		a, err := Compose(metric.MetricPower, comps)
+		a, err := ComposePower(comps)
 		if err != nil {
 			return false
 		}
 		// Shuffle and recompose.
 		shuffled := append([]Component(nil), comps...)
 		r.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-		b, err := Compose(metric.MetricPower, shuffled)
+		b, err := ComposePower(shuffled)
 		if err != nil {
 			return false
 		}
@@ -54,7 +54,7 @@ func TestComposeEqualsManualSum(t *testing.T) {
 	f := func(nRaw uint8) bool {
 		n := int(nRaw%8) + 1
 		comps := randComponents(r, n)
-		total, err := Compose(metric.MetricPower, comps)
+		total, err := ComposePower(comps)
 		if err != nil {
 			return false
 		}
@@ -85,8 +85,8 @@ func TestScaleComposeCommute(t *testing.T) {
 				metric.MetricPower: c.Costs[metric.MetricPower].Scale(k),
 			}}
 		}
-		a, err1 := Compose(metric.MetricPower, scaledComps)
-		whole, err2 := Compose(metric.MetricPower, comps)
+		a, err1 := ComposePower(scaledComps)
+		whole, err2 := ComposePower(comps)
 		if err1 != nil || err2 != nil {
 			return false
 		}

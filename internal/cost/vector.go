@@ -33,11 +33,12 @@ type Component struct {
 	Costs Vector
 }
 
-// Compose sums metric name across all components, enforcing end-to-end
-// coverage: every component must report the metric, otherwise
+// ComposePower sums the power metric across all components, enforcing
+// end-to-end coverage: every component must report it, otherwise
 // ErrNotCovered is returned naming the offending component. This is the
-// programmatic form of Principle 3.
-func Compose(name string, components []Component) (metric.Quantity, error) {
+// programmatic form of Principle 3; Coverage checks other metrics.
+func ComposePower(components []Component) (metric.Quantity, error) {
+	const name = metric.MetricPower
 	if len(components) == 0 {
 		return metric.Quantity{}, fmt.Errorf("cost: composing %q over no components", name)
 	}
@@ -63,8 +64,8 @@ func Compose(name string, components []Component) (metric.Quantity, error) {
 // Coverage reports which of the named metrics have end-to-end coverage
 // over the components: covered[name] is true exactly when every
 // component reports the metric. It is the planning companion to
-// Compose — use it to pick a cost metric that can actually be reported
-// for all systems in an evaluation (paper §3.3).
+// ComposePower — use it to pick a cost metric that can actually be
+// reported for all systems in an evaluation (paper §3.3).
 func Coverage(names []string, components []Component) map[string]bool {
 	covered := make(map[string]bool, len(names))
 	for _, n := range names {

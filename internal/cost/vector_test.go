@@ -23,9 +23,9 @@ func TestComposeEndToEnd(t *testing.T) {
 			metric.MetricLUTs:  metric.Q(100, metric.KiloLUT),
 		}},
 	}
-	total, err := Compose(metric.MetricPower, comps)
+	total, err := ComposePower(comps)
 	if err != nil {
-		t.Fatalf("Compose(power): %v", err)
+		t.Fatalf("ComposePower: %v", err)
 	}
 	if total.Value != 70 || total.Unit != metric.Watt {
 		t.Errorf("total power = %v, want 70 W", total)
@@ -33,30 +33,30 @@ func TestComposeEndToEnd(t *testing.T) {
 }
 
 func TestComposeDetectsCoverageHole(t *testing.T) {
-	// §3.3's example: "number of CPU cores ... does not account for the
-	// cost of the FPGA in one of the systems."
+	// §3.3: a cost that leaves out a component (here the FPGA's power)
+	// is not end-to-end.
 	comps := []Component{
-		{Name: "host", Costs: Vector{metric.MetricCores: metric.Q(4, metric.Core)}},
+		{Name: "host", Costs: Vector{metric.MetricPower: metric.Q(50, metric.Watt)}},
 		{Name: "fpga", Costs: Vector{metric.MetricLUTs: metric.Q(200, metric.KiloLUT)}},
 	}
-	_, err := Compose(metric.MetricCores, comps)
+	_, err := ComposePower(comps)
 	if !errors.Is(err, ErrNotCovered) {
-		t.Fatalf("Compose(cores) over host+fpga: err = %v, want ErrNotCovered", err)
+		t.Fatalf("ComposePower over host+fpga: err = %v, want ErrNotCovered", err)
 	}
 }
 
 func TestComposeEmpty(t *testing.T) {
-	if _, err := Compose(metric.MetricPower, nil); err == nil {
+	if _, err := ComposePower(nil); err == nil {
 		t.Error("composing over no components should fail")
 	}
 }
 
 func TestComposeIncompatibleUnits(t *testing.T) {
 	comps := []Component{
-		{Name: "a", Costs: Vector{"m": metric.Q(1, metric.Watt)}},
-		{Name: "b", Costs: Vector{"m": metric.Q(1, metric.Core)}},
+		{Name: "a", Costs: Vector{metric.MetricPower: metric.Q(1, metric.Watt)}},
+		{Name: "b", Costs: Vector{metric.MetricPower: metric.Q(1, metric.Core)}},
 	}
-	if _, err := Compose("m", comps); err == nil {
+	if _, err := ComposePower(comps); err == nil {
 		t.Error("composing mismatched dimensions should fail")
 	}
 }

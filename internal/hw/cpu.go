@@ -174,14 +174,16 @@ func (c *Core) CostVector() cost.Vector {
 // Chassis models the host's fixed overhead: PSU losses, fans, DRAM,
 // uncore. It does no packet work but contributes power and rack space.
 type Chassis struct {
-	name      string
-	Watts     float64
-	RackUnits float64
+	name  string
+	Watts float64
 }
 
+// chassisRackUnits is every chassis's rack occupancy.
+const chassisRackUnits = 1
+
 // NewChassis builds a chassis with the given constant power draw.
-func NewChassis(name string, watts, rackUnits float64) *Chassis {
-	return &Chassis{name: name, Watts: watts, RackUnits: rackUnits}
+func NewChassis(name string, watts float64) *Chassis {
+	return &Chassis{name: name, Watts: watts}
 }
 
 // Name implements Device.
@@ -202,6 +204,6 @@ func (ch *Chassis) MaxPowerWatts() float64 { return ch.Watts }
 func (ch *Chassis) CostVector() cost.Vector {
 	return cost.Vector{
 		metric.MetricPower:     metric.Q(ch.Watts, metric.Watt),
-		metric.MetricRackSpace: metric.Q(ch.RackUnits, metric.RackUnit),
+		metric.MetricRackSpace: metric.Q(chassisRackUnits, metric.RackUnit),
 	}
 }

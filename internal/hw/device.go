@@ -145,7 +145,7 @@ func ComponentsOf(devices ...Device) []cost.Component {
 // end-to-end; it fails only if a device omits the power metric, which
 // would be a bug (every Device must report power).
 func TotalPowerWatts(devices ...Device) (float64, error) {
-	q, err := cost.Compose(metric.MetricPower, ComponentsOf(devices...))
+	q, err := cost.ComposePower(ComponentsOf(devices...))
 	if err != nil {
 		return 0, fmt.Errorf("hw: composing power: %w", err)
 	}

@@ -100,7 +100,7 @@ func TestCoreEnergyModel(t *testing.T) {
 }
 
 func TestChassisConstantPower(t *testing.T) {
-	ch := NewChassis("chassis", 30, 1)
+	ch := NewChassis("chassis", 30)
 	if got := ch.EnergyJoules(10); got != 300 {
 		t.Errorf("EnergyJoules = %v", got)
 	}
@@ -113,7 +113,7 @@ func TestChassisConstantPower(t *testing.T) {
 func TestTotalPowerComposesEndToEnd(t *testing.T) {
 	s := sim.New()
 	devices := []Device{
-		NewChassis("chassis", 15, 1),
+		NewChassis("chassis", 15),
 		NewCore("core0", s, CPUConfig{ActiveWatts: 30}),
 		NewNIC("nic", 5),
 	}
@@ -132,13 +132,13 @@ func TestCoresMetricNotEndToEndAcrossFPGA(t *testing.T) {
 	s := sim.New()
 	cpuOnly := ComponentsOf(NewCore("core0", s, CPUConfig{}))
 	hybrid := ComponentsOf(NewCore("core0", s, CPUConfig{}), NewFPGA("fpga", s, FPGAConfig{}))
-	if _, err := cost.Compose(metric.MetricCores, cpuOnly); err != nil {
-		t.Errorf("cores over CPU-only should compose: %v", err)
+	if !cost.Coverage([]string{metric.MetricCores}, cpuOnly)[metric.MetricCores] {
+		t.Error("cores over CPU-only should be end-to-end")
 	}
-	if _, err := cost.Compose(metric.MetricCores, hybrid); err == nil {
+	if cost.Coverage([]string{metric.MetricCores}, hybrid)[metric.MetricCores] {
 		t.Error("cores over CPU+FPGA must fail end-to-end coverage")
 	}
-	if _, err := cost.Compose(metric.MetricPower, hybrid); err != nil {
+	if _, err := cost.ComposePower(hybrid); err != nil {
 		t.Errorf("power must compose over any mix: %v", err)
 	}
 }
@@ -384,7 +384,7 @@ func TestSojournTotal(t *testing.T) {
 func TestZeroEndEnergy(t *testing.T) {
 	s := sim.New()
 	for _, d := range []Device{
-		NewCore("c", s, CPUConfig{}), NewChassis("ch", 30, 1),
+		NewCore("c", s, CPUConfig{}), NewChassis("ch", 30),
 		NewNIC("n", 5), NewSmartNIC("sn", s, SmartNICConfig{}),
 		NewSwitch("sw", SwitchConfig{}), NewFPGA("f", s, FPGAConfig{}),
 	} {

@@ -8,9 +8,14 @@ import (
 	"testing"
 )
 
-// unsetCorpus is TestUnsetOptionsGolden's testdata module; it pins the
-// write classifier of TestNoUnsetOptions, not a fairlint rule.
-const unsetCorpus = "unsetopts"
+// unsetCorpus and constArgsCorpus are the testdata modules of
+// TestUnsetOptionsGolden and TestConstantArgumentsGolden; they pin the
+// classifiers of TestNoUnsetOptions and TestNoConstantArguments, not
+// fairlint rules.
+const (
+	unsetCorpus     = "unsetopts"
+	constArgsCorpus = "constargs"
+)
 
 // corpora lists every rule corpus under testdata: one dir per rule, plus
 // allowmeta for the allow meta-rule.
@@ -22,7 +27,7 @@ func corpora(t *testing.T) []string {
 	}
 	var names []string
 	for _, e := range ents {
-		if e.Name() != unsetCorpus {
+		if e.Name() != unsetCorpus && e.Name() != constArgsCorpus {
 			names = append(names, e.Name())
 		}
 	}

@@ -121,15 +121,15 @@ type AvailSummary struct {
 	RecoverySeconds float64
 }
 
-// DefaultAvailabilityThreshold is the per-window availability below
-// which a window counts as degraded (three nines would be unmeasurable
-// in short simulated windows; 99% is robust at these packet counts).
-const DefaultAvailabilityThreshold = 0.99
+// availabilityThreshold is the per-window availability below which a
+// window counts as degraded (three nines would be unmeasurable in short
+// simulated windows; 99% is robust at these packet counts).
+const availabilityThreshold = 0.99
 
 // Summarize aggregates the series. Windows with availability below
-// threshold (use DefaultAvailabilityThreshold) count as degraded. It
-// returns ErrEmptyWindow if the meter saw no traffic at all.
-func (a *AvailabilityMeter) Summarize(threshold float64) (AvailSummary, error) {
+// availabilityThreshold count as degraded. It returns ErrEmptyWindow if
+// the meter saw no traffic at all.
+func (a *AvailabilityMeter) Summarize() (AvailSummary, error) {
 	if a == nil || len(a.offered) == 0 {
 		return AvailSummary{}, ErrEmptyWindow
 	}
@@ -151,7 +151,7 @@ func (a *AvailabilityMeter) Summarize(threshold float64) (AvailSummary, error) {
 		if w.Offered > 0 && w.Availability < s.MinWindowAvailability {
 			s.MinWindowAvailability = w.Availability
 		}
-		if w.Offered > 0 && w.Availability < threshold {
+		if w.Offered > 0 && w.Availability < availabilityThreshold {
 			s.DegradedSeconds += a.window
 			if firstDegraded < 0 {
 				firstDegraded = i

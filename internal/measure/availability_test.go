@@ -26,7 +26,7 @@ func TestAvailabilityMeterNilSafe(t *testing.T) {
 	var a *AvailabilityMeter
 	a.Offer(0.001)
 	a.Resolve(0.001, true)
-	if _, err := a.Summarize(DefaultAvailabilityThreshold); !errors.Is(err, ErrEmptyWindow) {
+	if _, err := a.Summarize(); !errors.Is(err, ErrEmptyWindow) {
 		t.Errorf("nil meter Summarize error = %v, want ErrEmptyWindow", err)
 	}
 }
@@ -36,7 +36,7 @@ func TestAvailabilityMeterEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.Summarize(DefaultAvailabilityThreshold); !errors.Is(err, ErrEmptyWindow) {
+	if _, err := a.Summarize(); !errors.Is(err, ErrEmptyWindow) {
 		t.Errorf("empty meter Summarize error = %v, want ErrEmptyWindow", err)
 	}
 }
@@ -70,7 +70,7 @@ func TestAvailabilitySummary(t *testing.T) {
 		a.Offer(at)
 		a.Resolve(at, true)
 	}
-	s, err := a.Summarize(DefaultAvailabilityThreshold)
+	s, err := a.Summarize()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestAvailabilityAttributedToArrivalWindow(t *testing.T) {
 	a.Offer(0.0005)
 	a.Resolve(0.0005, true)
 	a.Offer(0.0015)
-	s, err := a.Summarize(DefaultAvailabilityThreshold)
+	s, err := a.Summarize()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestAvailabilityRecoverySpansEpisode(t *testing.T) {
 			a.Resolve(at, ok || i%2 == 0)
 		}
 	}
-	s, err := a.Summarize(DefaultAvailabilityThreshold)
+	s, err := a.Summarize()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,7 +108,7 @@ type LatencyMeter struct {
 
 // NewLatencyMeter builds a meter with default histogram resolution.
 func NewLatencyMeter() *LatencyMeter {
-	return &LatencyMeter{hist: perf.NewHistogram(0)}
+	return &LatencyMeter{hist: perf.NewHistogram()}
 }
 
 // RecordSeconds records a latency observed in seconds.

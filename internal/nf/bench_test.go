@@ -64,7 +64,7 @@ func BenchmarkFirewallProcess(b *testing.B) {
 	fw := NewFirewall("fw", NewLinearMatcher(testRules))
 	p := packet.NewParser()
 	ft := flow(packet.Addr4{192, 168, 0, 10}, packet.Addr4{1, 2, 3, 4}, 1, 80, packet.ProtoTCP)
-	frame, err := packet.BuildTCP4(frameOpts, ft, packet.FlagACK, 7, 9, []byte("payload"))
+	frame, err := packet.BuildTCP4(frameOpts, ft, packet.FlagACK, []byte("payload"))
 	if err != nil {
 		b.Fatal(err)
 	}

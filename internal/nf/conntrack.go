@@ -109,15 +109,10 @@ type Conntrack struct {
 	TableFull uint64
 }
 
-// NewConntrack builds a fail-closed stateful firewall over matcher with
-// the given table bound (<=0 means 1M entries).
-func NewConntrack(name string, m Matcher, maxEntries int) *Conntrack {
-	return NewConntrackWith(name, m, ConntrackConfig{MaxEntries: maxEntries})
-}
-
 // NewConntrackWith builds a stateful firewall with explicit degradation
-// semantics. The name labels the instance at the call site only;
-// nothing reads it back.
+// semantics; the zero ConntrackConfig is a fail-closed table of 1M
+// entries. The name labels the instance at the call site only; nothing
+// reads it back.
 func NewConntrackWith(name string, m Matcher, cfg ConntrackConfig) *Conntrack {
 	if cfg.MaxEntries <= 0 {
 		cfg.MaxEntries = 1 << 20

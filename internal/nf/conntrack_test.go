@@ -42,7 +42,7 @@ func connState(c *Conntrack, ft packet.FiveTuple) (ConnState, bool) {
 // sendTCP processes one crafted TCP packet through the conntrack.
 func sendTCP(t *testing.T, c *Conntrack, ft packet.FiveTuple, flags packet.TCPFlags) Result {
 	t.Helper()
-	frame, err := packet.BuildTCP4(frameOpts, ft, flags, 1, 1, nil)
+	frame, err := packet.BuildTCP4(frameOpts, ft, flags, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func sendTCP(t *testing.T, c *Conntrack, ft packet.FiveTuple, flags packet.TCPFl
 }
 
 func TestConntrackHandshakeLifecycle(t *testing.T) {
-	c := NewConntrack("ct", NewLinearMatcher(ctRules), 0)
+	c := NewConntrackWith("ct", NewLinearMatcher(ctRules), ConntrackConfig{})
 	ft := ctFlow(40000)
 
 	// SYN: new flow, slow path, accepted.
@@ -105,7 +105,7 @@ func TestConntrackHandshakeLifecycle(t *testing.T) {
 }
 
 func TestConntrackRSTTearsDown(t *testing.T) {
-	c := NewConntrack("ct", NewLinearMatcher(ctRules), 0)
+	c := NewConntrackWith("ct", NewLinearMatcher(ctRules), ConntrackConfig{})
 	ft := ctFlow(40001)
 	sendTCP(t, c, ft, packet.FlagSYN)
 	sendTCP(t, c, ft, packet.FlagRST)
@@ -117,7 +117,7 @@ func TestConntrackRSTTearsDown(t *testing.T) {
 func TestConntrackRejectsStrayMidConnection(t *testing.T) {
 	// A bare ACK with no tracked state is dropped even though the rule
 	// set would accept the 5-tuple — the stateful fail-closed posture.
-	c := NewConntrack("ct", NewLinearMatcher(ctRules), 0)
+	c := NewConntrackWith("ct", NewLinearMatcher(ctRules), ConntrackConfig{})
 	res := sendTCP(t, c, ctFlow(40002), packet.FlagACK)
 	if res.Verdict != Drop {
 		t.Fatalf("stray ACK verdict = %v", res.Verdict)
@@ -128,7 +128,7 @@ func TestConntrackRejectsStrayMidConnection(t *testing.T) {
 }
 
 func TestConntrackRespectsRules(t *testing.T) {
-	c := NewConntrack("ct", NewLinearMatcher(ctRules), 0)
+	c := NewConntrackWith("ct", NewLinearMatcher(ctRules), ConntrackConfig{})
 	// Blocklisted source: dropped on the slow path.
 	bad := packet.FiveTuple{
 		Src: packet.Addr4{10, 66, 1, 1}, Dst: packet.Addr4{192, 168, 1, 2},
@@ -147,7 +147,7 @@ func TestConntrackRespectsRules(t *testing.T) {
 }
 
 func TestConntrackTableLimit(t *testing.T) {
-	c := NewConntrack("ct", NewLinearMatcher(ctRules), 2)
+	c := NewConntrackWith("ct", NewLinearMatcher(ctRules), ConntrackConfig{MaxEntries: 2})
 	sendTCP(t, c, ctFlow(1000), packet.FlagSYN)
 	sendTCP(t, c, ctFlow(1001), packet.FlagSYN)
 	res := sendTCP(t, c, ctFlow(1002), packet.FlagSYN)
@@ -160,7 +160,7 @@ func TestConntrackTableLimit(t *testing.T) {
 }
 
 func TestConntrackUDPEstablishedOnFirstAccept(t *testing.T) {
-	c := NewConntrack("ct", NewLinearMatcher(ctRules), 0)
+	c := NewConntrackWith("ct", NewLinearMatcher(ctRules), ConntrackConfig{})
 	ft := packet.FiveTuple{
 		Src: packet.Addr4{10, 1, 0, 1}, Dst: packet.Addr4{192, 168, 1, 2},
 		SrcPort: 5000, DstPort: 53, Proto: packet.ProtoUDP,

@@ -121,7 +121,7 @@ func TestEvictPolicyString(t *testing.T) {
 // table must land in OverflowDrops (and Dropped), never vanish from
 // the accounting.
 func TestConntrackOverflowAttributed(t *testing.T) {
-	c := NewConntrack("ct", NewLinearMatcher(ctRules), 4)
+	c := NewConntrackWith("ct", NewLinearMatcher(ctRules), ConntrackConfig{MaxEntries: 4})
 	const offered = 32
 	for i := 0; i < offered; i++ {
 		sendTCP(t, c, ctFlow(uint16(2000+i)), packet.FlagSYN)

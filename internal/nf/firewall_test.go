@@ -211,7 +211,7 @@ func TestFirewallProcess(t *testing.T) {
 
 	// Accepted flow (rule 0).
 	goodFlow := flow(packet.Addr4{10, 5, 5, 5}, packet.Addr4{192, 168, 1, 9}, 40000, 443, packet.ProtoTCP)
-	frame, err := packet.BuildTCP4(opts, goodFlow, packet.FlagACK, 1, 1, []byte("data"))
+	frame, err := packet.BuildTCP4(opts, goodFlow, packet.FlagACK, []byte("data"))
 	if err != nil {
 		t.Fatal(err)
 	}

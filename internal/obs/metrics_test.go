@@ -2,102 +2,119 @@ package obs
 
 import (
 	"bytes"
-	"encoding/json"
-	"strings"
+	"reflect"
 	"testing"
 )
 
+// metricsTracer records two spans and one sample tick per device, for
+// devices sampled in the given order.
+func metricsTracer(devices []string) *Tracer {
+	tr := New(nil)
+	for _, d := range devices {
+		tr.Emit(Event{Kind: "sample", Device: d, Util: 0.5, Queue: 2, Watts: 12.5})
+	}
+	tr.StartSpan(0).End("dev", "forward")
+	tr.StartSpan(1).End("dev", "drop")
+	tr.StartSpan(2).End("dev", "forward")
+	return tr
+}
+
 func TestNilRegistryAndInstruments(t *testing.T) {
-	var r *Registry
-	c := r.Counter("x")
-	c.Inc()
-	if c.Value() != 0 {
-		t.Error("nil counter should stay 0")
+	var tr *Tracer
+	tr.StartSpan(0).End("dev", "forward")
+	tr.Emit(Event{Kind: "sample", Device: "dev", Util: 1})
+	if tr.metrics() != nil {
+		t.Error("nil tracer should hold no metrics")
 	}
-	g := r.Gauge("y")
-	g.Set(5)
-	if g.Value() != 0 {
-		t.Error("nil gauge should stay 0")
+	var csv, jl bytes.Buffer
+	if err := tr.WriteMetrics(&csv, false); err != nil {
+		t.Fatal(err)
 	}
-	if r.Snapshot() != nil {
-		t.Error("nil registry snapshot should be nil")
+	if got := csv.String(); got != "name,labels,kind,value,count\n" {
+		t.Errorf("nil tracer CSV = %q, want header only", got)
+	}
+	if err := tr.WriteMetrics(&jl, true); err != nil {
+		t.Fatal(err)
+	}
+	if jl.Len() != 0 {
+		t.Errorf("nil tracer JSONL = %q, want empty", jl.String())
+	}
+	if rows := New(nil).metrics(); len(rows) != 0 {
+		t.Errorf("fresh tracer metrics = %+v, want none", rows)
 	}
 }
 
 func TestCounterSemantics(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("pkts", L("dir", "rx"))
-	c.Inc()
-	c.Add(2)
-	c.Add(-5) // ignored: counters only go up
-	if c.Value() != 3 {
-		t.Errorf("counter = %v, want 3", c.Value())
+	tr := New(nil)
+	for i := 0; i < 3; i++ {
+		tr.StartSpan(float64(i)).End("dev", "forward")
 	}
-	// Same name+labels returns the same series regardless of label order.
-	c2 := r.Counter("pkts", L("dir", "rx"))
-	if c2 != c {
-		t.Error("identical series should be shared")
+	tr.StartSpan(3).End("other", "drop")
+	// Gauges hold the last sample, not a sum.
+	tr.Emit(Event{Kind: "sample", Device: "dev", Util: 0.9, Queue: 7, Watts: 20})
+	tr.Emit(Event{Kind: "sample", Device: "dev", Util: 0.25, Queue: 1, Watts: 10})
+	want := []metricRow{
+		{"device_power_watts", "device", "dev", "gauge", 10},
+		{"device_queue_depth", "device", "dev", "gauge", 1},
+		{"device_utilization", "device", "dev", "gauge", 0.25},
+		// One series per verdict, whatever device ended the span.
+		{"spans_total", "verdict", "drop", "counter", 1},
+		{"spans_total", "verdict", "forward", "counter", 3},
 	}
-	multi := r.Counter("m", L("b", "2"), L("a", "1"))
-	multi.Inc()
-	if got := r.Counter("m", L("a", "1"), L("b", "2")).Value(); got != 1 {
-		t.Errorf("label order should not split series; got %v", got)
+	if got := tr.metrics(); !reflect.DeepEqual(got, want) {
+		t.Errorf("metrics =\n%+v\nwant\n%+v", got, want)
 	}
 }
 
 func TestSnapshotDeterministicOrder(t *testing.T) {
-	build := func(order []string) []Point {
-		r := NewRegistry()
-		for _, d := range order {
-			r.Gauge("util", L("device", d)).Set(1)
+	export := func(devices []string) string {
+		var b bytes.Buffer
+		if err := metricsTracer(devices).WriteMetrics(&b, false); err != nil {
+			t.Fatal(err)
 		}
-		r.Counter("alpha").Inc()
-		return r.Snapshot()
+		return b.String()
 	}
-	a := build([]string{"z", "a", "m"})
-	b := build([]string{"m", "z", "a"})
-	ja, _ := json.Marshal(a)
-	jb, _ := json.Marshal(b)
-	if !bytes.Equal(ja, jb) {
-		t.Errorf("snapshots differ by insertion order:\n%s\n%s", ja, jb)
+	a := export([]string{"core1", "core10", "a"})
+	if b := export([]string{"core10", "a", "core1"}); a != b {
+		t.Errorf("exports differ by sample order:\n%s\n%s", a, b)
 	}
-	if a[0].Name != "alpha" {
-		t.Errorf("snapshot not sorted by name: first is %q", a[0].Name)
+	// Series keys are name{device=…}: '}' sorts after '0', so core10
+	// precedes core1.
+	want := "name,labels,kind,value,count\n" +
+		"device_power_watts,device=a,gauge,12.5,0\n" +
+		"device_power_watts,device=core10,gauge,12.5,0\n" +
+		"device_power_watts,device=core1,gauge,12.5,0\n"
+	if len(a) < len(want) || a[:len(want)] != want {
+		t.Errorf("export not in series-key order:\n%s", a)
 	}
 }
 
 func TestExportJSONLAndCSV(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("spans_total", L("verdict", "forward")).Add(10)
-	r.Gauge("device_power_watts", L("device", "core0")).Set(12.5)
-
-	var jl bytes.Buffer
-	if err := r.ExportJSONL(&jl); err != nil {
+	tr := metricsTracer([]string{"core0"})
+	var csv, jl bytes.Buffer
+	if err := tr.WriteMetrics(&csv, false); err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(jl.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("JSONL has %d lines, want 2", len(lines))
-	}
-	for _, ln := range lines {
-		var p Point
-		if err := json.Unmarshal([]byte(ln), &p); err != nil {
-			t.Errorf("line %q does not parse: %v", ln, err)
-		}
-	}
-
-	var csv bytes.Buffer
-	if err := r.ExportCSV(&csv); err != nil {
+	if err := tr.WriteMetrics(&jl, true); err != nil {
 		t.Fatal(err)
 	}
-	got := csv.String()
-	if !strings.HasPrefix(got, "name,labels,kind,value,count\n") {
-		t.Errorf("CSV missing header: %q", got)
+	wantCSV := `name,labels,kind,value,count
+device_power_watts,device=core0,gauge,12.5,0
+device_queue_depth,device=core0,gauge,2,0
+device_utilization,device=core0,gauge,0.5,0
+spans_total,verdict=drop,counter,1,0
+spans_total,verdict=forward,counter,2,0
+`
+	if got := csv.String(); got != wantCSV {
+		t.Errorf("CSV =\n%s\nwant\n%s", got, wantCSV)
 	}
-	if !strings.Contains(got, "spans_total,verdict=forward,counter,10,0") {
-		t.Errorf("CSV missing counter row: %q", got)
-	}
-	if !strings.Contains(got, "device_power_watts,device=core0,gauge,12.5,0") {
-		t.Errorf("CSV missing gauge row: %q", got)
+	wantJSONL := `{"name":"device_power_watts","labels":{"device":"core0"},"kind":"gauge","value":12.5}
+{"name":"device_queue_depth","labels":{"device":"core0"},"kind":"gauge","value":2}
+{"name":"device_utilization","labels":{"device":"core0"},"kind":"gauge","value":0.5}
+{"name":"spans_total","labels":{"verdict":"drop"},"kind":"counter","value":1}
+{"name":"spans_total","labels":{"verdict":"forward"},"kind":"counter","value":2}
+`
+	if got := jl.String(); got != wantJSONL {
+		t.Errorf("JSONL =\n%s\nwant\n%s", got, wantJSONL)
 	}
 }

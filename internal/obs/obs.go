@@ -1,7 +1,8 @@
 // Package obs is the observability layer of the measurement pipeline:
-// structured event tracing with per-packet lifecycle spans, a labeled
-// counter/gauge metrics registry with deterministic snapshot
-// export, and a virtual-time periodic sampler.
+// structured event tracing with per-packet lifecycle spans, a
+// virtual-time periodic sampler, and an end-of-run metrics export
+// (per-verdict span counts, last-sample device gauges) read from the
+// span and sample aggregates.
 //
 // The paper's §5 call to action asks for "tools and approaches for
 // measuring" performance-cost points; this package makes the measured
@@ -68,7 +69,6 @@ type Event struct {
 // Not safe for concurrent use: a trace follows one simulation timeline.
 type Tracer struct {
 	w       io.Writer
-	reg     *Registry
 	sink    func(Event)
 	bd      Breakdown
 	us      UtilSummary
@@ -78,17 +78,9 @@ type Tracer struct {
 }
 
 // New builds a tracer writing JSONL to w. A nil w keeps events
-// in-process only (registry, breakdown and sink still observe them).
+// in-process only (breakdown, utilization and sink still observe them).
 func New(w io.Writer) *Tracer {
-	return &Tracer{w: w, reg: NewRegistry()}
-}
-
-// Registry returns the tracer's metrics registry (nil for a nil tracer).
-func (t *Tracer) Registry() *Registry {
-	if t == nil {
-		return nil
-	}
-	return t.reg
+	return &Tracer{w: w}
 }
 
 // SetSink registers fn to receive every event in addition to the JSONL
@@ -195,8 +187,7 @@ func (sp *Span) End(device, verdict string) {
 	for _, st := range sp.stages {
 		total += st.Dur
 	}
-	sp.tr.bd.add(sp.stages, total)
-	sp.tr.reg.Counter("spans_total", L("verdict", verdict)).Inc()
+	sp.tr.bd.add(sp.stages, total, verdict)
 	sp.tr.Emit(Event{
 		T: sp.start, Kind: "span", ID: sp.id,
 		Device: device, Verdict: verdict, Dur: total, Stages: sp.stages,
@@ -227,18 +218,26 @@ func (s StageStat) MeanSeconds() float64 {
 	return s.TotalSeconds / float64(s.Count)
 }
 
+// verdictCount is the number of completed spans with one verdict.
+type verdictCount struct {
+	verdict string
+	spans   uint64
+}
+
 // Breakdown accumulates the per-stage latency attribution of a trace:
 // for each stage name, how often it occurred and how much virtual time
-// it accounted for. Stage order is first-seen, which is deterministic
-// because the simulation is.
+// it accounted for, plus the span count per verdict. Stage and verdict
+// order is first-seen, which is deterministic because the simulation
+// is.
 type Breakdown struct {
 	order        []string
 	byName       map[string]*StageStat
+	verdicts     []verdictCount
 	spans        uint64
 	totalSeconds float64
 }
 
-func (b *Breakdown) add(stages []StageDur, total float64) {
+func (b *Breakdown) add(stages []StageDur, total float64, verdict string) {
 	if b.byName == nil {
 		b.byName = make(map[string]*StageStat)
 	}
@@ -254,6 +253,13 @@ func (b *Breakdown) add(stages []StageDur, total float64) {
 	}
 	b.spans++
 	b.totalSeconds += total
+	for i := range b.verdicts {
+		if b.verdicts[i].verdict == verdict {
+			b.verdicts[i].spans++
+			return
+		}
+	}
+	b.verdicts = append(b.verdicts, verdictCount{verdict: verdict, spans: 1})
 }
 
 // Spans returns the number of completed spans.

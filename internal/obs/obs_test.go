@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -13,8 +14,8 @@ import (
 
 func TestNilTracerIsNoOp(t *testing.T) {
 	var tr *Tracer
-	if tr.Registry() != nil {
-		t.Error("nil tracer should hand out a nil registry")
+	if tr.metrics() != nil {
+		t.Error("nil tracer should hold no metrics")
 	}
 	tr.SetSink(func(Event) { t.Error("sink on nil tracer must never fire") })
 	tr.Emit(Event{Kind: "span"})
@@ -92,13 +93,9 @@ func TestSpanEmissionAndBreakdown(t *testing.T) {
 		t.Errorf("switch mean = %v, want 4e-7", got)
 	}
 
-	// Verdict counters.
-	reg := tr.Registry()
-	if got := reg.Counter("spans_total", L("verdict", "forward")).Value(); got != 1 {
-		t.Errorf("forward counter = %v, want 1", got)
-	}
-	if got := reg.Counter("spans_total", L("verdict", "drop")).Value(); got != 1 {
-		t.Errorf("drop counter = %v, want 1", got)
+	// Verdict counts, first-seen order.
+	if got, want := bd.verdicts, []verdictCount{{"forward", 1}, {"drop", 1}}; !reflect.DeepEqual(got, want) {
+		t.Errorf("verdicts = %+v, want %+v", got, want)
 	}
 }
 
@@ -187,8 +184,8 @@ func TestSamplerWindowedUtilization(t *testing.T) {
 		}
 	}
 	// Gauges reflect the last tick.
-	if got := tr.Registry().Gauge("device_utilization", L("device", "dev")).Value(); math.Abs(got-0.5) > 1e-12 {
-		t.Errorf("utilization gauge = %v", got)
+	if got := tr.Utilization().Devices()[0].last; !reflect.DeepEqual(got, samples[2]) {
+		t.Errorf("last sample = %+v, want %+v", got, samples[2])
 	}
 }
 

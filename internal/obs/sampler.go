@@ -67,7 +67,6 @@ func (sp *Sampler) Arm(s *sim.Sim, horizon float64) error {
 // sample records one tick across all sources.
 func (sp *Sampler) sample(now float64) {
 	dt := now - sp.lastT
-	reg := sp.tr.Registry()
 	for i, src := range sp.sources {
 		util := 0.0
 		if src.Busy != nil {
@@ -92,9 +91,6 @@ func (sp *Sampler) sample(now float64) {
 			watts = src.IdleWatts + (src.ActiveWatts-src.IdleWatts)*util
 		}
 		sp.tr.Emit(Event{T: now, Kind: "sample", Device: src.Name, Util: util, Queue: queue, Watts: watts})
-		reg.Gauge("device_utilization", L("device", src.Name)).Set(util)
-		reg.Gauge("device_queue_depth", L("device", src.Name)).Set(float64(queue))
-		reg.Gauge("device_power_watts", L("device", src.Name)).Set(watts)
 	}
 	sp.lastT = now
 }

@@ -21,6 +21,8 @@ type UtilStat struct {
 
 	sumUtil  float64
 	sumQueue float64
+	// last is the device's most recent sample.
+	last Event
 }
 
 // MeanUtil returns the device's mean windowed utilization.
@@ -57,6 +59,7 @@ func (u *UtilSummary) add(e Event) {
 		u.order = append(u.order, e.Device)
 	}
 	st.Samples++
+	st.last = e
 	st.sumUtil += e.Util
 	st.sumQueue += float64(e.Queue)
 	if e.Util > st.MaxUtil {

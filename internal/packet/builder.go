@@ -54,9 +54,13 @@ func BuildUDP4(opts BuildOpts, flow FiveTuple, payload []byte) ([]byte, error) {
 	return frame, nil
 }
 
+// buildSeq and buildAck are the sequence and acknowledgment numbers of
+// every built TCP segment: no NF model reads them.
+const buildSeq, buildAck = 1, 1
+
 // BuildTCP4 returns an Ethernet+IPv4+TCP frame carrying payload with
 // the given flags, padded to the Ethernet minimum.
-func BuildTCP4(opts BuildOpts, flow FiveTuple, flags TCPFlags, seq, ack uint32, payload []byte) ([]byte, error) {
+func BuildTCP4(opts BuildOpts, flow FiveTuple, flags TCPFlags, payload []byte) ([]byte, error) {
 	if flow.Proto != ProtoTCP {
 		return nil, fmt.Errorf("packet: BuildTCP4 with proto %d", flow.Proto)
 	}
@@ -82,7 +86,7 @@ func BuildTCP4(opts BuildOpts, flow FiveTuple, flags TCPFlags, seq, ack uint32, 
 	if err != nil {
 		return nil, err
 	}
-	tcp := TCP{SrcPort: flow.SrcPort, DstPort: flow.DstPort, Seq: seq, Ack: ack, Flags: flags, Window: 65535}
+	tcp := TCP{SrcPort: flow.SrcPort, DstPort: flow.DstPort, Seq: buildSeq, Ack: buildAck, Flags: flags, Window: 65535}
 	tcpStart := ethLen + ipLen
 	if _, err := tcp.SerializeTo(frame[tcpStart:]); err != nil {
 		return nil, err

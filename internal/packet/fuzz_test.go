@@ -16,7 +16,7 @@ func FuzzParse(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	tcp, err := BuildTCP4(testOpts, tcpFlow(), FlagSYN, 1, 0, nil)
+	tcp, err := BuildTCP4(testOpts, tcpFlow(), FlagSYN, nil)
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -42,7 +42,7 @@ func TestParserUDPFrame(t *testing.T) {
 
 func TestParserTCPFrame(t *testing.T) {
 	payload := []byte("GET / HTTP/1.1\r\n")
-	frame, err := BuildTCP4(testOpts, tcpFlow(), FlagPSH|FlagACK, 1000, 555, payload)
+	frame, err := BuildTCP4(testOpts, tcpFlow(), FlagPSH|FlagACK, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestParseBuildRoundTripProperty(t *testing.T) {
 		var err error
 		if isTCP {
 			flow.Proto = ProtoTCP
-			frame, err = BuildTCP4(testOpts, flow, FlagACK, 1, 1, payload)
+			frame, err = BuildTCP4(testOpts, flow, FlagACK, payload)
 		} else {
 			flow.Proto = ProtoUDP
 			frame, err = BuildUDP4(testOpts, flow, payload)
@@ -204,7 +204,7 @@ func TestLayerTypeString(t *testing.T) {
 
 func TestBuildRejectsWrongProto(t *testing.T) {
 	f := udpFlow()
-	if _, err := BuildTCP4(testOpts, f, FlagSYN, 0, 0, nil); err == nil {
+	if _, err := BuildTCP4(testOpts, f, FlagSYN, nil); err == nil {
 		t.Error("BuildTCP4 with UDP flow should fail")
 	}
 	f2 := tcpFlow()

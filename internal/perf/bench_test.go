@@ -3,7 +3,7 @@ package perf
 import "testing"
 
 func BenchmarkHistogramRecord(b *testing.B) {
-	h := NewHistogram(0)
+	h := NewHistogram()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = h.Record(float64(i%1000000) + 1)
@@ -11,7 +11,7 @@ func BenchmarkHistogramRecord(b *testing.B) {
 }
 
 func BenchmarkHistogramQuantile(b *testing.B) {
-	h := NewHistogram(0)
+	h := NewHistogram()
 	for i := 0; i < 1_000_000; i++ {
 		_ = h.Record(float64(i%100000) + 1)
 	}

@@ -36,19 +36,16 @@ type Histogram struct {
 	max    float64
 }
 
-// DefaultGrowth is the bucket growth factor used by NewHistogram when
-// given a non-positive growth; it bounds quantile error to about 1%.
-const DefaultGrowth = 1.02
+// bucketGrowth is every histogram's bucket growth factor; it bounds
+// quantile error to about 1%.
+const bucketGrowth = 1.02
 
-// NewHistogram returns a histogram with the given bucket growth factor
-// (must be > 1; pass 0 for DefaultGrowth).
-func NewHistogram(growth float64) *Histogram {
-	if growth <= 1 {
-		growth = DefaultGrowth
-	}
+// NewHistogram returns an empty histogram with bucket growth factor
+// bucketGrowth.
+func NewHistogram() *Histogram {
 	return &Histogram{
-		growth:    growth,
-		logGrowth: math.Log(growth),
+		growth:    bucketGrowth,
+		logGrowth: math.Log(bucketGrowth),
 		min:       math.Inf(1),
 		max:       math.Inf(-1),
 	}

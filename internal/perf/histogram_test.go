@@ -8,7 +8,7 @@ import (
 )
 
 func TestHistogramBasic(t *testing.T) {
-	h := NewHistogram(0)
+	h := NewHistogram()
 	for _, v := range []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10} {
 		if err := h.Record(v); err != nil {
 			t.Fatalf("Record(%v): %v", v, err)
@@ -26,7 +26,7 @@ func TestHistogramBasic(t *testing.T) {
 }
 
 func TestHistogramRejectsBadValues(t *testing.T) {
-	h := NewHistogram(0)
+	h := NewHistogram()
 	for _, v := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
 		if err := h.Record(v); err == nil {
 			t.Errorf("Record(%v) should fail", v)
@@ -38,7 +38,7 @@ func TestHistogramRejectsBadValues(t *testing.T) {
 }
 
 func TestHistogramEmptyQuantile(t *testing.T) {
-	h := NewHistogram(0)
+	h := NewHistogram()
 	if h.Quantile(0.5) != 0 || h.Mean() != 0 || h.Min() != 0 || h.Max() != 0 {
 		t.Error("empty histogram statistics should be 0")
 	}
@@ -51,7 +51,7 @@ func TestHistogramQuantileBounds(t *testing.T) {
 		if len(raw) == 0 {
 			return true
 		}
-		h := NewHistogram(1.02)
+		h := NewHistogram()
 		samples := make([]float64, len(raw))
 		for i, r := range raw {
 			samples[i] = float64(r%1_000_000) + 0.5
@@ -76,7 +76,7 @@ func TestHistogramQuantileBounds(t *testing.T) {
 }
 
 func TestHistogramQuantileMonotone(t *testing.T) {
-	h := NewHistogram(0)
+	h := NewHistogram()
 	r := rand.New(rand.NewSource(42))
 	for i := 0; i < 10000; i++ {
 		_ = h.Record(r.ExpFloat64() * 1000)
@@ -92,7 +92,7 @@ func TestHistogramQuantileMonotone(t *testing.T) {
 }
 
 func TestSummarize(t *testing.T) {
-	h := NewHistogram(0)
+	h := NewHistogram()
 	for i := 1; i <= 1000; i++ {
 		_ = h.Record(float64(i))
 	}
@@ -127,7 +127,7 @@ func TestExactQuantile(t *testing.T) {
 }
 
 func TestHistogramSubNanosecondBucket(t *testing.T) {
-	h := NewHistogram(0)
+	h := NewHistogram()
 	_ = h.Record(0)
 	_ = h.Record(0.25)
 	if h.Count() != 2 {

@@ -87,7 +87,7 @@ func (o Options) withDefaults() Options {
 		o.ResolutionFraction = 0.02
 	}
 	if o.Level == 0 {
-		o.Level = 0.95
+		o.Level = stats.CILevel
 	}
 	return o
 }
@@ -103,16 +103,6 @@ func (o Options) validate() error {
 		return bad("Trials", o.Trials)
 	}
 	return nil
-}
-
-// trialSeed derives trial k's workload seed. Trial 0 uses the base
-// seed unchanged so a single-trial profile reproduces the seed's
-// canonical artifacts exactly.
-func trialSeed(base uint64, k int) uint64 {
-	if k == 0 {
-		return base
-	}
-	return stats.MixSeed(base, uint64(k))
 }
 
 // OperatorCost is one operator's saturation-delta price.
@@ -191,7 +181,7 @@ type Profile struct {
 // are paired.
 func saturations(t testbed.ProfileTarget, ablate []string, o Options) (pps, gbps []float64, err error) {
 	for k := 0; k < o.Trials; k++ {
-		seed := trialSeed(o.Seed, k)
+		seed := stats.TrialSeed(o.Seed, k)
 		res, err := rfc2544.Throughput(
 			func() (*testbed.Deployment, error) { return t.Make(ablate) },
 			func() (*workload.Generator, error) { return t.Workload(seed) },
@@ -271,7 +261,7 @@ func Run(t testbed.ProfileTarget, o Options) (Profile, error) {
 	if p.SaturationPps == 0 {
 		return p, fmt.Errorf("%w: %s", ErrNoSaturation, t.System)
 	}
-	p.SaturationCI, err = stats.MedianCI(fullPps, stats.Resamples, o.Level, stats.MixSeed(o.Seed, 1))
+	p.SaturationCI, err = stats.MedianCI(fullPps, o.Level, stats.MixSeed(o.Seed, 1))
 	if err != nil {
 		return p, err
 	}
@@ -285,7 +275,7 @@ func Run(t testbed.ProfileTarget, o Options) (Profile, error) {
 		for k := range ablPps {
 			deltas[k] = ablPps[k] - fullPps[k]
 		}
-		ci, err := stats.MedianCI(deltas, stats.Resamples, o.Level, stats.MixSeed(o.Seed, uint64(i)+2))
+		ci, err := stats.MedianCI(deltas, o.Level, stats.MixSeed(o.Seed, uint64(i)+2))
 		if err != nil {
 			return p, err
 		}

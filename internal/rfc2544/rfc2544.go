@@ -212,14 +212,17 @@ func FrameLossCurve(dut DUTFactory, gen GenFactory, rates []float64, opts Opts) 
 	return out, nil
 }
 
+// Back-to-back bursts are offered at burstPps, and the search covers
+// burst sizes up to maxBurst packets.
+const (
+	burstPps = 12e6
+	maxBurst = 4096
+)
+
 // BackToBack finds the longest burst at burstPps the DUT absorbs
 // without loss (RFC 2544 §26.4), searching over burst sizes up to
 // maxBurst packets.
-func BackToBack(dut DUTFactory, gen GenFactory, burstPps float64, maxBurst int, opts Opts) (int, error) {
-	opts = opts.withDefaults()
-	if burstPps <= 0 || maxBurst <= 0 {
-		return 0, fmt.Errorf("rfc2544: invalid burst params pps=%v max=%d", burstPps, maxBurst)
-	}
+func BackToBack(dut DUTFactory, gen GenFactory) (int, error) {
 	lossless := func(burst int) (bool, error) {
 		seconds := float64(burst) / burstPps
 		t, err := runTrial(dut, gen, burstPps, seconds)

@@ -63,10 +63,13 @@ type CellWall struct {
 	WallMS     float64
 }
 
-// SlowestCells returns up to n cells sorted by descending wall
-// duration (ties broken by name for a stable order). Cells with no
+// slowestCells is how many cells SlowestCells reports.
+const slowestCells = 3
+
+// SlowestCells returns up to slowestCells cells sorted by descending
+// wall duration (ties broken by name for a stable order). Cells with no
 // recorded duration (pre-journal manifests) are omitted.
-func (r Result) SlowestCells(n int) []CellWall {
+func (r Result) SlowestCells() []CellWall {
 	walls := append([]CellWall(nil), r.CellWalls...)
 	for i := 1; i < len(walls); i++ {
 		for j := i; j > 0; j-- {
@@ -77,8 +80,8 @@ func (r Result) SlowestCells(n int) []CellWall {
 			walls[j-1], walls[j] = b, a
 		}
 	}
-	if n < len(walls) {
-		walls = walls[:n]
+	if slowestCells < len(walls) {
+		walls = walls[:slowestCells]
 	}
 	return walls
 }

@@ -142,7 +142,7 @@ func TestWallDurationJournaledButNotInManifest(t *testing.T) {
 	if len(res.CellWalls) != 1 || res.CellWalls[0].WallMS <= 0 {
 		t.Fatalf("CellWalls = %+v", res.CellWalls)
 	}
-	slow := res.SlowestCells(3)
+	slow := res.SlowestCells()
 	if len(slow) != 1 || slow[0].Experiment != "only" {
 		t.Errorf("SlowestCells = %+v", slow)
 	}
@@ -170,7 +170,7 @@ func TestSlowestCellsOrdersAndTruncates(t *testing.T) {
 		{Experiment: "c", WallMS: 5},
 		{Experiment: "d", WallMS: 1},
 	}}
-	got := r.SlowestCells(3)
+	got := r.SlowestCells()
 	want := []CellWall{{"a", 9}, {"b", 5}, {"c", 5}}
 	if len(got) != 3 || got[0] != want[0] || got[1] != want[1] || got[2] != want[2] {
 		t.Errorf("SlowestCells = %+v, want %+v", got, want)

@@ -112,13 +112,12 @@ type TraceFunc func(now Time, processed uint64, pending int)
 // Sim is a discrete-event simulator. Not safe for concurrent use: a
 // simulation is a single logical timeline.
 type Sim struct {
-	now        Time
-	queue      eventQueue
-	seq        uint64
-	events     uint64
-	halted     bool
-	trace      TraceFunc
-	traceEvery uint64
+	now    Time
+	queue  eventQueue
+	seq    uint64
+	events uint64
+	halted bool
+	trace  TraceFunc
 }
 
 // New returns a simulator at time zero.
@@ -149,18 +148,22 @@ func (s *Sim) At(t Time, fn func()) error {
 	return nil
 }
 
+// traceEvery throttles the kernel progress hook: one call per this many
+// executed events keeps traces compact while still showing
+// virtual-clock progress and queue depth.
+const traceEvery = 256
+
 // SetTrace installs a kernel progress hook, invoked after every
-// `every`-th executed event (every <= 1 fires on all events). A nil fn
-// disables tracing. The hook adds one branch per event when installed
-// and nothing when not, so untraced runs are unaffected.
-func (s *Sim) SetTrace(fn TraceFunc, every uint64) {
+// traceEvery-th executed event. A nil fn disables tracing. The hook
+// adds one branch per event when installed and nothing when not, so
+// untraced runs are unaffected.
+func (s *Sim) SetTrace(fn TraceFunc) {
 	s.trace = fn
-	s.traceEvery = every
 }
 
 // traceTick fires the kernel hook when due.
 func (s *Sim) traceTick() {
-	if s.trace != nil && (s.traceEvery <= 1 || s.events%s.traceEvery == 0) {
+	if s.trace != nil && s.events%traceEvery == 0 {
 		s.trace(s.now, s.events, len(s.queue))
 	}
 }

@@ -172,47 +172,38 @@ func TestSetTraceHook(t *testing.T) {
 	var ticks []tick
 	s.SetTrace(func(now Time, processed uint64, pending int) {
 		ticks = append(ticks, tick{now, processed, pending})
-	}, 1)
-	for i := 1; i <= 4; i++ {
-		at := Time(i)
-		if err := s.At(at, func() {}); err != nil {
+	})
+	// Throttled: fires after events traceEvery and 2·traceEvery only.
+	const n = 2*traceEvery + 1
+	for i := 1; i <= n; i++ {
+		if err := s.At(Time(i), func() {}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	s.RunAll()
-	if len(ticks) != 4 {
-		t.Fatalf("hook fired %d times, want 4", len(ticks))
+	if len(ticks) != 2 {
+		t.Fatalf("hook fired %d times, want 2", len(ticks))
 	}
 	for i, tk := range ticks {
-		if tk.processed != uint64(i+1) {
-			t.Errorf("tick %d processed = %d, want %d", i, tk.processed, i+1)
+		k := uint64(i+1) * traceEvery
+		if tk.processed != k {
+			t.Errorf("tick %d processed = %d, want %d", i, tk.processed, k)
 		}
-		if tk.at != Time(i+1) {
-			t.Errorf("tick %d at = %v, want %v", i, tk.at, Time(i+1))
+		if tk.at != Time(k) {
+			t.Errorf("tick %d at = %v, want %v", i, tk.at, Time(k))
 		}
-		if tk.pending != 4-(i+1) {
-			t.Errorf("tick %d pending = %d, want %d", i, tk.pending, 4-(i+1))
+		if tk.pending != int(n-k) {
+			t.Errorf("tick %d pending = %d, want %d", i, tk.pending, n-k)
 		}
-	}
-
-	// Throttled: every=2 fires on events 2 and 4 only.
-	s2 := New()
-	var n int
-	s2.SetTrace(func(Time, uint64, int) { n++ }, 2)
-	for i := 1; i <= 5; i++ {
-		_ = s2.At(Time(i), func() {})
-	}
-	s2.RunAll()
-	if n != 2 {
-		t.Errorf("throttled hook fired %d times, want 2", n)
 	}
 
 	// Disabled: nil fn stops firing.
-	s2.SetTrace(nil, 1)
-	_ = s2.At(s2.Now()+1, func() {})
-	before := n
-	s2.RunAll()
-	if n != before {
+	s.SetTrace(nil)
+	for i := 1; i <= traceEvery; i++ {
+		_ = s.At(s.Now()+Time(i), func() {})
+	}
+	s.RunAll()
+	if len(ticks) != 2 {
 		t.Error("nil trace fn should disable the hook")
 	}
 }

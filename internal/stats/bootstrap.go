@@ -14,8 +14,9 @@ var ErrLevel = errors.New("stats: confidence level must be finite and in (0, 1)"
 // replicated verdict the experiments report.
 const Resamples = 200
 
-// ErrResamples is returned for a non-positive resample count.
-var ErrResamples = errors.New("stats: resample count must be positive")
+// CILevel is the confidence level of every bootstrap interval the
+// experiments report.
+const CILevel = 0.95
 
 // CheckLevel validates a confidence level.
 func CheckLevel(level float64) error {
@@ -51,22 +52,19 @@ func ResampleIndices(r *RNG, idx []int) {
 	}
 }
 
-// Bootstrap draws `resamples` bootstrap resamples of samples, applies
+// Bootstrap draws Resamples bootstrap resamples of samples, applies
 // stat to each, and returns the resulting statistic distribution in
-// draw order. The same (samples, resamples, seed, stat) quadruple
-// yields a byte-identical result on every run and platform.
-func Bootstrap(samples []float64, resamples int, seed uint64, stat func([]float64) float64) ([]float64, error) {
+// draw order. The same (samples, seed, stat) triple yields a
+// byte-identical result on every run and platform.
+func Bootstrap(samples []float64, seed uint64, stat func([]float64) float64) ([]float64, error) {
 	if err := CheckFinite(samples); err != nil {
 		return nil, err
-	}
-	if resamples <= 0 {
-		return nil, fmt.Errorf("%w: got %d", ErrResamples, resamples)
 	}
 	rng := NewRNG(seed)
 	idx := make([]int, len(samples))
 	draw := make([]float64, len(samples))
-	out := make([]float64, resamples)
-	for r := 0; r < resamples; r++ {
+	out := make([]float64, Resamples)
+	for r := range out {
 		ResampleIndices(rng, idx)
 		for i, j := range idx {
 			draw[i] = samples[j]
@@ -93,18 +91,13 @@ func PercentileInterval(dist []float64, level float64) (Interval, error) {
 	}, nil
 }
 
-// BootstrapCI bootstraps the given statistic and returns its
-// percentile confidence interval. Deterministic in the seed.
-func BootstrapCI(samples []float64, resamples int, level float64, seed uint64, stat func([]float64) float64) (Interval, error) {
-	dist, err := Bootstrap(samples, resamples, seed, stat)
+// MedianCI bootstraps the median and returns its percentile confidence
+// interval — the robustness layer's standard per-axis interval.
+// Deterministic in the seed.
+func MedianCI(samples []float64, level float64, seed uint64) (Interval, error) {
+	dist, err := Bootstrap(samples, seed, Median)
 	if err != nil {
 		return Interval{}, err
 	}
 	return PercentileInterval(dist, level)
-}
-
-// MedianCI is BootstrapCI of the median — the robustness layer's
-// standard per-axis interval.
-func MedianCI(samples []float64, resamples int, level float64, seed uint64) (Interval, error) {
-	return BootstrapCI(samples, resamples, level, seed, Median)
 }

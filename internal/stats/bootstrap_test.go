@@ -9,18 +9,18 @@ import (
 
 func TestBootstrapDeterminism(t *testing.T) {
 	s := []float64{3.1, 2.9, 3.0, 3.3, 2.8, 3.2}
-	a, err := Bootstrap(s, 500, 11, Median)
+	a, err := Bootstrap(s, 11, Median)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Bootstrap(s, 500, 11, Median)
+	b, err := Bootstrap(s, 11, Median)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Error("same seed must give identical bootstrap distributions")
 	}
-	c, err := Bootstrap(s, 500, 12, Median)
+	c, err := Bootstrap(s, 12, Median)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestBootstrapDeterminism(t *testing.T) {
 func TestBootstrapCICoversTruth(t *testing.T) {
 	// Samples clustered near 10: the CI must cover 10 and be narrow.
 	s := []float64{9.8, 10.1, 10.0, 9.9, 10.2, 10.05, 9.95}
-	ci, err := MedianCI(s, 1000, 0.95, 1)
+	ci, err := MedianCI(s, 0.95, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestBootstrapCICoversTruth(t *testing.T) {
 }
 
 func TestBootstrapZeroVariance(t *testing.T) {
-	ci, err := MedianCI([]float64{7, 7, 7, 7, 7}, 200, 0.9, 3)
+	ci, err := MedianCI([]float64{7, 7, 7, 7, 7}, 0.9, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,17 +58,14 @@ func TestBootstrapZeroVariance(t *testing.T) {
 }
 
 func TestBootstrapErrors(t *testing.T) {
-	if _, err := Bootstrap(nil, 100, 1, Median); !errors.Is(err, ErrNoSamples) {
+	if _, err := Bootstrap(nil, 1, Median); !errors.Is(err, ErrNoSamples) {
 		t.Errorf("empty samples: %v, want ErrNoSamples", err)
 	}
-	if _, err := Bootstrap([]float64{1, math.NaN()}, 100, 1, Median); !errors.Is(err, ErrNonFinite) {
+	if _, err := Bootstrap([]float64{1, math.NaN()}, 1, Median); !errors.Is(err, ErrNonFinite) {
 		t.Errorf("NaN sample: %v, want ErrNonFinite", err)
 	}
-	if _, err := Bootstrap([]float64{1, 2}, 0, 1, Median); !errors.Is(err, ErrResamples) {
-		t.Errorf("zero resamples: %v, want ErrResamples", err)
-	}
 	for _, lvl := range []float64{0, 1, -0.5, 1.5, math.NaN(), math.Inf(1)} {
-		if _, err := MedianCI([]float64{1, 2, 3}, 10, lvl, 1); !errors.Is(err, ErrLevel) {
+		if _, err := MedianCI([]float64{1, 2, 3}, lvl, 1); !errors.Is(err, ErrLevel) {
 			t.Errorf("level %v: err = %v, want ErrLevel", lvl, err)
 		}
 	}

@@ -61,3 +61,15 @@ func MixSeed(base, k uint64) uint64 {
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
 }
+
+// TrialSeed derives the workload seed for replicate trial k. Trial 0
+// uses the base seed unchanged, preserving single-trial determinism
+// with historical artifacts; later trials use MixSeed so (seed, trial)
+// pairs never alias the way additive seed+k derivation does (seed 1
+// trial 2 vs seed 2 trial 1).
+func TrialSeed(base uint64, k int) uint64 {
+	if k == 0 {
+		return base
+	}
+	return MixSeed(base, uint64(k))
+}

@@ -113,19 +113,19 @@ func MAD(samples []float64) float64 {
 	return Median(devs)
 }
 
-// DefaultOutlierK is the conventional MAD-based outlier cut: a sample
-// further than K scaled MADs from the median is flagged. 1.4826 scales
-// MAD to the standard deviation of a normal distribution, so K=3.5
+// outlierK is the conventional MAD-based outlier cut: a sample further
+// than outlierK scaled MADs from the median is flagged. 1.4826 scales
+// MAD to the standard deviation of a normal distribution, so 3.5
 // approximates a 3.5-sigma rule.
-const DefaultOutlierK = 3.5
+const outlierK = 3.5
 
 // madToSigma rescales MAD to a normal-consistent sigma estimate.
 const madToSigma = 1.4826
 
-// Outliers returns the indices of samples further than k scaled MADs
-// from the median, in ascending order. With zero spread (MAD == 0) any
-// sample differing from the median is flagged.
-func Outliers(samples []float64, k float64) []int {
+// Outliers returns the indices of samples further than outlierK scaled
+// MADs from the median, in ascending order. With zero spread (MAD == 0)
+// any sample differing from the median is flagged.
+func Outliers(samples []float64) []int {
 	if len(samples) < 3 {
 		return nil
 	}
@@ -140,7 +140,7 @@ func Outliers(samples []float64, k float64) []int {
 			}
 			continue
 		}
-		if dev/(mad*madToSigma) > k {
+		if dev/(mad*madToSigma) > outlierK {
 			out = append(out, i)
 		}
 	}

@@ -55,16 +55,16 @@ func TestStdDevAndCV(t *testing.T) {
 
 func TestMADOutliers(t *testing.T) {
 	s := []float64{10, 10.1, 9.9, 10.05, 50}
-	out := Outliers(s, DefaultOutlierK)
+	out := Outliers(s)
 	if len(out) != 1 || out[0] != 4 {
 		t.Errorf("outliers = %v, want [4]", out)
 	}
 	// Zero spread: any deviation is an outlier.
-	out = Outliers([]float64{5, 5, 5, 6}, DefaultOutlierK)
+	out = Outliers([]float64{5, 5, 5, 6})
 	if len(out) != 1 || out[0] != 3 {
 		t.Errorf("zero-spread outliers = %v, want [3]", out)
 	}
-	if out := Outliers([]float64{1, 2}, DefaultOutlierK); out != nil {
+	if out := Outliers([]float64{1, 2}); out != nil {
 		t.Errorf("tiny sets should not flag outliers, got %v", out)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"fairbench/internal/runner"
 	"fairbench/internal/runner/chaos"
@@ -62,7 +61,7 @@ func TestChaosSweepTelemetryAccountsForEveryCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stopSampler := rec.StartSampler(5 * time.Millisecond)
+	stopSampler := rec.StartSampler()
 	res := runChaosSweep(t, dir, 4, chaos.Spec{Seed: 7, PanicProb: 0.3, TornWriteProb: 0.2}, rec)
 	stopSampler()
 	if err := rec.Close(); err != nil {

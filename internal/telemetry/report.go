@@ -210,13 +210,16 @@ func Summarize(log *RunLog) Summary {
 	return s
 }
 
-// Slowest returns up to n cells by descending wall duration (name
-// tie-break).
-func (s Summary) Slowest(n int) []CellSummary {
+// slowestShown is how many cells the summary lists as slowest.
+const slowestShown = 5
+
+// slowest returns up to slowestShown cells by descending wall duration
+// (name tie-break).
+func (s Summary) slowest() []CellSummary {
 	out := append([]CellSummary(nil), s.Cells...)
 	sort.SliceStable(out, func(i, j int) bool { return out[i].WallMS > out[j].WallMS })
-	if n < len(out) {
-		out = out[:n]
+	if slowestShown < len(out) {
+		out = out[:slowestShown]
 	}
 	return out
 }
@@ -253,7 +256,7 @@ func (s Summary) Text() string {
 		s.UtilizationPct, s.BusyMS, s.Jobs, s.WallMS)
 	fmt.Fprintf(&b, "lower bounds: critical path %.0f ms (longest cell), ideal packing %.0f ms (busy/workers)\n",
 		s.CriticalPathMS, s.IdealWallMS)
-	if slow := s.Slowest(5); len(slow) > 0 && slow[0].WallMS > 0 {
+	if slow := s.slowest(); len(slow) > 0 && slow[0].WallMS > 0 {
 		b.WriteString("slowest cells:\n")
 		for _, c := range slow {
 			if c.WallMS <= 0 {

@@ -73,8 +73,8 @@ func TestSummarize(t *testing.T) {
 		t.Errorf("samples: %d, peak goroutines %d", s.Samples, s.PeakGoroutines)
 	}
 
-	slow := s.Slowest(2)
-	if len(slow) != 2 || slow[0].WallMS != 30 {
+	slow := s.slowest()
+	if len(slow) != len(s.Cells) || slow[0].WallMS != 30 {
 		t.Errorf("slowest = %+v", slow)
 	}
 	hot := s.RetryHotspots()
@@ -88,6 +88,28 @@ func TestSummarize(t *testing.T) {
 		if !strings.Contains(text, frag) {
 			t.Errorf("summary text missing %q:\n%s", frag, text)
 		}
+	}
+}
+
+// TestSlowestTruncates checks that the summary lists only slowestShown
+// cells, by descending wall time, with names breaking ties.
+func TestSlowestTruncates(t *testing.T) {
+	// Cells as Summarize leaves them: sorted by name.
+	walls := map[string]float64{"a": 10, "b": 40, "c": 20, "d": 40, "e": 5, "f": 30, "g": 20}
+	var s Summary
+	for _, name := range []string{"a", "b", "c", "d", "e", "f", "g"} {
+		s.Cells = append(s.Cells, CellSummary{Cell: name, WallMS: walls[name]})
+	}
+	if len(s.Cells) <= slowestShown {
+		t.Fatalf("fixture has %d cells; need more than slowestShown=%d", len(s.Cells), slowestShown)
+	}
+	var got []string
+	for _, c := range s.slowest() {
+		got = append(got, c.Cell)
+	}
+	want := []string{"b", "d", "f", "c", "g"}
+	if strings.Join(got, ",") != strings.Join(want, ",") {
+		t.Errorf("slowest = %v, want %v", got, want)
 	}
 }
 

@@ -30,18 +30,18 @@ func (r *Recorder) Sample() {
 	r.Event(ev)
 }
 
-// StartSampler samples every period on a background goroutine until
-// the returned stop function is called; stop takes one final sample so
-// short runs still get at least one. Periods <= 0 default to 100ms.
-func (r *Recorder) StartSampler(period time.Duration) (stop func()) {
-	if period <= 0 {
-		period = 100 * time.Millisecond
-	}
+// samplePeriod is the runtime sampler's tick.
+const samplePeriod = 100 * time.Millisecond
+
+// StartSampler samples every samplePeriod on a background goroutine
+// until the returned stop function is called; stop takes one final
+// sample so short runs still get at least one.
+func (r *Recorder) StartSampler() (stop func()) {
 	done := make(chan struct{})
 	finished := make(chan struct{})
 	go func() {
 		defer close(finished)
-		ticker := time.NewTicker(period)
+		ticker := time.NewTicker(samplePeriod)
 		defer ticker.Stop()
 		for {
 			select {

@@ -129,6 +129,7 @@ type Recorder struct {
 	clock Clock
 	start time.Time
 	jobs  int
+	label string
 
 	mu     sync.Mutex
 	w      io.Writer
@@ -149,6 +150,7 @@ func New(w io.Writer, o Options) *Recorder {
 		clock: o.Clock,
 		start: o.Clock.Now(),
 		jobs:  o.Jobs,
+		label: o.Label,
 		w:     w,
 	}
 	r.emit(Header{
@@ -204,18 +206,18 @@ func (r *Recorder) Event(ev Event) {
 	r.emit(ev)
 }
 
-// Span opens a named wall-clock span (recorded as a cell-start with no
-// worker) and returns a closure that ends it: status "ok" on a nil
-// error, "failed" otherwise. It is the single-run shape of the runner
-// cell events, used by commands that do one thing (fairsim) rather
-// than a sweep.
-func (r *Recorder) Span(name string) func(error) {
+// Span opens a wall-clock span named by the run's label (recorded as a
+// cell-start with no worker) and returns a closure that ends it: status
+// "ok" on a nil error, "failed" otherwise. It is the single-run shape
+// of the runner cell events, used by commands that do one thing
+// (fairsim) rather than a sweep.
+func (r *Recorder) Span() func(error) {
 	start := r.clock.Now()
-	r.Event(Event{Ev: EvCellStart, Cell: name, Worker: -1})
+	r.Event(Event{Ev: EvCellStart, Cell: r.label, Worker: -1})
 	return func(err error) {
 		ev := Event{
 			Ev:       EvCellFinish,
-			Cell:     name,
+			Cell:     r.label,
 			Worker:   -1,
 			Status:   "ok",
 			Attempts: 1,

@@ -50,10 +50,10 @@ func TestSpan(t *testing.T) {
 	clk := NewFakeClock(t0)
 	var buf bytes.Buffer
 	r := New(&buf, Options{Clock: clk, Label: "span"})
-	done := r.Span("one-run")
+	done := r.Span()
 	clk.Advance(42 * time.Millisecond)
 	done(nil)
-	doneErr := r.Span("other-run")
+	doneErr := r.Span()
 	clk.Advance(time.Millisecond)
 	doneErr(errors.New("boom"))
 	if err := r.Close(); err != nil {
@@ -72,7 +72,7 @@ func TestSpan(t *testing.T) {
 	if len(finishes) != 2 {
 		t.Fatalf("finishes = %+v", finishes)
 	}
-	if finishes[0].Cell != "one-run" || finishes[0].Status != "ok" || finishes[0].WallMS != 42 {
+	if finishes[0].Cell != "span" || finishes[0].Status != "ok" || finishes[0].WallMS != 42 {
 		t.Errorf("ok span = %+v", finishes[0])
 	}
 	if finishes[1].Status != "failed" || finishes[1].Error != "boom" {

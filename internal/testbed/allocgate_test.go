@@ -222,7 +222,7 @@ var allocRows = []allocRow{
 	}},
 	// Span lifecycle without a writer. The tracer allocates by design;
 	// the bound pins today's cost so it can only fall.
-	{name: "obs-span", maxAllocs: 6.5, maxBytes: 184, calls: 20000, setup: func(t *testing.T) (func(), float64) {
+	{name: "obs-span", maxAllocs: 2.5, maxBytes: 80, calls: 20000, setup: func(t *testing.T) (func(), float64) {
 		tr := obs.New(nil)
 		k := 0
 		return func() {

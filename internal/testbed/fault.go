@@ -163,7 +163,7 @@ func (d *Deployment) runWithFaults(spec fault.Spec, run func() (Result, error)) 
 	}
 	rep := FaultReport{Spec: spec, Windows: inj.Windows(),
 		LinkDropped: d.linkDropped, LinkCorrupted: d.linkCorrupted, LinkDuplicated: d.linkDuplicated}
-	rep.Avail, err = d.avail.Summarize(measure.DefaultAvailabilityThreshold)
+	rep.Avail, err = d.avail.Summarize()
 	if err != nil {
 		return Result{}, FaultReport{}, fmt.Errorf("testbed: %s: availability: %w", d.cfg.Name, err)
 	}

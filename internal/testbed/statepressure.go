@@ -93,12 +93,13 @@ func StatePressureHost(name string, cores int, ct nf.ConntrackConfig) (*Deployme
 // StatePressureSmartNIC builds the offload variant: one host core
 // running the bounded conntrack firewall fronted by a SmartNIC whose
 // offload table is the state plane under test. Probes cover both the
-// offload table and the host connection table.
-func StatePressureSmartNIC(name string, snic hw.SmartNICConfig, ct nf.ConntrackConfig) (*Deployment, []measure.StateProbe, error) {
+// offload table and the host connection table. The deployment is named
+// fw-smartnic-ct.
+func StatePressureSmartNIC(snic hw.SmartNICConfig, ct nf.ConntrackConfig) (*Deployment, []measure.StateProbe, error) {
 	m := canonicalMatcher()
 	var cts []*nf.Conntrack
 	d, err := New(Config{
-		Name:         name,
+		Name:         "fw-smartnic-ct",
 		Cores:        1,
 		CoreCfg:      ScenarioCore,
 		ChassisWatts: ScenarioChassisWatts,

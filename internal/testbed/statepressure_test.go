@@ -143,7 +143,7 @@ func TestRunScenarioOffloadTableOverflow(t *testing.T) {
 	snic := ScenarioSmartNIC
 	snic.FlowTableSize = 64
 	snic.TableEvict = nf.EvictNone
-	d, probes, err := StatePressureSmartNIC("snic", snic, nf.ConntrackConfig{MaxEntries: 8192, Policy: nf.EvictLRU})
+	d, probes, err := StatePressureSmartNIC(snic, nf.ConntrackConfig{MaxEntries: 8192, Policy: nf.EvictLRU})
 	if err != nil {
 		t.Fatal(err)
 	}

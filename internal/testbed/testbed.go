@@ -74,9 +74,6 @@ type Config struct {
 	AblateStages []string
 }
 
-// chassisRackUnits is every host chassis's rack occupancy.
-const chassisRackUnits = 1
-
 func (c Config) withDefaults() Config {
 	if c.Cores == 0 && c.FPGA == nil {
 		c.Cores = 1
@@ -180,7 +177,7 @@ func New(cfg Config) (*Deployment, error) {
 		return nil, fmt.Errorf("testbed: %s: FPGA deployments cannot also have SmartNIC/switch", cfg.Name)
 	}
 	d := &Deployment{cfg: cfg, s: sim.New()}
-	d.chassis = hw.NewChassis(cfg.Name+"/chassis", cfg.ChassisWatts, chassisRackUnits)
+	d.chassis = hw.NewChassis(cfg.Name+"/chassis", cfg.ChassisWatts)
 
 	nInstances := cfg.Cores
 	if cfg.FPGA != nil && nInstances == 0 {
@@ -258,11 +255,6 @@ func (d *Deployment) ProvisionedPowerWatts() (float64, error) {
 // SmartNIC exposes the SmartNIC model (nil if absent) for tests.
 func (d *Deployment) SmartNIC() *hw.SmartNIC { return d.smartnic }
 
-// kernelTraceEvery throttles kernel progress events: one record per
-// this many executed simulation events keeps traces compact while still
-// showing virtual-clock progress and queue depth.
-const kernelTraceEvery = 256
-
 // Observe attaches an observability tracer to the deployment. Call it
 // before Run/RunTrace. The trace records per-packet lifecycle spans
 // with a per-stage latency breakdown and kernel progress; when
@@ -281,7 +273,7 @@ func (d *Deployment) armObs(horizon sim.Time) {
 		return
 	}
 	d.tr.Emit(obs.Event{T: d.s.Now().Seconds(), Kind: "run", Device: d.cfg.Name})
-	d.s.SetTrace(obs.KernelHook(d.tr), kernelTraceEvery)
+	d.s.SetTrace(obs.KernelHook(d.tr))
 	if d.sampleEvery > 0 {
 		// Scheduling the first tick can only fail for an invalid
 		// period, which the Sampler reports; surface it as a trace

@@ -20,40 +20,17 @@ type Mix struct {
 	cum   []float64
 }
 
-// NewMix builds a mixture from (size, weight) pairs; weights are
-// normalised.
-func NewMix(sizes []int, weights []float64) (*Mix, error) {
-	if len(sizes) == 0 || len(sizes) != len(weights) {
-		return nil, fmt.Errorf("workload: mix needs matching non-empty sizes and weights")
-	}
-	m := &Mix{}
-	var total float64
-	for i, s := range sizes {
-		if s < packet.MinFrameLen || s > packet.MaxFrameLen {
-			return nil, fmt.Errorf("workload: frame size %d outside [%d, %d]", s, packet.MinFrameLen, packet.MaxFrameLen)
-		}
-		if weights[i] <= 0 {
-			return nil, fmt.Errorf("workload: non-positive weight %v", weights[i])
-		}
-		total += weights[i]
-	}
-	m.sizes = append([]int(nil), sizes...)
-	var cum float64
-	for _, w := range weights {
-		cum += w / total
-		m.cum = append(m.cum, cum)
-	}
-	return m, nil
-}
-
 // IMIX returns the classic "simple IMIX" mixture: 64-byte (58.33%),
-// 594-byte (33.33%), 1518-byte (8.33%) frames. The 64-byte component is
-// padded to the 60-byte minimum our builder enforces (we model frames
-// without FCS; a wire 64-byte frame is 60 bytes here).
+// 594-byte (33.33%), 1518-byte (8.33%) frames, weighted 7:4:1. The
+// 64-byte component is padded to the 60-byte minimum our builder
+// enforces (we model frames without FCS; a wire 64-byte frame is 60
+// bytes here).
 func IMIX() *Mix {
-	m, err := NewMix([]int{60, 594, 1514}, []float64{7, 4, 1})
-	if err != nil {
-		panic(err) // static construction cannot fail
+	m := &Mix{sizes: []int{60, 594, 1514}}
+	var cum float64
+	for _, w := range []float64{7, 4, 1} {
+		cum += w / 12
+		m.cum = append(m.cum, cum)
 	}
 	return m
 }
@@ -253,7 +230,7 @@ func buildFrame(ft packet.FiveTuple, size int) ([]byte, error) {
 	if ft.Proto == packet.ProtoUDP {
 		return packet.BuildUDP4(genOpts, ft, payload)
 	}
-	return packet.BuildTCP4(genOpts, ft, packet.FlagACK, 1, 1, payload)
+	return packet.BuildTCP4(genOpts, ft, packet.FlagACK, payload)
 }
 
 // Arrival is an inter-arrival process over simulated time.

@@ -753,7 +753,7 @@ func buildScenarioFrame(ft packet.FiveTuple, size int, syn bool) ([]byte, error)
 	if syn {
 		flags = packet.FlagSYN
 	}
-	return packet.BuildTCP4(genOpts, ft, flags, 1, 1, payload)
+	return packet.BuildTCP4(genOpts, ft, flags, payload)
 }
 
 // patchTuple rewrites the five-tuple fields of a built frame in place,

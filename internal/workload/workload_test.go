@@ -32,21 +32,6 @@ func TestIMIXDistribution(t *testing.T) {
 	}
 }
 
-func TestNewMixValidation(t *testing.T) {
-	if _, err := NewMix(nil, nil); err == nil {
-		t.Error("empty mix should fail")
-	}
-	if _, err := NewMix([]int{64}, []float64{1, 2}); err == nil {
-		t.Error("mismatched lengths should fail")
-	}
-	if _, err := NewMix([]int{10}, []float64{1}); err == nil {
-		t.Error("sub-minimum frame should fail")
-	}
-	if _, err := NewMix([]int{64}, []float64{0}); err == nil {
-		t.Error("zero weight should fail")
-	}
-}
-
 func TestGeneratorDeterminism(t *testing.T) {
 	mk := func() []uint64 {
 		g, err := NewGenerator(Spec{Flows: 64, ZipfSkew: 1.1, Seed: 9})

@@ -147,8 +147,8 @@ func SensitivityReport(e6 SmartNICResult, relError float64) (string, error) {
 	}
 	for _, p := range pairs {
 		res, err := core.SensitivityAnalysis(ev,
-			e6.Proposed.ThroughputPowerSystem(true),
-			p.baseline.ThroughputPowerSystem(true),
+			e6.Proposed.ThroughputPowerSystem(),
+			p.baseline.ThroughputPowerSystem(),
 			core.SensitivityOptions{RelError: relError})
 		if err != nil {
 			return "", err

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+
+	"fairbench/internal/stats"
 )
 
 // replicationOpts is a reduced-fidelity option set for multi-trial
@@ -101,8 +103,8 @@ func TestSmartNICRobustVerdictDeterministic(t *testing.T) {
 	for _, n := range rv.Distribution {
 		total += n
 	}
-	if total != rv.Resamples {
-		t.Errorf("distribution sums to %d, want %d", total, rv.Resamples)
+	if total != stats.Resamples {
+		t.Errorf("distribution sums to %d, want %d", total, stats.Resamples)
 	}
 	if len(a.Proposed.Trials) != 5 || len(a.Proposed.Seeds) != 5 {
 		t.Errorf("proposed trials/seeds = %d/%d", len(a.Proposed.Trials), len(a.Proposed.Seeds))

@@ -6,6 +6,7 @@ import (
 
 	"fairbench/internal/core"
 	"fairbench/internal/report"
+	"fairbench/internal/stats"
 )
 
 // RobustSmartNICReport renders the replicated §4.2 example as markdown:
@@ -36,7 +37,7 @@ func RobustSmartNICReport(e SmartNICResult, o ExpOptions) string {
 	}
 	rv := e.RobustVs2
 
-	axes := report.NewTable(fmt.Sprintf("Across-trial axis summaries (%.0f%% bootstrap CIs)", rv.Level*100),
+	axes := report.NewTable(fmt.Sprintf("Across-trial axis summaries (%.0f%% bootstrap CIs)", stats.CILevel*100),
 		"System", "Axis", "Median", "CI", "Half-width", "CV", "Outlier trials")
 	addAxis := func(system, axis string, s core.AxisSummary) {
 		axes.AddRowf("%s|%s|%.3f|%s|%.3f|%.4f|%d",
@@ -53,7 +54,7 @@ func RobustSmartNICReport(e SmartNICResult, o ExpOptions) string {
 	dist := report.NewTable("Conclusion distribution over resamples", "Conclusion", "Resamples", "Share")
 	for _, c := range conclusionOrder(rv) {
 		n := rv.Distribution[c]
-		dist.AddRowf("%s|%d|%.1f%%", c, n, 100*float64(n)/float64(rv.Resamples))
+		dist.AddRowf("%s|%d|%.1f%%", c, n, 100*float64(n)/stats.Resamples)
 	}
 	b.WriteString(dist.Markdown())
 	b.WriteString("\n")

@@ -28,18 +28,18 @@ type StatefulAblationResult struct {
 	Speedup float64
 }
 
-// statefulFirewall builds the conntrack deployment over the canonical
-// rules.
-func statefulFirewall(cores int) (*testbed.Deployment, error) {
+// statefulFirewall builds the one-core conntrack deployment over the
+// canonical rules.
+func statefulFirewall() (*testbed.Deployment, error) {
 	m := nf.NewLinearMatcher(testbed.FirewallRules(testbed.DefaultFillerRules))
 	return testbed.New(testbed.Config{
-		Name:         fmt.Sprintf("fw-stateful-%dcore", cores),
-		Cores:        cores,
+		Name:         "fw-stateful-1core",
+		Cores:        1,
 		CoreCfg:      testbed.ScenarioCore,
 		ChassisWatts: testbed.ScenarioChassisWatts,
 		NICWatts:     testbed.ScenarioNICWatts,
 		NewNF: func(core int) (nf.Func, error) {
-			return nf.NewConntrack(fmt.Sprintf("ct-core%d", core), m, 0), nil
+			return nf.NewConntrackWith(fmt.Sprintf("ct-core%d", core), m, nf.ConntrackConfig{}), nil
 		},
 	})
 }
@@ -67,7 +67,7 @@ func RunStatefulAblation(o ExpOptions) (StatefulAblationResult, error) {
 		return res, err
 	}
 	res.Stateful, err = measureThroughput("fw-stateful-1core",
-		func() (*testbed.Deployment, error) { return statefulFirewall(1) }, gen, o, 16e6)
+		statefulFirewall, gen, o, 16e6)
 	if err != nil {
 		return res, err
 	}
@@ -78,8 +78,8 @@ func RunStatefulAblation(o ExpOptions) (StatefulAblationResult, error) {
 		return res, err
 	}
 	res.Verdict, err = e.Evaluate(
-		res.Stateful.ThroughputPowerSystem(true),
-		res.Stateless.ThroughputPowerSystem(true))
+		res.Stateful.ThroughputPowerSystem(),
+		res.Stateless.ThroughputPowerSystem())
 	return res, err
 }
 

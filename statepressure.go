@@ -94,7 +94,7 @@ func statePressureProposed(seed uint64, tableSize int, evict nf.EvictPolicy) (*t
 	snic.FlowTableSize = tableSize
 	snic.TableEvict = evict
 	snic.EvictSeed = seed
-	return testbed.StatePressureSmartNIC("fw-smartnic-ct", snic, statePressureConntrack(seed))
+	return testbed.StatePressureSmartNIC(snic, statePressureConntrack(seed))
 }
 
 // statePressureBaseline builds the 2-core host system.
@@ -307,10 +307,10 @@ func RunStatePressure(o ExpOptions) (StatePressureResult, error) {
 		if o.Trials >= 2 {
 			// Independent resampling streams per (regime, system),
 			// offset away from the other drivers' streams.
-			if row.ProposedCollateralCI, err = stats.MedianCI(propColl, stats.Resamples, ciLevel, stats.MixSeed(o.Seed, uint64(2*i)+70)); err != nil {
+			if row.ProposedCollateralCI, err = stats.MedianCI(propColl, stats.CILevel, stats.MixSeed(o.Seed, uint64(2*i)+70)); err != nil {
 				return out, fmt.Errorf("state pressure: regime %s: %w", regime.Name, err)
 			}
-			if row.BaselineCollateralCI, err = stats.MedianCI(baseColl, stats.Resamples, ciLevel, stats.MixSeed(o.Seed, uint64(2*i)+71)); err != nil {
+			if row.BaselineCollateralCI, err = stats.MedianCI(baseColl, stats.CILevel, stats.MixSeed(o.Seed, uint64(2*i)+71)); err != nil {
 				return out, fmt.Errorf("state pressure: regime %s: %w", regime.Name, err)
 			}
 		}
@@ -328,13 +328,13 @@ func RunStatePressure(o ExpOptions) (StatePressureResult, error) {
 		})
 	}
 	var err error
-	out.Comparison, err = core.CompareUnderRegimes(plane, pts, core.DefaultTolerance)
+	out.Comparison, err = core.CompareUnderRegimes(plane, pts)
 	if err != nil {
 		return out, fmt.Errorf("state pressure: %w", err)
 	}
 	if o.Trials >= 2 {
-		robust, err := core.CompareUnderRegimesReplicated(plane, rpts, core.DefaultTolerance,
-			o.robustOptions())
+		robust, err := core.CompareUnderRegimesReplicated(plane, rpts,
+			o.Seed)
 		if err != nil {
 			return out, fmt.Errorf("state pressure: %w", err)
 		}
@@ -380,13 +380,13 @@ func RunStatePressure(o ExpOptions) (StatePressureResult, error) {
 			BaselineSamples: baseFlipPt,
 		})
 	}
-	out.FlipMap, err = core.FlipMapOverParam(plane, "offload-table entries", flipPts, core.DefaultTolerance)
+	out.FlipMap, err = core.FlipMapOverParam(plane, flipPts)
 	if err != nil {
 		return out, fmt.Errorf("state pressure: flip map: %w", err)
 	}
 	if o.Trials >= 2 {
-		robust, err := core.CompareUnderRegimesReplicated(plane, flipRpts, core.DefaultTolerance,
-			o.robustOptions())
+		robust, err := core.CompareUnderRegimesReplicated(plane, flipRpts,
+			o.Seed)
 		if err != nil {
 			return out, fmt.Errorf("state pressure: flip map: %w", err)
 		}
