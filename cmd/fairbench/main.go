@@ -34,10 +34,23 @@ const exampleSpec = `{
 }`
 
 func main() {
-	if err := run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr); err != nil {
-		fmt.Fprintln(os.Stderr, "fairbench:", err)
-		os.Exit(1)
+	os.Exit(exitCode(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
+
+// exitCode runs the command and returns its exit status, printing a
+// failure on stderr with exactly one "fairbench: " prefix: the library's
+// errors carry it already, the command's own do not.
+func exitCode(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	err := run(args, stdin, stdout, stderr)
+	if err == nil {
+		return 0
 	}
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "fairbench: ") {
+		msg = "fairbench: " + msg
+	}
+	fmt.Fprintln(stderr, msg)
+	return 1
 }
 
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) error {

@@ -116,3 +116,24 @@ func TestRunAuditMode(t *testing.T) {
 		t.Errorf("audit output:\n%s", got)
 	}
 }
+
+// TestExitStderrOnePrefix pins the stderr line of a failed run: the
+// library's errors and the command's own each carry exactly one
+// "fairbench: " prefix, and the exit status is 1.
+func TestExitStderrOnePrefix(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{args: []string{"-audit"}, want: "fairbench: parsing audit spec: unexpected end of JSON input\n"},
+		{args: []string{"-audit", "-json"}, want: "fairbench: -audit and -json are mutually exclusive: the audit report is text only\n"},
+	} {
+		var stderr bytes.Buffer
+		if code := exitCode(tc.args, strings.NewReader(""), &bytes.Buffer{}, &stderr); code != 1 {
+			t.Errorf("%q: exit status %d, want 1", tc.args, code)
+		}
+		if got := stderr.String(); got != tc.want {
+			t.Errorf("%q: stderr %q, want %q", tc.args, got, tc.want)
+		}
+	}
+}

@@ -75,11 +75,11 @@ type completion struct {
 // order, and the kernel breaks equal times by schedule sequence. The
 // kernel therefore fires a device's completion events in exactly the
 // order they were pushed here, and every event can run one callback
-// bound at construction that pops the ring head, instead of a closure
-// allocated per packet.
+// registered with the kernel at construction that pops the ring head,
+// instead of a closure allocated per packet.
 type completions struct {
 	s    *sim.Sim
-	fire func() // the owning device's completion method, bound once
+	fire sim.Callback // the owning device's completion method, registered once
 	ring []completion
 	head int
 	n    int
@@ -90,7 +90,7 @@ type completions struct {
 const initialRing = 16
 
 func newCompletions(s *sim.Sim, fire func()) completions {
-	return completions{s: s, fire: fire, ring: make([]completion, initialRing)}
+	return completions{s: s, fire: s.Register(fire), ring: make([]completion, initialRing)}
 }
 
 // schedule queues a completion at finish, which must not precede the
@@ -101,7 +101,7 @@ func (c *completions) schedule(finish sim.Time, so Sojourn, done func(Sojourn)) 
 	}
 	c.ring[(c.head+c.n)&(len(c.ring)-1)] = completion{so: so, done: done}
 	c.n++
-	return c.s.At(finish, c.fire)
+	return c.s.AtCallback(finish, c.fire)
 }
 
 // grow doubles the ring. Appending the ring to itself leaves the live
@@ -115,10 +115,12 @@ func (c *completions) grow() {
 	clear(c.ring[n+c.head:])
 }
 
-// pop removes the oldest pending completion.
+// pop removes the oldest pending completion. The slot keeps its stale
+// callback until reused: callbacks belong to the deployment's recycled
+// packet records, which live as long as the ring does, and not clearing
+// spares a pointer store per packet.
 func (c *completions) pop() completion {
 	p := c.ring[c.head]
-	c.ring[c.head] = completion{}
 	c.head = (c.head + 1) & (len(c.ring) - 1)
 	c.n--
 	return p

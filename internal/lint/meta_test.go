@@ -86,7 +86,7 @@ func TestModuleSelfLint(t *testing.T) {
 // claim zero allocations.
 func TestHotpathsAnnotated(t *testing.T) {
 	want := map[string]bool{
-		"internal/sim.(*Sim).At":                  false,
+		"internal/sim.(*Sim).AtCallback":          false,
 		"internal/sim.(*Sim).Run":                 false,
 		"internal/sim.(*Sim).RunAll":              false,
 		"internal/packet.(*Parser).Parse":         false,

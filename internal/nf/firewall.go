@@ -350,8 +350,6 @@ type Firewall struct {
 	matcher Matcher
 	// DefaultAction applies when no rule matches.
 	DefaultAction Verdict
-	// Matched counts per-rule hits by rule ID.
-	Matched map[int]uint64
 	// Dropped and Accepted count outcomes.
 	Dropped, Accepted uint64
 }
@@ -359,7 +357,7 @@ type Firewall struct {
 // NewFirewall builds a firewall with a default-drop policy. The name
 // labels the instance at the call site only; nothing reads it back.
 func NewFirewall(name string, m Matcher) *Firewall {
-	return &Firewall{matcher: m, DefaultAction: Drop, Matched: make(map[int]uint64)}
+	return &Firewall{matcher: m, DefaultAction: Drop}
 }
 
 // Process implements Func: non-IPv4-TCP/UDP traffic is dropped (a
@@ -376,7 +374,6 @@ func (f *Firewall) Process(p *packet.Parser, _ []byte) (Result, error) {
 	rule, cycles, matched := f.matcher.Match(ft)
 	res := Result{Cycles: CyclesParse + cycles}
 	if matched {
-		f.Matched[rule.ID]++
 		res.Verdict = rule.Action
 	} else {
 		res.Verdict = f.DefaultAction

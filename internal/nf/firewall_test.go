@@ -228,6 +228,9 @@ func TestFirewallProcess(t *testing.T) {
 	if res.Cycles <= CyclesParse {
 		t.Errorf("cycles = %d, should include match work", res.Cycles)
 	}
+	if fw.Accepted != 1 || fw.Dropped != 0 {
+		t.Errorf("after rule 0's accept: accepted=%d dropped=%d", fw.Accepted, fw.Dropped)
+	}
 
 	// Default drop for unmatched flow.
 	badFlow := flow(packet.Addr4{172, 16, 0, 1}, packet.Addr4{8, 8, 8, 8}, 1, 2, packet.ProtoUDP)
@@ -242,9 +245,6 @@ func TestFirewallProcess(t *testing.T) {
 	}
 	if fw.Accepted != 1 || fw.Dropped != 1 {
 		t.Errorf("counters: accepted=%d dropped=%d", fw.Accepted, fw.Dropped)
-	}
-	if fw.Matched[0] != 1 {
-		t.Errorf("rule 0 hits = %d", fw.Matched[0])
 	}
 }
 

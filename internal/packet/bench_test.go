@@ -66,23 +66,6 @@ func BenchmarkChecksum(b *testing.B) {
 	}
 }
 
-// BenchmarkIncrementalChecksum measures the RFC 1624 incremental update
-// against full recomputation of a 1500-byte packet.
-func BenchmarkIncrementalChecksum(b *testing.B) {
-	b.Run("incremental", func(b *testing.B) {
-		c := uint16(0x1234)
-		for i := 0; i < b.N; i++ {
-			c = UpdateChecksum32(c, 0x0a000001, 0xcb007101)
-		}
-	})
-	b.Run("full-1500B", func(b *testing.B) {
-		data := make([]byte, 1500)
-		for i := 0; i < b.N; i++ {
-			_ = Checksum(data, 0)
-		}
-	})
-}
-
 // BenchmarkBuildUDP4 measures full frame construction with checksums.
 func BenchmarkBuildUDP4(b *testing.B) {
 	payload := make([]byte, 512)

@@ -1,14 +1,20 @@
 package packet
 
-// Internet checksum (RFC 1071) and incremental update (RFC 1624),
-// needed by IPv4 header validation and by the scenario generator's
-// in-place five-tuple rewriting.
+// Internet checksum (RFC 1071), needed by IPv4 header validation and by
+// frame templates, which complete a stamped frame's checksums from
+// precomputed word sums.
 
 // Checksum computes the 16-bit one's-complement internet checksum over
 // data, folding an initial partial sum. Pass 0 as initial for a fresh
 // computation over a region whose checksum field is zeroed.
 func Checksum(data []byte, initial uint32) uint16 {
-	sum := initial
+	return ^fold(wordSum(data, initial))
+}
+
+// wordSum adds data's big-endian 16-bit words to sum without folding,
+// padding an odd trailing byte with zero. A frame of at most
+// MaxFrameLen bytes cannot overflow it.
+func wordSum(data []byte, sum uint32) uint32 {
 	i := 0
 	for ; i+1 < len(data); i += 2 {
 		sum += uint32(data[i])<<8 | uint32(data[i+1])
@@ -16,10 +22,15 @@ func Checksum(data []byte, initial uint32) uint16 {
 	if i < len(data) {
 		sum += uint32(data[i]) << 8
 	}
+	return sum
+}
+
+// fold reduces a word sum to 16 bits with end-around carry.
+func fold(sum uint32) uint16 {
 	for sum > 0xffff {
 		sum = (sum >> 16) + (sum & 0xffff)
 	}
-	return ^uint16(sum)
+	return uint16(sum)
 }
 
 // pseudoHeaderSum computes the partial sum of the IPv4 pseudo-header
@@ -33,23 +44,4 @@ func pseudoHeaderSum(src, dst [4]byte, proto uint8, length uint16) uint32 {
 	sum += uint32(proto)
 	sum += uint32(length)
 	return sum
-}
-
-// UpdateChecksum16 incrementally updates a checksum when a 16-bit field
-// changes from old to new (RFC 1624, eqn. 3: HC' = ~(~HC + ~m + m')).
-// The scenario generator uses it to fix IP and transport checksums
-// after rewriting addresses and ports without re-summing the packet.
-func UpdateChecksum16(check, old, new uint16) uint16 {
-	sum := uint32(^check&0xffff) + uint32(^old&0xffff) + uint32(new)
-	for sum > 0xffff {
-		sum = (sum >> 16) + (sum & 0xffff)
-	}
-	return ^uint16(sum)
-}
-
-// UpdateChecksum32 applies UpdateChecksum16 across a 32-bit field
-// change (e.g. an IPv4 address).
-func UpdateChecksum32(check uint16, old, new uint32) uint16 {
-	check = UpdateChecksum16(check, uint16(old>>16), uint16(new>>16))
-	return UpdateChecksum16(check, uint16(old), uint16(new))
 }

@@ -72,26 +72,50 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// FuzzChecksumIncremental cross-checks the RFC 1624 incremental update
-// against full recomputation for arbitrary 16-bit field rewrites.
-func FuzzChecksumIncremental(f *testing.F) {
-	f.Add(uint16(0x1234), uint16(0x8), []byte{1, 2, 3, 4, 5, 6, 7, 8})
-	f.Fuzz(func(t *testing.T, oldVal, newVal uint16, rest []byte) {
-		if len(rest) < 2 {
-			return
+// FuzzStampFrame checks stamping against fresh builds: a template
+// already stamped with one tuple, then stamped with another, holds the
+// bytes BuildUDP4 or BuildTCP4 builds for the second, for any payload
+// (and so any frame size), protocol, SYN flag and VLAN tag.
+func FuzzStampFrame(f *testing.F) {
+	f.Add(uint32(0x0a010203), uint32(0xc0a80101), uint16(1024), uint16(53), []byte("x"), false, false, false)
+	f.Add(uint32(0x0a420001), uint32(0xc0a801c8), uint16(61023), uint16(443), make([]byte, 1460), true, true, false)
+	f.Add(uint32(0xffffffff), uint32(0), uint16(0xffff), uint16(0), []byte{}, true, false, true)
+	f.Fuzz(func(t *testing.T, src, dst uint32, sport, dport uint16, payload []byte, tcp, syn, vlan bool) {
+		proto, flags := ProtoUDP, FlagACK
+		if tcp {
+			proto = ProtoTCP
 		}
-		data := make([]byte, 2+len(rest))
-		putBeUint16(data[0:2], oldVal)
-		copy(data[2:], rest)
-		base := Checksum(data, 0)
+		if syn {
+			flags = FlagSYN
+		}
+		opts := testOpts
+		if vlan {
+			opts.VLAN = 7
+		}
+		if room := MaxFrameLen - EthernetHeaderLen - VLANTagLen - IPv4MinHeaderLen - TCPMinHeaderLen; len(payload) > room {
+			payload = payload[:room]
+		}
+		addr := func(v uint32) Addr4 { return Addr4{byte(v >> 24), byte(v >> 16), byte(v >> 8), byte(v)} }
+		ft := FiveTuple{Src: addr(src), Dst: addr(dst), SrcPort: sport, DstPort: dport, Proto: proto}
+		other := FiveTuple{Src: addr(^src), Dst: addr(dst + 1), SrcPort: ^sport, DstPort: dport + 1, Proto: proto}
 
-		updated := UpdateChecksum16(base, oldVal, newVal)
-		putBeUint16(data[0:2], newVal)
-		full := Checksum(data, 0)
-		// One's-complement arithmetic has two representations of zero
-		// (0x0000 and 0xffff); they verify identically.
-		if updated != full && !(updated^full == 0xffff && (updated == 0xffff || full == 0xffff)) {
-			t.Fatalf("incremental %#04x != full %#04x (old=%#04x new=%#04x)", updated, full, oldVal, newVal)
+		tp, err := NewTemplate(opts, proto, flags, payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tp.Stamp(other)
+		got := tp.Stamp(ft)
+		var want []byte
+		if tcp {
+			want, err = BuildTCP4(opts, ft, flags, payload)
+		} else {
+			want, err = BuildUDP4(opts, ft, payload)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("stamped %v differs from a fresh build:\n got %x\nwant %x", ft, got, want)
 		}
 	})
 }

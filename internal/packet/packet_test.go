@@ -232,40 +232,32 @@ func TestChecksumOddLength(t *testing.T) {
 	}
 }
 
-func TestIncrementalChecksumUpdateMatchesRecompute(t *testing.T) {
-	// RFC 1624: after rewriting the destination address, the
-	// incrementally updated checksum must equal a full recomputation.
-	ip := IPv4{TTL: 64, Protocol: ProtoUDP, ID: 42,
-		Src: Addr4{10, 0, 0, 1}, Dst: Addr4{10, 0, 0, 2}}
-	buf := make([]byte, IPv4MinHeaderLen)
-	_, err := ip.SerializeTo(buf, 100)
+// TestStampUDPZeroChecksum drives the RFC 768 branch: a tuple whose UDP
+// checksum computes to zero is stamped as 0xffff, as BuildUDP4 sends it.
+func TestStampUDPZeroChecksum(t *testing.T) {
+	payload := []byte("payload")
+	tp, err := NewTemplate(testOpts, ProtoUDP, 0, payload)
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldDst := ip.Dst.Uint32()
-	newDst := Addr4{172, 16, 5, 9}
-
-	updated := UpdateChecksum32(beUint16(buf[10:12]), oldDst, newDst.Uint32())
-
-	// Full recompute.
-	copy(buf[16:20], newDst[:])
-	buf[10], buf[11] = 0, 0
-	full := Checksum(buf, 0)
-
-	if updated != full {
-		t.Errorf("incremental %#x != recomputed %#x", updated, full)
+	// With zero addresses and destination port, this source port
+	// completes the segment's word sum to 0xffff.
+	ft := FiveTuple{SrcPort: 0xffff - fold(tp.l4Sum), Proto: ProtoUDP}
+	got := tp.Stamp(ft)
+	want, err := BuildUDP4(testOpts, ft, payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("stamped frame differs from a fresh build:\n got %x\nwant %x", got, want)
+	}
+	if c := beUint16(got[tp.l4+6:]); c != 0xffff {
+		t.Errorf("UDP checksum = %#04x, want 0xffff", c)
 	}
 }
 
-func TestIncrementalChecksum16(t *testing.T) {
-	// Port rewrite case.
-	data := make([]byte, 8)
-	putBeUint16(data[0:2], 1111)
-	putBeUint16(data[2:4], 2222)
-	c := Checksum(data, 0)
-	updated := UpdateChecksum16(c, 1111, 3333)
-	putBeUint16(data[0:2], 3333)
-	if full := Checksum(data, 0); updated != full {
-		t.Errorf("incremental %#x != full %#x", updated, full)
+func TestNewTemplateRejectsProto(t *testing.T) {
+	if _, err := NewTemplate(testOpts, 1, 0, nil); err == nil {
+		t.Error("an ICMP template should fail")
 	}
 }

@@ -31,13 +31,23 @@ func (t Time) Duration() time.Duration {
 // Seconds returns the time as a float64 second count.
 func (t Time) Seconds() float64 { return float64(t) }
 
-// event is a scheduled callback. Events are stored by value in the
-// queue, so scheduling one allocates nothing once the queue has grown to
-// the run's peak depth.
+// Callback names a function registered with a Sim (Register).
+// Scheduling it (AtCallback) writes no heap pointer, so it costs the
+// same whether or not the garbage collector is marking: while a
+// collection marks, every pointer store runs a write barrier.
+type Callback int32
+
+// event is a scheduled callback's place in the queue, stored by value:
+// scheduling allocates nothing once the queue has grown to the run's
+// peak depth. Events hold no pointers (the function lives in
+// Sim.slots), so the heap's sift moves need no write barrier.
 type event struct {
-	at  Time
-	seq uint64
-	fn  func()
+	at   Time
+	seq  uint64
+	call Callback
+	// once marks a callback scheduled with At, whose slot is released
+	// when it fires.
+	once bool
 }
 
 // before orders events by (time, sequence). Sequence numbers are unique,
@@ -50,16 +60,24 @@ func (e *event) before(o *event) bool {
 	return e.seq < o.seq
 }
 
-// eventQueue is a binary min-heap of events stored by value, ordered by
-// before.
-type eventQueue []event
+// eventQueue is a binary min-heap of events stored by value in h[:n],
+// ordered by before. Tracking the length in n, not in the slice
+// header, means push and pop write no pointer once h has grown to the
+// run's peak depth.
+type eventQueue struct {
+	h []event
+	n int
+}
 
 // push inserts e, sifting a hole up from the new leaf.
 func (q *eventQueue) push(e event) {
-	//fairlint:allow hotalloc event queue reaches steady-state capacity; heap growth is amortized across the run
-	*q = append(*q, e)
-	h := *q
-	i := len(h) - 1
+	if q.n == len(q.h) {
+		//fairlint:allow hotalloc event queue reaches steady-state capacity; heap growth is amortized across the run
+		q.h = append(q.h, e)
+	}
+	h := q.h
+	i := q.n
+	q.n++
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !e.before(&h[parent]) {
@@ -74,13 +92,11 @@ func (q *eventQueue) push(e event) {
 // pop removes and returns the earliest event, sifting the last leaf
 // down from the root. The queue must be non-empty.
 func (q *eventQueue) pop() event {
-	h := *q
+	h := q.h
 	top := h[0]
-	n := len(h) - 1
+	q.n--
+	n := q.n
 	last := h[n]
-	h[n] = event{} // release the callback for the collector
-	h = h[:n]
-	*q = h
 	if n == 0 {
 		return top
 	}
@@ -103,6 +119,13 @@ func (q *eventQueue) pop() event {
 	return top
 }
 
+// slot holds a callback: a registered one for good, or one scheduled
+// with At until it fires, after which the slot joins the free list.
+type slot struct {
+	fn   func()
+	next Callback // free-list link
+}
+
 // TraceFunc observes kernel progress: it receives the virtual clock,
 // the number of events processed so far, and the pending queue depth.
 // Hooks fire after an event's callback has run, so the reported state
@@ -114,14 +137,19 @@ type TraceFunc func(now Time, processed uint64, pending int)
 type Sim struct {
 	now    Time
 	queue  eventQueue
+	slots  []slot
+	free   Callback // head of the free slot list; noSlot when empty
 	seq    uint64
 	events uint64
 	halted bool
 	trace  TraceFunc
 }
 
+// noSlot ends the free slot list.
+const noSlot Callback = -1
+
 // New returns a simulator at time zero.
-func New() *Sim { return &Sim{} }
+func New() *Sim { return &Sim{free: noSlot} }
 
 // Now returns the current simulated time.
 func (s *Sim) Now() Time { return s.now }
@@ -132,20 +160,64 @@ func (s *Sim) Processed() uint64 { return s.events }
 // ErrPastEvent is returned when scheduling before the current time.
 var ErrPastEvent = errors.New("sim: cannot schedule event in the past")
 
-// At schedules fn to run at absolute simulated time t. Events at equal
-// times run in scheduling order.
+// At schedules fn to run once at absolute simulated time t. Events at
+// equal times run in scheduling order.
+func (s *Sim) At(t Time, fn func()) error {
+	if err := s.check(t); err != nil {
+		return err
+	}
+	c := s.free
+	if c == noSlot {
+		c = s.Register(fn)
+	} else {
+		s.free = s.slots[c].next
+		s.slots[c].fn = fn
+	}
+	s.queue.push(event{at: t, seq: s.seq, call: c, once: true})
+	s.seq++
+	return nil
+}
+
+// Register makes fn a callback that AtCallback can schedule any number
+// of times. Paths that schedule the same function for every packet
+// register it once.
+func (s *Sim) Register(fn func()) Callback {
+	s.slots = append(s.slots, slot{fn: fn})
+	return Callback(len(s.slots) - 1)
+}
+
+// AtCallback schedules the registered callback c at absolute simulated
+// time t, ordered like At.
 //
 //fairbench:hotpath alloc gate row sim-event-throughput
-func (s *Sim) At(t Time, fn func()) error {
+func (s *Sim) AtCallback(t Time, c Callback) error {
+	if err := s.check(t); err != nil {
+		return err
+	}
+	s.queue.push(event{at: t, seq: s.seq, call: c})
+	s.seq++
+	return nil
+}
+
+// check rejects event times in the past, NaN and infinities.
+func (s *Sim) check(t Time) error {
 	if t < s.now {
 		return fmt.Errorf("%w: now=%v, requested=%v", ErrPastEvent, s.now, t)
 	}
 	if math.IsNaN(float64(t)) || math.IsInf(float64(t), 0) {
 		return fmt.Errorf("sim: invalid event time %v", t)
 	}
-	s.queue.push(event{at: t, seq: s.seq, fn: fn})
-	s.seq++
 	return nil
+}
+
+// fire runs event e's callback, first releasing an At slot.
+func (s *Sim) fire(e event) {
+	fn := s.slots[e.call].fn
+	if e.once {
+		s.slots[e.call] = slot{next: s.free}
+		s.free = e.call
+	}
+	fn()
 }
 
 // traceEvery throttles the kernel progress hook: one call per this many
@@ -164,7 +236,7 @@ func (s *Sim) SetTrace(fn TraceFunc) {
 // traceTick fires the kernel hook when due.
 func (s *Sim) traceTick() {
 	if s.trace != nil && s.events%traceEvery == 0 {
-		s.trace(s.now, s.events, len(s.queue))
+		s.trace(s.now, s.events, s.queue.n)
 	}
 }
 
@@ -180,14 +252,14 @@ func (s *Sim) Halt() { s.halted = true }
 //fairbench:hotpath alloc gate row sim-event-throughput
 func (s *Sim) Run(horizon Time) {
 	s.halted = false
-	for len(s.queue) > 0 && !s.halted {
-		if s.queue[0].at > horizon {
+	for s.queue.n > 0 && !s.halted {
+		if s.queue.h[0].at > horizon {
 			break
 		}
 		next := s.queue.pop()
 		s.now = next.at
 		s.events++
-		next.fn()
+		s.fire(next)
 		s.traceTick()
 	}
 	if s.now < horizon && !s.halted {
@@ -202,11 +274,11 @@ func (s *Sim) Run(horizon Time) {
 //fairbench:hotpath alloc gate row sim-event-throughput
 func (s *Sim) RunAll() {
 	s.halted = false
-	for len(s.queue) > 0 && !s.halted {
+	for s.queue.n > 0 && !s.halted {
 		next := s.queue.pop()
 		s.now = next.at
 		s.events++
-		next.fn()
+		s.fire(next)
 		s.traceTick()
 	}
 }

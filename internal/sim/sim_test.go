@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -76,8 +77,8 @@ func TestRunHorizon(t *testing.T) {
 	if s.Now() != 5 {
 		t.Errorf("clock should settle at the horizon: %v", s.Now())
 	}
-	if len(s.queue) != 1 {
-		t.Errorf("Pending = %d, want 1", len(s.queue))
+	if s.queue.n != 1 {
+		t.Errorf("Pending = %d, want 1", s.queue.n)
 	}
 	// Resuming past the horizon runs the remaining event.
 	s.Run(20)
@@ -205,5 +206,48 @@ func TestSetTraceHook(t *testing.T) {
 	s.RunAll()
 	if len(ticks) != 2 {
 		t.Error("nil trace fn should disable the hook")
+	}
+}
+
+// TestAtCallbackOrdersWithAt checks registered callbacks against one-shot
+// ones: at equal times both run in scheduling order, a registered
+// callback runs once per scheduling, rejects the times At rejects, and
+// At's slots are reused once their events fire.
+func TestAtCallbackOrdersWithAt(t *testing.T) {
+	s := New()
+	var got []string
+	cb := s.Register(func() { got = append(got, "cb") })
+	for i := 0; i < 3; i++ {
+		name := string(rune('a' + i))
+		if err := s.At(1, func() { got = append(got, name) }); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.AtCallback(1, cb); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.AtCallback(0.5, cb); err != nil {
+		t.Fatal(err)
+	}
+	s.RunAll()
+	if want := "cb a cb b cb c cb"; strings.Join(got, " ") != want {
+		t.Errorf("ran %q, want %q", strings.Join(got, " "), want)
+	}
+	if err := s.AtCallback(0, cb); !errors.Is(err, ErrPastEvent) {
+		t.Errorf("past registered callback: err = %v, want ErrPastEvent", err)
+	}
+	if err := s.AtCallback(Time(math.NaN()), cb); err == nil {
+		t.Error("NaN time should fail")
+	}
+	// The three fired At slots are free again: three more one-shot
+	// events take no new slot.
+	slots := len(s.slots)
+	for i := 0; i < 3; i++ {
+		if err := s.At(2, func() {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(s.slots) != slots {
+		t.Errorf("slots grew from %d to %d; fired At slots were not reused", slots, len(s.slots))
 	}
 }

@@ -89,8 +89,8 @@ func TestAllocGate(t *testing.T) {
 // TestSmartNICPacketPathAllocs bounds the steady-state allocation cost
 // of the simulated packet path on its own: the value-heap kernel, the
 // devices' completion rings and the recycled packet records leave only
-// per-run setup (meters, pools warming up), well under 0.2 allocations
-// per offered packet. It runs the testbed-smartnic-packet row.
+// per-run setup (meters, pools warming up), under 0.004 allocations per
+// offered packet. It runs the testbed-smartnic-packet row.
 func TestSmartNICPacketPathAllocs(t *testing.T) {
 	for _, r := range allocRows {
 		if r.name == "testbed-smartnic-packet" {
@@ -140,19 +140,28 @@ func TestAllocGateCountsFractions(t *testing.T) {
 // Gated paths, keyed by the names the hotpath notes cite.
 var allocRows = []allocRow{
 	// Simulation kernel: schedule one event and run one at a queue kept
-	// 64 deep, alternating Run and RunAll.
+	// 64 deep, alternating Run and RunAll, and a registered callback
+	// (AtCallback) with a one-shot one (At).
 	{name: "sim-event-throughput", maxAllocs: 0.05, maxBytes: 4, calls: 20000, setup: func(t *testing.T) (func(), float64) {
 		s := sim.New()
 		halt := s.Halt // every event stops the loop, so each op runs exactly one
+		cb := s.Register(halt)
 		for i := 0; i < 64; i++ {
-			if err := s.At(sim.Time(i), halt); err != nil {
+			if err := s.AtCallback(sim.Time(i), cb); err != nil {
 				t.Fatal(err)
 			}
 		}
 		k := 0
 		return func() {
 			k++
-			if err := s.At(s.Now()+sim.Time(k%8), halt); err != nil {
+			at := s.Now() + sim.Time(k%8)
+			var err error
+			if k%4 < 2 {
+				err = s.At(at, halt)
+			} else {
+				err = s.AtCallback(at, cb)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 			if k%2 == 0 {
@@ -189,7 +198,7 @@ var allocRows = []allocRow{
 	// The end-to-end SmartNIC deployment: one call is a fresh 10 ms run
 	// at 4 Mpps CBR, so the per-packet figure carries the run's setup
 	// (meters, pools warming up) amortized over its 40k packets.
-	{name: "testbed-smartnic-packet", maxAllocs: 0.2, maxBytes: 52, calls: 3, setup: func(t *testing.T) (func(), float64) {
+	{name: "testbed-smartnic-packet", maxAllocs: 0.004, maxBytes: 7, calls: 3, setup: func(t *testing.T) (func(), float64) {
 		const pps, seconds = 4e6, 0.01
 		// One run here counts the packets per run, then the warm-up
 		// call and three measured ones.
@@ -266,7 +275,8 @@ var allocRows = []allocRow{
 	}},
 }
 
-// allocGateFrames draws one frame per flow of spec.
+// allocGateFrames draws as many frames as spec has flows, copying each
+// out of the generator's shared template.
 func allocGateFrames(t *testing.T, spec workload.Spec) [][]byte {
 	g, err := workload.NewGenerator(spec)
 	if err != nil {
@@ -278,13 +288,14 @@ func allocGateFrames(t *testing.T, spec workload.Spec) [][]byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		frames[i] = pk.Frame
+		frames[i] = append([]byte(nil), pk.Frame...)
 	}
 	return frames
 }
 
-// allocGateScenarioFrames draws 64 frames from the scenario spec: the
-// UDP generator has no TCP flows, a scenario mixes both transports.
+// allocGateScenarioFrames draws 64 frames from the scenario spec, copied
+// like allocGateFrames': the UDP generator has no TCP flows, a scenario
+// mixes both transports.
 func allocGateScenarioFrames(t *testing.T, spec string) [][]byte {
 	sc, err := workload.ParseScenario(spec)
 	if err != nil {
@@ -300,7 +311,7 @@ func allocGateScenarioFrames(t *testing.T, spec string) [][]byte {
 		if err != nil {
 			t.Fatal(err)
 		}
-		frames[i] = pk.Frame
+		frames[i] = append([]byte(nil), pk.Frame...)
 	}
 	return frames
 }

@@ -57,7 +57,7 @@ func (d *Deployment) RunTrace(tr *workload.TraceReader, stretch float64) (Result
 	// generated packet keeps the flow it was drawn for.
 	scratch := packet.NewParser()
 	next := 0
-	arrive := func() {
+	arrive := d.s.Register(func() {
 		pk := workload.Pkt{Frame: recs[next].frame}
 		next++
 		if err := scratch.Parse(pk.Frame); err == nil {
@@ -66,9 +66,9 @@ func (d *Deployment) RunTrace(tr *workload.TraceReader, stretch float64) (Result
 			}
 		}
 		d.offer(pk)
-	}
+	})
 	for _, r := range recs {
-		if err := d.s.At(r.at, arrive); err != nil {
+		if err := d.s.AtCallback(r.at, arrive); err != nil {
 			return Result{}, err
 		}
 	}

@@ -96,7 +96,7 @@ func TestRunTraceOutOfOrder(t *testing.T) {
 		if i == n-1 {
 			ts = n * 300
 		}
-		recs[i] = workload.TraceRecord{TimestampNanos: ts, Frame: pk.Frame}
+		recs[i] = workload.TraceRecord{TimestampNanos: ts, Frame: append([]byte(nil), pk.Frame...)}
 	}
 	sorted := append([]workload.TraceRecord(nil), recs...)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].TimestampNanos < sorted[j].TimestampNanos })

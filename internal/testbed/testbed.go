@@ -154,9 +154,12 @@ type Deployment struct {
 	lat  *measure.LatencyMeter
 	fair *measure.FairnessMeter
 
-	// free lists recycled packet records; inFlight counts records handed
-	// out and not yet finished.
-	free     *pktInFlight
+	// recs holds every packet record of the run and free heads the list
+	// of recycled ones (-1 when empty), linked by index so recycling
+	// stores no pointer; inFlight counts records handed out and not yet
+	// finished.
+	recs     []*pktInFlight
+	free     int32
 	inFlight uint64
 	// latRejects counts latency samples the histogram refused
 	// (non-finite or out of range): each is a packet missing from the
@@ -176,7 +179,7 @@ func New(cfg Config) (*Deployment, error) {
 	if cfg.FPGA != nil && (cfg.SmartNIC != nil || cfg.Switch != nil) {
 		return nil, fmt.Errorf("testbed: %s: FPGA deployments cannot also have SmartNIC/switch", cfg.Name)
 	}
-	d := &Deployment{cfg: cfg, s: sim.New()}
+	d := &Deployment{cfg: cfg, s: sim.New(), free: -1}
 	d.chassis = hw.NewChassis(cfg.Name+"/chassis", cfg.ChassisWatts)
 
 	nInstances := cfg.Cores
@@ -433,24 +436,24 @@ func (d *Deployment) runArrivals(arrival workload.Arrival, offeredPps, durationS
 	// One arrival callback serves the whole run: it fires at an arrival
 	// time, offers a packet, and reschedules itself one gap later.
 	var injErr error
-	var arrive func()
+	var arrive sim.Callback
 	scheduleNext := func() {
 		at := d.s.Now() + sim.Time(arrival.NextGap(arrRng, rate()))
 		if at > horizon {
 			return
 		}
-		if err := d.s.At(at, arrive); err != nil && injErr == nil {
+		if err := d.s.AtCallback(at, arrive); err != nil && injErr == nil {
 			injErr = err
 		}
 	}
-	arrive = func() {
+	arrive = d.s.Register(func() {
 		if err := next(); err != nil && injErr == nil {
 			injErr = err
 			d.s.Halt()
 			return
 		}
 		scheduleNext()
-	}
+	})
 	scheduleNext()
 
 	// Run past the horizon so in-flight packets drain (bounded by the
@@ -537,9 +540,9 @@ const (
 // each binds its device completion callback (done) once, so the
 // steady-state packet path allocates nothing.
 type pktInFlight struct {
-	d    *Deployment
-	done func(hw.Sojourn)
-	next *pktInFlight // free-list link
+	d        *Deployment
+	done     func(hw.Sojourn)
+	id, next int32 // index in the deployment's recs; free-list link
 
 	sp      *obs.Span
 	flow    packet.FiveTuple
@@ -559,23 +562,40 @@ type pktInFlight struct {
 
 // acquire hands out a packet record for pk arriving now.
 func (d *Deployment) acquire(pk workload.Pkt) *pktInFlight {
-	p := d.free
-	if p != nil {
+	var p *pktInFlight
+	if d.free >= 0 {
+		p = d.recs[d.free]
 		d.free = p.next
 	} else {
 		//fairlint:allow hotalloc pool miss: records are recycled, so the pool grows once to the run's peak in-flight count
-		p = &pktInFlight{}
+		d.recs = append(d.recs, &pktInFlight{d: d, id: int32(len(d.recs))})
+		p = d.recs[len(d.recs)-1]
 		p.done = p.complete
 	}
 	d.inFlight++
-	*p = pktInFlight{
-		d: d, done: p.done,
-		sp:   d.startSpan(),
-		flow: pk.Flow, class: string(pk.Class), size: len(pk.Frame),
-		arrived: d.s.Now().Seconds(),
+	// Set field by field, storing a pointer only when it changes (a
+	// recycled record keeps d and done, finish leaves sp nil, and the
+	// class is usually the last packet's): while the collector marks,
+	// every pointer store runs a write barrier.
+	if sp := d.startSpan(); sp != nil {
+		p.sp = sp
 	}
+	if c := string(pk.Class); p.class != c {
+		p.class = c
+	}
+	p.flow, p.size = pk.Flow, len(pk.Frame)
+	p.arrived = d.s.Now().Seconds()
+	p.extra, p.fwd, p.install = 0, false, false
 	d.avail.Offer(p.arrived)
 	return p
+}
+
+// setDevice records the device that completes the packet, storing the
+// name only when it differs from the record's last one (see acquire).
+func (p *pktInFlight) setDevice(name string) {
+	if p.device != name {
+		p.device = name
+	}
 }
 
 // complete is a device's completion callback, bound once per record.
@@ -621,9 +641,11 @@ func (p *pktInFlight) finish(out outcome, device string, so hw.Sojourn) {
 			d.smartnic.Install(p.flow)
 		}
 	}
-	p.sp = nil
+	if p.sp != nil {
+		p.sp = nil
+	}
 	p.next = d.free
-	d.free = p
+	d.free = p.id
 	d.inFlight--
 }
 
@@ -700,7 +722,7 @@ func (d *Deployment) dispatch(pk workload.Pkt) {
 	// host slow path when cores exist.
 	if d.fpga != nil {
 		p.fwd = d.functionalVerdict(pk) != nf.Drop
-		p.device = d.fpga.Name()
+		p.setDevice(d.fpga.Name())
 		if d.fpga.Submit(p.done) {
 			return
 		}
@@ -716,7 +738,7 @@ func (d *Deployment) dispatch(pk workload.Pkt) {
 	// table misses and outages all punt to the host slow path.
 	if d.smartnic != nil && !d.offSmartNIC {
 		p.fwd = true
-		p.device = d.smartnic.Name()
+		p.setDevice(d.smartnic.Name())
 		if d.smartnic.Offload(pk.Flow, p.done) {
 			return
 		}
@@ -746,7 +768,7 @@ func (d *Deployment) hostPath(p *pktInFlight, frame []byte) {
 	}
 	p.fwd = res.Verdict != nf.Drop
 	p.install = p.fwd && d.smartnic != nil && !d.offSmartNIC
-	p.device = core.Name()
+	p.setDevice(core.Name())
 	if !core.Submit(res.Cycles, p.done) {
 		p.finish(lost, core.Name(), hw.Sojourn{})
 	}

@@ -76,11 +76,14 @@ func (s Spec) withDefaults() Spec {
 	return s
 }
 
-// Pkt is one generated packet: its flow, pre-built frame bytes, and
-// whether it came from the attack prefix (ground truth for loss
-// accounting). Scenario generators additionally stamp the traffic
-// class for goodput metering; the plain Generator leaves it empty
-// (treated as legitimate).
+// Pkt is one generated packet: its flow, frame bytes, and whether it
+// came from the attack prefix (ground truth for loss accounting).
+// Scenario generators additionally stamp the traffic class for goodput
+// metering; the plain Generator leaves it empty (treated as legitimate).
+//
+// Frame is valid until the generator's next draw: both generators stamp
+// every packet into one shared frame per shape, so a consumer that keeps
+// a frame, or rewrites it, must copy it first.
 type Pkt struct {
 	Flow   packet.FiveTuple
 	Frame  []byte
@@ -89,21 +92,19 @@ type Pkt struct {
 }
 
 // Generator produces UDP packets per a Spec, with IMIX frame sizes
-// (TCP traffic comes from ScenarioGen). Frames are pre-built per
-// (flow, size) template and the returned slice aliases the template:
-// consumers that rewrite frames in place must copy first.
+// (TCP traffic comes from ScenarioGen). It holds one frame template per
+// size and stamps each drawn flow's tuple into it, so a Pkt's Frame is
+// valid until the next draw.
 type Generator struct {
 	spec  Spec
 	flows []flowState
 	sizes *Mix
-	zipf  *sim.Zipf
-	rng   *sim.RNG
+	// shapes holds one frame template per size, in sizes.sizes order.
+	shapes []packet.Template
+	zipf   *sim.Zipf
+	rng    *sim.RNG
 	// Generated counts packets produced.
 	Generated uint64
-	// templates holds the built frame of flow f and size sizes[i] at
-	// f*len(sizes.sizes)+i. It is allocated on the first Next, so generators
-	// that are built but never drawn from cost nothing.
-	templates [][]byte
 }
 
 type flowState struct {
@@ -118,6 +119,13 @@ func NewGenerator(spec Spec) (*Generator, error) {
 		return nil, fmt.Errorf("workload: invalid spec %+v", spec)
 	}
 	g := &Generator{spec: spec, sizes: IMIX(), rng: sim.NewRNG(spec.Seed)}
+	for _, size := range g.sizes.sizes {
+		tp, err := newShape(packet.ProtoUDP, size, false)
+		if err != nil {
+			return nil, err
+		}
+		g.shapes = append(g.shapes, tp)
+	}
 	flowRng := g.rng.Derive("flows")
 	for i := 0; i < spec.Flows; i++ {
 		attack := flowRng.Float64() < spec.AttackFraction
@@ -161,8 +169,8 @@ func pickDstPort(i int) uint16 {
 // timing are independently reproducible.
 func (g *Generator) ArrivalRNG() *sim.RNG { return sim.NewRNG(g.spec.Seed).Derive("arrivals") }
 
-// Next produces the next packet. The frame aliases an internal
-// template; copy before mutating.
+// Next produces the next packet. Its frame is valid until the next
+// call.
 //
 //fairbench:hotpath alloc gate row testbed-smartnic-packet
 func (g *Generator) Next() (Pkt, error) {
@@ -176,21 +184,7 @@ func (g *Generator) Next() (Pkt, error) {
 		idx = g.rng.Intn(len(g.flows))
 	}
 	fs := g.flows[idx]
-	si := g.sizes.pick(g.rng)
-	n := len(g.sizes.sizes)
-	if g.templates == nil {
-		//fairlint:allow hotalloc the template table is allocated once, on a generator's first draw
-		g.templates = make([][]byte, len(g.flows)*n)
-	}
-	slot := &g.templates[idx*n+si]
-	if *slot == nil {
-		frame, err := buildFrame(fs.ft, g.sizes.sizes[si])
-		if err != nil {
-			return Pkt{}, err
-		}
-		*slot = frame
-	}
-	frame := *slot
+	frame := g.shapes[g.sizes.pick(g.rng)].Stamp(fs.ft)
 	g.Generated++
 	return Pkt{Flow: fs.ft, Frame: frame, Attack: fs.attack}, nil
 }
@@ -200,9 +194,9 @@ var genOpts = packet.BuildOpts{
 	DstMAC: packet.MAC{0x02, 0xfa, 0x1b, 0, 0, 2},
 }
 
-// filler is the payload of every generated frame: benign bytes. The
-// builders copy the payload into the new frame, so all frames share
-// this one read-only array.
+// filler is the payload of every generated frame: benign bytes.
+// Templates copy the payload into their frame, so all share this one
+// read-only array.
 var filler = func() (f [packet.MaxFrameLen]byte) {
 	for i := range f {
 		f[i] = byte('a' + i%26)
@@ -210,27 +204,19 @@ var filler = func() (f [packet.MaxFrameLen]byte) {
 	return f
 }()
 
-// buildFrame constructs a frame of exactly size bytes for the flow,
-// which must not exceed packet.MaxFrameLen.
-func buildFrame(ft packet.FiveTuple, size int) ([]byte, error) {
-	var overhead int
-	switch ft.Proto {
-	case packet.ProtoUDP:
-		overhead = packet.EthernetHeaderLen + packet.IPv4MinHeaderLen + packet.UDPHeaderLen
-	case packet.ProtoTCP:
+// newShape builds the frame template of exactly size bytes (at least
+// the Ethernet minimum, at most packet.MaxFrameLen) for proto: a TCP
+// SYN when syn is set, a TCP ACK otherwise.
+func newShape(proto uint8, size int, syn bool) (packet.Template, error) {
+	overhead := packet.EthernetHeaderLen + packet.IPv4MinHeaderLen + packet.UDPHeaderLen
+	if proto == packet.ProtoTCP {
 		overhead = packet.EthernetHeaderLen + packet.IPv4MinHeaderLen + packet.TCPMinHeaderLen
-	default:
-		return nil, fmt.Errorf("workload: unsupported proto %d", ft.Proto)
 	}
-	payLen := size - overhead
-	if payLen < 0 {
-		payLen = 0
+	flags := packet.FlagACK
+	if syn {
+		flags = packet.FlagSYN
 	}
-	payload := filler[:payLen]
-	if ft.Proto == packet.ProtoUDP {
-		return packet.BuildUDP4(genOpts, ft, payload)
-	}
-	return packet.BuildTCP4(genOpts, ft, packet.FlagACK, payload)
+	return packet.NewTemplate(genOpts, proto, flags, filler[:max(size-overhead, 0)])
 }
 
 // Arrival is an inter-arrival process over simulated time.

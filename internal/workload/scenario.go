@@ -14,13 +14,13 @@ import (
 )
 
 // Internet-scale scenarios. The RFC 2544 synthetics in gen.go hold a
-// per-flow state slice and a per-(flow,size) frame cache — fine at a
-// few thousand flows, fatal at the 10⁶–10⁷ concurrent flows where NF
-// state planes actually start to hurt. ScenarioGen therefore computes
-// every per-flow property (addresses, ports, protocol, attack
-// membership, churn phase) as a pure hash of (seed, flow index): no
-// per-flow allocation, memory bounded by a handful of frame templates,
-// and byte-identical streams per seed by construction. On top of the
+// per-flow state slice — fine at a few thousand flows, fatal at the
+// 10⁶–10⁷ concurrent flows where NF state planes actually start to
+// hurt. ScenarioGen therefore computes every per-flow property
+// (addresses, ports, protocol, attack membership, churn phase) as a
+// pure hash of (seed, flow index): no per-flow allocation, memory
+// bounded by a handful of frame templates, and byte-identical streams
+// per seed by construction. On top of the
 // flow population sit the load shapes that stress state: diurnal rate
 // curves, flash crowds, SYN-flood and amplification mixes blended with
 // legitimate traffic, and long-duration flow churn.
@@ -464,14 +464,13 @@ func (z *zipfRejInv) Draw() int {
 	}
 }
 
-// scnTemplate is one cached frame shape: the built bytes plus the
-// five-tuple currently patched into them.
-type scnTemplate struct {
+// scnShape is one frame template and the (protocol, size, SYN) shape
+// it stamps.
+type scnShape struct {
 	proto byte
 	size  int
 	syn   bool
-	frame []byte
-	cur   packet.FiveTuple
+	tp    packet.Template
 }
 
 // ScenarioStats counts generated packets per class.
@@ -481,9 +480,9 @@ type ScenarioStats struct {
 
 // ScenarioGen generates a Scenario's packet stream. Memory use is O(1)
 // in the flow population: per-flow properties are hashes of the flow
-// index, and frames are patched in place over a handful of templates.
-// Returned frames alias those templates — consumers must parse or copy
-// before the next call, exactly like Generator.
+// index, and each packet's tuple is stamped into one frame template per
+// (protocol, size, SYN) shape, built on the shape's first draw. As with
+// Generator, a Pkt's Frame is valid until the next draw.
 type ScenarioGen struct {
 	sc      Scenario
 	rng     *sim.RNG
@@ -493,7 +492,7 @@ type ScenarioGen struct {
 
 	flowSeed, churnSeed, floodSeed, ampSeed uint64
 	floodCount                              uint64
-	templates                               []*scnTemplate
+	shapes                                  []scnShape
 
 	stats ScenarioStats
 }
@@ -561,8 +560,8 @@ func windowActive(at, dur, t float64) bool {
 	return t >= at && t < at+dur
 }
 
-// NextAt produces the next packet for simulated time t. The frame
-// aliases an internal template; parse or copy before the next call.
+// NextAt produces the next packet for simulated time t. Its frame is
+// valid until the next call.
 //
 //fairbench:hotpath alloc gate row workload-scenario-gen
 func (g *ScenarioGen) NextAt(t float64) (Pkt, Class, error) {
@@ -602,7 +601,7 @@ func (g *ScenarioGen) nextBase(t float64) (Pkt, Class, error) {
 	if ft.Proto == packet.ProtoTCP {
 		syn = g.rng.Float64() < baseSYNProb
 	}
-	frame, err := g.emit(ft, size, syn)
+	frame, err := g.stamp(ft, size, syn)
 	if err != nil {
 		return Pkt{}, ClassLegit, err
 	}
@@ -628,7 +627,7 @@ func (g *ScenarioGen) nextFlood() (Pkt, Class, error) {
 		DstPort: 443,
 		Proto:   packet.ProtoTCP,
 	}
-	frame, err := g.emit(ft, packet.MinFrameLen, true)
+	frame, err := g.stamp(ft, packet.MinFrameLen, true)
 	if err != nil {
 		return Pkt{}, ClassFlood, err
 	}
@@ -647,7 +646,7 @@ func (g *ScenarioGen) nextAmplify() (Pkt, Class, error) {
 		DstPort: 53,
 		Proto:   packet.ProtoUDP,
 	}
-	frame, err := g.emit(ft, g.sc.Amplify.Size, false)
+	frame, err := g.stamp(ft, g.sc.Amplify.Size, false)
 	if err != nil {
 		return Pkt{}, ClassAmplify, err
 	}
@@ -707,87 +706,19 @@ func (g *ScenarioGen) flowTuple(i int, gen uint32) (packet.FiveTuple, bool) {
 	}, attack
 }
 
-// emit returns a frame for ft, reusing the (proto, size, syn) template
-// and patching the five-tuple in place with incremental checksum
-// updates — the zero-allocation steady state.
-func (g *ScenarioGen) emit(ft packet.FiveTuple, size int, syn bool) ([]byte, error) {
-	var tp *scnTemplate
-	for _, c := range g.templates {
-		if c.proto == ft.Proto && c.size == size && c.syn == syn {
-			tp = c
-			break
+// stamp returns a frame for ft: its (proto, size, syn) shape's template
+// with ft stamped in, the template built on the shape's first draw.
+func (g *ScenarioGen) stamp(ft packet.FiveTuple, size int, syn bool) ([]byte, error) {
+	for i := range g.shapes {
+		if s := &g.shapes[i]; s.proto == ft.Proto && s.size == size && s.syn == syn {
+			return s.tp.Stamp(ft), nil
 		}
 	}
-	if tp == nil {
-		frame, err := buildScenarioFrame(ft, size, syn)
-		if err != nil {
-			return nil, err
-		}
-		//fairlint:allow hotalloc template cache miss path; steady state serves patched cached frames
-		g.templates = append(g.templates, &scnTemplate{proto: ft.Proto, size: size, syn: syn, frame: frame, cur: ft})
-		return frame, nil
+	tp, err := newShape(ft.Proto, size, syn)
+	if err != nil {
+		return nil, err
 	}
-	if tp.cur != ft {
-		patchTuple(tp.frame, tp.cur, ft)
-		tp.cur = ft
-	}
-	return tp.frame, nil
+	//fairlint:allow hotalloc template cache miss path; steady state stamps cached templates
+	g.shapes = append(g.shapes, scnShape{proto: ft.Proto, size: size, syn: syn, tp: tp})
+	return g.shapes[len(g.shapes)-1].tp.Stamp(ft), nil
 }
-
-// buildScenarioFrame builds a fresh template frame.
-func buildScenarioFrame(ft packet.FiveTuple, size int, syn bool) ([]byte, error) {
-	if ft.Proto == packet.ProtoUDP {
-		return buildFrame(ft, size)
-	}
-	overhead := packet.EthernetHeaderLen + packet.IPv4MinHeaderLen + packet.TCPMinHeaderLen
-	payLen := size - overhead
-	if payLen < 0 {
-		payLen = 0
-	}
-	//fairlint:allow hotalloc template frame is built once per (proto,size,syn) signature, then cached
-	payload := make([]byte, payLen)
-	for i := range payload {
-		payload[i] = byte('a' + i%26)
-	}
-	flags := packet.FlagACK
-	if syn {
-		flags = packet.FlagSYN
-	}
-	return packet.BuildTCP4(genOpts, ft, flags, payload)
-}
-
-// patchTuple rewrites the five-tuple fields of a built frame in place,
-// fixing the IP and transport checksums incrementally (RFC 1624). old
-// and new must share a protocol, which templates guarantee.
-func patchTuple(frame []byte, old, new packet.FiveTuple) {
-	const ipStart = packet.EthernetHeaderLen
-	const l4Start = ipStart + packet.IPv4MinHeaderLen
-
-	ipCheck := scnBeU16(frame[ipStart+10:])
-	ipCheck = packet.UpdateChecksum32(ipCheck, old.Src.Uint32(), new.Src.Uint32())
-	ipCheck = packet.UpdateChecksum32(ipCheck, old.Dst.Uint32(), new.Dst.Uint32())
-	copy(frame[ipStart+12:ipStart+16], new.Src[:])
-	copy(frame[ipStart+16:ipStart+20], new.Dst[:])
-	scnPutU16(frame[ipStart+10:], ipCheck)
-
-	checkOff := l4Start + 16 // TCP
-	if new.Proto == packet.ProtoUDP {
-		checkOff = l4Start + 6
-	}
-	check := scnBeU16(frame[checkOff:])
-	if new.Proto != packet.ProtoUDP || check != 0 { // zero UDP check = none
-		check = packet.UpdateChecksum32(check, old.Src.Uint32(), new.Src.Uint32())
-		check = packet.UpdateChecksum32(check, old.Dst.Uint32(), new.Dst.Uint32())
-		check = packet.UpdateChecksum16(check, old.SrcPort, new.SrcPort)
-		check = packet.UpdateChecksum16(check, old.DstPort, new.DstPort)
-		if new.Proto == packet.ProtoUDP && check == 0 {
-			check = 0xffff
-		}
-		scnPutU16(frame[checkOff:], check)
-	}
-	scnPutU16(frame[l4Start:], new.SrcPort)
-	scnPutU16(frame[l4Start+2:], new.DstPort)
-}
-
-func scnBeU16(b []byte) uint16     { return uint16(b[0])<<8 | uint16(b[1]) }
-func scnPutU16(b []byte, v uint16) { b[0] = byte(v >> 8); b[1] = byte(v) }

@@ -182,7 +182,7 @@ func TestScenarioBoundedMemoryAtInternetScale(t *testing.T) {
 	}
 	// Templates: {60,594,1514} × UDP/TCP-ACK/TCP-SYN combinations plus
 	// flood SYN and amplify shapes — a handful, regardless of flows.
-	if n := len(g.templates); n > 12 {
+	if n := len(g.shapes); n > 12 {
 		t.Errorf("template cache grew to %d entries — per-flow state leaking in", n)
 	}
 	if len(seen) < 5000 {
@@ -211,39 +211,6 @@ func TestScenarioFramesParseAndMatchFlow(t *testing.T) {
 		ft, ok := p.FiveTuple()
 		if !ok || ft != pk.Flow {
 			t.Fatalf("packet %d (%s): frame five-tuple %v != declared %v", i, class, ft, pk.Flow)
-		}
-	}
-}
-
-func TestScenarioPatchedFrameEqualsFreshBuild(t *testing.T) {
-	// The in-place incremental-checksum retuple must be byte-identical
-	// to building the frame from scratch — otherwise checksums drift
-	// packet by packet.
-	sc, err := ParseScenario("zipf:flows=512,skew=1.2,tcp=0.5;synflood:rate=0.2;amplify:rate=0.1;seed:6")
-	if err != nil {
-		t.Fatal(err)
-	}
-	g, err := NewScenarioGen(sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const l4Start = packet.EthernetHeaderLen + packet.IPv4MinHeaderLen
-	for i := 0; i < 5000; i++ {
-		pk, _, err := g.NextAt(float64(i) * 1e-3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := append([]byte(nil), pk.Frame...)
-		syn := false
-		if pk.Flow.Proto == packet.ProtoTCP {
-			syn = packet.TCPFlags(got[l4Start+13]).Has(packet.FlagSYN)
-		}
-		want, err := buildScenarioFrame(pk.Flow, len(got), syn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("packet %d: patched frame differs from fresh build for %v", i, pk.Flow)
 		}
 	}
 }

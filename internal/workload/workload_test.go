@@ -144,72 +144,118 @@ func TestGeneratorSpecValidation(t *testing.T) {
 	}
 }
 
-// refFrame builds the frame the generator must emit for ft at size from
-// scratch: a fresh payload filled byte by byte with the benign filler.
-func refFrame(t *testing.T, ft packet.FiveTuple, size int) []byte {
+// refFrame builds the frame a generator must emit for ft at size from
+// scratch: a fresh payload filled byte by byte with the benign filler,
+// and for TCP a SYN when syn is set, an ACK otherwise.
+func refFrame(t *testing.T, ft packet.FiveTuple, size int, syn bool) []byte {
 	t.Helper()
 	overhead := packet.EthernetHeaderLen + packet.IPv4MinHeaderLen + packet.UDPHeaderLen
+	if ft.Proto == packet.ProtoTCP {
+		overhead = packet.EthernetHeaderLen + packet.IPv4MinHeaderLen + packet.TCPMinHeaderLen
+	}
 	payload := make([]byte, max(size-overhead, 0))
 	for i := range payload {
 		payload[i] = byte('a' + i%26)
 	}
-	f, err := packet.BuildUDP4(genOpts, ft, payload)
+	var f []byte
+	var err error
+	if ft.Proto == packet.ProtoTCP {
+		flags := packet.FlagACK
+		if syn {
+			flags = packet.FlagSYN
+		}
+		f, err = packet.BuildTCP4(genOpts, ft, flags, payload)
+	} else {
+		f, err = packet.BuildUDP4(genOpts, ft, payload)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	return f
 }
 
-// TestGeneratorTemplates checks the dense template table: every frame
-// equals one built from scratch, and a repeated (flow, size) draw
-// returns the same backing array instead of building it again.
+// TestGeneratorTemplates checks both generators' frames: every frame
+// equals one built from scratch when it is drawn, and a generator hands
+// out at most one backing array per (protocol, size, SYN) shape, however
+// many flows it draws.
 func TestGeneratorTemplates(t *testing.T) {
-	g, err := NewGenerator(Spec{Flows: 8, ZipfSkew: 1.1, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
+	type shape struct {
+		proto uint8
+		size  int
+		syn   bool
 	}
-	type key struct {
-		ft   packet.FiveTuple
-		size int
+	const l4Start = packet.EthernetHeaderLen + packet.IPv4MinHeaderLen
+	// check draws n packets and returns the number of shapes drawn.
+	check := func(t *testing.T, n int, next func() Pkt) int {
+		arrays := map[shape]*byte{}
+		for i := 0; i < n; i++ {
+			pk := next()
+			sh := shape{proto: pk.Flow.Proto, size: len(pk.Frame)}
+			if sh.proto == packet.ProtoTCP {
+				sh.syn = packet.TCPFlags(pk.Frame[l4Start+13]).Has(packet.FlagSYN)
+			}
+			if first, ok := arrays[sh]; ok && first != &pk.Frame[0] {
+				t.Fatalf("draw %d: shape %+v handed out in a second backing array", i, sh)
+			}
+			arrays[sh] = &pk.Frame[0]
+			if !bytes.Equal(pk.Frame, refFrame(t, pk.Flow, sh.size, sh.syn)) {
+				t.Fatalf("draw %d: frame for %v differs from a scratch build", i, pk.Flow)
+			}
+		}
+		return len(arrays)
 	}
-	seen := map[key]*byte{}
-	for i := 0; i < 2000; i++ {
-		pk, err := g.Next()
+	t.Run("generator", func(t *testing.T) {
+		g, err := NewGenerator(Spec{Flows: 512, ZipfSkew: 1.1, AttackFraction: 0.3, Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
-		k := key{pk.Flow, len(pk.Frame)}
-		if first, ok := seen[k]; ok {
-			if first != &pk.Frame[0] {
-				t.Fatalf("repeated draw of %v rebuilt its template", k)
+		got := check(t, 20000, func() Pkt {
+			pk, err := g.Next()
+			if err != nil {
+				t.Fatal(err)
 			}
-			continue
+			return pk
+		})
+		if want := len(IMIX().sizes); got != want {
+			t.Errorf("%d shapes drawn, want all %d sizes", got, want)
 		}
-		seen[k] = &pk.Frame[0]
-		if !bytes.Equal(pk.Frame, refFrame(t, pk.Flow, len(pk.Frame))) {
-			t.Fatalf("frame for %v differs from a scratch build", k)
+	})
+	t.Run("scenario", func(t *testing.T) {
+		sc, err := ParseScenario("zipf:flows=512,skew=1.2,tcp=0.5,attack=0.2;synflood:rate=0.2;amplify:rate=0.1;churn:life=0.5;seed:6")
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if want := 8 * len(IMIX().sizes); len(seen) != want {
-		t.Errorf("%d templates drawn, want all %d", len(seen), want)
-	}
+		g, err := NewScenarioGen(sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := 0
+		got := check(t, 20000, func() Pkt {
+			k++
+			pk, _, err := g.NextAt(float64(k) * 1e-4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return pk
+		})
+		// UDP, TCP ACK and TCP SYN per IMIX size, and the 1200-byte
+		// amplification frame; the flood's SYN is IMIX's 60-byte one.
+		if got != 10 {
+			t.Errorf("%d shapes drawn, want 10", got)
+		}
+	})
 }
 
-// TestGeneratorNextAllocs pins the steady state: once every template
-// exists, drawing a packet allocates nothing. Allocations are counted
-// from runtime.MemStats as a float per draw, so a draw that allocates
-// only now and then still fails.
+// TestGeneratorNextAllocs pins that drawing allocates nothing from a
+// fresh generator's first draw on: NewGenerator builds every template.
+// Allocations are counted from runtime.MemStats as a float per draw, so
+// a draw that allocates only now and then still fails.
 func TestGeneratorNextAllocs(t *testing.T) {
-	g, err := NewGenerator(Spec{Flows: 64, ZipfSkew: 1.1, Seed: 2})
+	g, err := NewGenerator(Spec{Flows: 1024, ZipfSkew: 1.1, AttackFraction: 0.2, Seed: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 50_000; i++ {
-		if _, err := g.Next(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	const draws = 20_000
+	const draws = 40_000
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -219,8 +265,8 @@ func TestGeneratorNextAllocs(t *testing.T) {
 		}
 	}
 	runtime.ReadMemStats(&after)
-	if allocs := float64(after.Mallocs-before.Mallocs) / draws; allocs > 0.05 {
-		t.Errorf("Next allocates %.4g times per packet after warm-up, want at most 0.05", allocs)
+	if allocs := float64(after.Mallocs-before.Mallocs) / draws; allocs > 0.001 {
+		t.Errorf("a fresh generator's first %d draws allocate %.4g times per packet, want at most 0.001", draws, allocs)
 	}
 }
 
