@@ -20,12 +20,12 @@
 // directory is byte-identical at any -jobs value — diffable across
 // runs, machines and parallelism levels.
 //
-// With -telemetry, the sweep additionally streams wall-clock telemetry
-// (cell spans, retries, pool samples) to telemetry.jsonl in -out and
-// renders a run summary and cell-execution Gantt chart beside it; with
-// -pprof-dir, CPU and heap profiles bracket the sweep. Neither changes
-// a single artifact byte — telemetry files sit outside the
-// byte-identity surface, exactly like the journal.
+// Every journaled cell carries its worker, its attempts' start offsets
+// and wall times. With -telemetry, the sweep renders a run summary and
+// a cell-execution Gantt chart from those records into -out; with
+// -pprof-dir, CPU and heap profiles (labeled cell=<name>) bracket the
+// sweep. Neither changes a single artifact byte — telemetry files sit
+// outside the byte-identity surface, exactly like the journal.
 package main
 
 import (
@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -61,6 +60,9 @@ func fingerprintFor(opts fairbench.ExpOptions, quick bool) string {
 		opts.TrialSeconds, opts.Seed, opts.Trials, quick)
 }
 
+// slowestCells is how many cells the stdout "slowest cells" line names.
+const slowestCells = 3
+
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("fairfigs", flag.ContinueOnError)
 	outDir := fs.String("out", "figures", "output directory")
@@ -73,7 +75,7 @@ func run(args []string, stdout io.Writer) error {
 	expTimeout := fs.Duration("exp-timeout", 0, "per-experiment wall-clock deadline (0 = none)")
 	runTimeout := fs.Duration("run-timeout", 0, "whole-run wall-clock deadline (0 = none; cut-off experiments resume later)")
 	retries := fs.Int("retries", 1, "extra attempts (with a fresh seed) after a non-finite measurement")
-	telemetryOn := fs.Bool("telemetry", false, "stream wall-clock telemetry to telemetry.jsonl in -out and render summary + Gantt")
+	telemetryOn := fs.Bool("telemetry", false, "render a wall-clock summary and Gantt chart of the sweep from its journal into -out")
 	pprofDir := fs.String("pprof-dir", "", "write CPU and heap profiles bracketing the sweep into this directory")
 	fs.SetOutput(stdout)
 	if err := fs.Parse(args); err != nil {
@@ -129,36 +131,6 @@ func run(args []string, stdout io.Writer) error {
 
 	normJobs := runner.NormalizeJobs(*jobs)
 
-	// Observability taps: both are read-only and sit outside the
-	// byte-identity surface — attaching them cannot change an artifact.
-	var observer runner.Observer
-	var rec *telemetry.Recorder
-	stopSampler := func() {}
-	if *telemetryOn {
-		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			return err
-		}
-		r, cerr := telemetry.Create(filepath.Join(*outDir, telemetry.FileName), telemetry.Options{
-			Label:       "fairfigs sweep",
-			Fingerprint: fingerprint,
-			Jobs:        normJobs,
-			Cells:       len(exps),
-		})
-		if cerr != nil {
-			return cerr
-		}
-		rec = r
-		observer = rec.RunnerObserver()
-		stop := rec.StartSampler()
-		stopped := false
-		stopSampler = func() {
-			if !stopped {
-				stopped = true
-				stop()
-			}
-		}
-		defer stopSampler()
-	}
 	if *pprofDir != "" {
 		stopProfiles, err := telemetry.CaptureProfiles(*pprofDir)
 		if err != nil {
@@ -183,7 +155,6 @@ func run(args []string, stdout io.Writer) error {
 		Resume:      *resume,
 		Fingerprint: fingerprint,
 		Log:         stdout,
-		Observer:    observer,
 	})
 	if err != nil {
 		return err
@@ -191,24 +162,37 @@ func run(args []string, stdout io.Writer) error {
 	elapsed := time.Since(start).Round(time.Millisecond) //fairlint:allow wallclock operator progress reporting, never enters artifacts
 	fmt.Fprintf(stdout, "%d artifacts in %v (%d experiments run, %d skipped, %d quarantined, %d unfinished)\n",
 		res.ArtifactsWritten, elapsed, res.Ran, res.Skipped, res.Quarantined, res.Unfinished)
-	if slow := res.SlowestCells(); len(slow) > 0 {
-		parts := make([]string, len(slow))
-		for i, cw := range slow {
-			parts[i] = fmt.Sprintf("%s %.0f ms", cw.Experiment, cw.WallMS)
-		}
-		fmt.Fprintf(stdout, "slowest cells: %s\n", strings.Join(parts, ", "))
+	// The journal is the sweep's wall-clock record; a failure to read
+	// it back degrades the report, never the run.
+	sum, err := telemetry.Summarize(res)
+	if err != nil {
+		fmt.Fprintln(stdout, "telemetry:", err)
+		return res.Err()
 	}
-	if rec != nil {
-		stopSampler()
-		// A telemetry write failure degrades observability, never the run.
-		if terr := rec.Close(); terr != nil {
-			fmt.Fprintln(stdout, "telemetry:", terr)
-		} else if sum, terr := telemetry.WriteArtifacts(filepath.Join(*outDir, telemetry.FileName)); terr != nil {
-			fmt.Fprintln(stdout, "telemetry:", terr)
+	if line := slowestLine(sum); line != "" {
+		fmt.Fprintln(stdout, line)
+	}
+	if *telemetryOn {
+		if err := sum.WriteArtifacts(*outDir); err != nil {
+			fmt.Fprintln(stdout, "telemetry:", err)
 		} else {
 			fmt.Fprintf(stdout, "telemetry: %s, %s (pool utilization %.0f%%)\n",
 				telemetry.SummaryName, telemetry.GanttName, sum.UtilizationPct)
 		}
 	}
 	return res.Err()
+}
+
+// slowestLine names the slowestCells cells of the run by descending
+// wall time, or is empty when no cell ran.
+func slowestLine(sum telemetry.Summary) string {
+	slow := sum.Slowest(slowestCells)
+	if len(slow) == 0 {
+		return ""
+	}
+	parts := make([]string, len(slow))
+	for i, c := range slow {
+		parts[i] = fmt.Sprintf("%s %.0f ms", c.Cell, c.WallMS)
+	}
+	return "slowest cells: " + strings.Join(parts, ", ")
 }

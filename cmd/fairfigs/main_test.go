@@ -164,12 +164,12 @@ func TestRunQuickGeneratesAllArtifactsAndResumes(t *testing.T) {
 
 // TestParallelRunMatchesSerialBytes is the command-level acceptance
 // check: the same quick sweep at -jobs=1 (bare) and -jobs=8 (with
-// telemetry and pprof capture attached) produces byte-identical
-// artifact directories. The journal and the telemetry files are
-// excluded — both record wall-clock execution history and are
-// documented as not being determinism surfaces. Running the parallel
-// leg fully observed is the meta-test that attaching the observability
-// layer cannot change a single output byte.
+// telemetry rendered and pprof capture attached) produces
+// byte-identical artifact directories. The journal and the telemetry
+// files are excluded — both record wall-clock execution history and
+// are documented as not being determinism surfaces. Running the
+// parallel leg fully observed is the meta-test that attaching the
+// observability layer cannot change a single output byte.
 func TestParallelRunMatchesSerialBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("artifact regeneration is slow")
@@ -208,7 +208,7 @@ func TestParallelRunMatchesSerialBytes(t *testing.T) {
 
 	// The observed run produced its telemetry artifacts and profiles
 	// beside (not inside) the deterministic surface.
-	for _, name := range []string{telemetry.FileName, telemetry.SummaryName, telemetry.GanttName} {
+	for _, name := range []string{telemetry.SummaryName, telemetry.GanttName} {
 		info, err := os.Stat(filepath.Join(parallelDir, name))
 		if err != nil || info.Size() == 0 {
 			t.Errorf("telemetry artifact %s: %v", name, err)
@@ -283,5 +283,20 @@ func TestRunBadOutputDir(t *testing.T) {
 	}
 	if err := run([]string{"-out", f, "-quick"}, &out); err == nil {
 		t.Error("output path collision should fail")
+	}
+}
+
+// TestSlowestCellsOrdersAndTruncates checks the stdout ranking: the
+// slowestCells longest cells, names breaking ties, and nothing for a
+// run in which no cell ran.
+func TestSlowestCellsOrdersAndTruncates(t *testing.T) {
+	sum := telemetry.Summary{Cells: []telemetry.CellSummary{
+		{Cell: "a", WallMS: 9}, {Cell: "b", WallMS: 5}, {Cell: "c", WallMS: 5}, {Cell: "d", WallMS: 1},
+	}}
+	if got, want := slowestLine(sum), "slowest cells: a 9 ms, b 5 ms, c 5 ms"; got != want {
+		t.Errorf("slowestLine = %q, want %q", got, want)
+	}
+	if got := slowestLine(telemetry.Summary{}); got != "" {
+		t.Errorf("slowestLine of an empty run = %q, want none", got)
 	}
 }

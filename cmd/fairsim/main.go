@@ -12,7 +12,7 @@
 //	        [-faults SPEC] [-scenario SPEC]
 //	        [-record FILE -count N] [-replay FILE -stretch X]
 //	        [-trace FILE [-sample-every DT] [-metrics FILE]]
-//	        [-telemetry FILE] [-pprof-dir DIR]
+//	        [-pprof-dir DIR]
 //
 // With -search, an RFC 2544 binary search for the zero-loss throughput
 // replaces the single fixed-rate run. -record captures a trace and
@@ -78,10 +78,9 @@
 // .jsonl).
 //
 // -trace records the simulation's virtual-time events and is part of
-// the deterministic output; -telemetry instead records wall-clock
-// telemetry about the process itself (the run span, goroutine/heap
-// samples) and -pprof-dir captures CPU/heap profiles bracketing the
-// run. Both compose with every run mode and change no measured output.
+// the deterministic output; -pprof-dir instead captures CPU and heap
+// profiles of the process itself, bracketing the run. It composes with
+// every run mode and changes no measured output.
 package main
 
 import (
@@ -102,6 +101,7 @@ import (
 	"fairbench/internal/report"
 	"fairbench/internal/rfc2544"
 	"fairbench/internal/stats"
+	"fairbench/internal/telemetry"
 	"fairbench/internal/testbed"
 	"fairbench/internal/workload"
 )
@@ -136,22 +136,25 @@ func run(args []string, stdout io.Writer) (err error) {
 	trace := fs.String("trace", "", "write a JSONL observability trace of the run to this file")
 	sampleEvery := fs.Float64("sample-every", 0, "periodic device sampling interval in simulated seconds (requires -trace)")
 	metrics := fs.String("metrics", "", "export the metrics snapshot to this file (requires -trace; .jsonl for JSONL, CSV otherwise)")
-	telemetryPath := fs.String("telemetry", "", "write wall-clock telemetry (run span, runtime samples) to this JSONL file")
 	pprofDir := fs.String("pprof-dir", "", "write CPU and heap profiles bracketing the run into this directory")
 	fs.SetOutput(stdout)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	// Wall-clock observability (distinct from -trace, which records the
-	// simulation's virtual-time events): a run span, runtime samples and
-	// optional profiles, none of which touch the measured output.
-	if *telemetryPath != "" || *pprofDir != "" {
-		finish, terr := attachTelemetry(*telemetryPath, *pprofDir)
-		if terr != nil {
-			return terr
+	// Profiles of the process itself (distinct from -trace, which
+	// records the simulation's virtual-time events) never touch the
+	// measured output.
+	if *pprofDir != "" {
+		stopProfiles, perr := telemetry.CaptureProfiles(*pprofDir)
+		if perr != nil {
+			return perr
 		}
-		defer finish(&err)
+		defer func() {
+			if perr := stopProfiles(); perr != nil && err == nil {
+				err = perr
+			}
+		}()
 	}
 
 	// Reject contradictory mode combinations up front: each of -record,

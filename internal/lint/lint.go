@@ -137,11 +137,12 @@ type Config struct {
 }
 
 // wallclockAllow exempts the experiment runner, whose deadline/retry
-// machinery legitimately needs wall time, and the telemetry package,
-// whose entire purpose is recording wall-clock execution history outside
-// the determinism surface. Command binaries are deliberately NOT
-// allowlisted: each wall-clock use there must carry a //fairlint:allow
-// with a recorded reason.
+// machinery legitimately needs wall time and which journals each cell's
+// wall-clock timing, and the telemetry package, which reports that
+// execution history outside the determinism surface and exports the
+// Wall clock the benchmark harness times itself with. Command binaries
+// are deliberately NOT allowlisted: each wall-clock use there must
+// carry a //fairlint:allow with a recorded reason.
 var wallclockAllow = []string{"internal/runner", "internal/telemetry"}
 
 // simBoundary is the determinism boundary: the packages whose code runs

@@ -116,8 +116,6 @@ func TestHotpathsAnnotated(t *testing.T) {
 // key as the graph prints it.
 var unreachableAllow = map[string]string{
 	"internal/runner/chaos":              "test-support package: the fault injectors the runner's chaos tests drive",
-	"internal/telemetry.FakeClock":       "test support: the deterministic clock telemetry's tests inject",
-	"internal/telemetry.NewFakeClock":    "test support: constructs the FakeClock telemetry's tests inject",
 	"internal/telemetry.IsTelemetryFile": "test support: lets artifact-comparison tests skip wall-clock telemetry files",
 	"internal/perf.ExactQuantile":        "test oracle: the sorted-sample quantile the histogram tests compare against",
 	"internal/packet.VerifyChecksumUDP":  "test oracle: the parser tests check built UDP checksums with it",

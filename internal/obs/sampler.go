@@ -1,10 +1,6 @@
 package obs
 
-import (
-	"fmt"
-
-	"fairbench/internal/sim"
-)
+import "fairbench/internal/sim"
 
 // Source describes one device the sampler probes. Active devices expose
 // a cumulative busy-seconds counter from which the sampler derives
@@ -43,12 +39,10 @@ func NewSampler(tr *Tracer, every float64, sources ...Source) *Sampler {
 	return &Sampler{tr: tr, every: every, sources: sources, last: make([]float64, len(sources))}
 }
 
-// Arm schedules the periodic ticks on s up to (and including) horizon.
-// It fails on a non-positive period; a nil tracer arms nothing.
+// Arm schedules the periodic ticks on s up to (and including) horizon;
+// the period must be positive. It returns the kernel's error for a
+// first tick it cannot schedule. A nil tracer arms nothing.
 func (sp *Sampler) Arm(s *sim.Sim, horizon float64) error {
-	if sp.every <= 0 {
-		return fmt.Errorf("obs: non-positive sample period %v", sp.every)
-	}
 	if sp.tr == nil || len(sp.sources) == 0 {
 		return nil
 	}

@@ -6,14 +6,6 @@ import (
 	"fairbench/internal/sim"
 )
 
-func TestSamplerRejectsNegativePeriod(t *testing.T) {
-	s := sim.New()
-	sp := NewSampler(New(nil), -0.5, Source{Name: "dev"})
-	if err := sp.Arm(s, 1); err == nil {
-		t.Error("Arm with negative period should fail")
-	}
-}
-
 func TestSamplerNoSourcesArmsNothing(t *testing.T) {
 	s := sim.New()
 	sp := NewSampler(New(nil), 1.0)

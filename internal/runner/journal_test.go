@@ -2,10 +2,12 @@ package runner
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 func TestJournalRoundTrip(t *testing.T) {
@@ -200,5 +202,176 @@ func TestResumeFromManifestOnlyDir(t *testing.T) {
 	}
 	if res.Skipped != 1 || runs != 1 {
 		t.Errorf("pre-journal dir did not resume from manifest: skipped=%d runs=%d", res.Skipped, runs)
+	}
+}
+
+// TestWallDurationJournaledButNotInManifest pins the one wall-clock
+// record of a sweep: every journaled record carries its worker (below
+// the pool width the Result reports) and one try per attempt, the tries
+// and the backoff gaps between them add up to wall_ms, and
+// manifest.json carries none of it.
+func TestWallDurationJournaledButNotInManifest(t *testing.T) {
+	dir := t.TempDir()
+	flaky := errors.New("transient")
+	exps := []Experiment{
+		{Name: "good", Run: func(int) ([]Artifact, error) {
+			time.Sleep(2 * time.Millisecond) // make the duration visibly non-zero
+			return []Artifact{{Name: "good.txt", Body: []byte("ok\n")}}, nil
+		}},
+		{Name: "flaky", Run: func(attempt int) ([]Artifact, error) {
+			if attempt == 0 {
+				return nil, flaky
+			}
+			return []Artifact{{Name: "flaky.txt", Body: []byte("eventually\n")}}, nil
+		}},
+		{Name: "doomed", Run: func(int) ([]Artifact, error) { return nil, flaky }},
+	}
+	const backoff = 5 * time.Millisecond
+	opts := Options{
+		OutDir:      dir,
+		Jobs:        4,
+		Retries:     1,
+		ShouldRetry: func(err error) bool { return errors.Is(err, flaky) },
+		Backoff:     BackoffConfig{Base: backoff},
+		Fingerprint: "wall-test",
+	}
+	res, err := Run(exps, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The pool is as wide as the cells left to run.
+	if res.Ran != 3 || res.Quarantined != 1 || len(res.CellWalls) != 3 || res.Workers != 3 {
+		t.Fatalf("result: %+v", res)
+	}
+
+	_, recs, _, err := LoadJournal(filepath.Join(dir, JournalName))
+	if err != nil || len(recs) != 3 {
+		t.Fatalf("journal: %d records, err %v", len(recs), err)
+	}
+	byName := map[string]Record{}
+	for _, r := range recs {
+		byName[r.Experiment] = r
+		tm := r.Timing
+		if tm == nil || tm.Worker < 0 || tm.Worker >= res.Workers || len(tm.Tries) != r.Attempts {
+			t.Fatalf("%s: timing %+v for %d attempts", r.Experiment, tm, r.Attempts)
+		}
+		first, last := tm.Tries[0], tm.Tries[len(tm.Tries)-1]
+		if first.StartMS < 0 || r.WallMS <= 0 {
+			t.Errorf("%s: first try at %v ms, wall %v ms", r.Experiment, first.StartMS, r.WallMS)
+		}
+		// Tries plus the gaps between them (backoff) span wall_ms.
+		var tries, gaps float64
+		for i, try := range tm.Tries {
+			tries += try.WallMS
+			if i > 0 {
+				prev := tm.Tries[i-1]
+				gaps += try.StartMS - (prev.StartMS + prev.WallMS)
+			}
+		}
+		if d := tries + gaps - r.WallMS; d > 1e-6 || d < -1e-6 {
+			t.Errorf("%s: tries %v ms + backoff %v ms != wall %v ms", r.Experiment, tries, gaps, r.WallMS)
+		}
+		if d := last.StartMS + last.WallMS - first.StartMS - r.WallMS; d > 1e-6 || d < -1e-6 {
+			t.Errorf("%s: tries span %v..%v ms, wall %v ms", r.Experiment, first.StartMS, last.StartMS+last.WallMS, r.WallMS)
+		}
+		// The first retry waits Base with ±25% jitter.
+		if r.Attempts == 2 && gaps < 0.75*float64(backoff)/float64(time.Millisecond) {
+			t.Errorf("%s: backoff gap %v ms shorter than the jittered %v backoff", r.Experiment, gaps, backoff)
+		}
+	}
+	if byName["flaky"].Attempts != 2 || byName["doomed"].Attempts != 2 {
+		t.Errorf("records: %+v", recs)
+	}
+	manifest, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"wall_ms", "timing", "worker", "tries", "start_ms"} {
+		if strings.Contains(string(manifest), `"`+key+`"`) {
+			t.Errorf("manifest carries %q — wall time leaked into the determinism surface", key)
+		}
+	}
+}
+
+// TestJournalRecordsEveryTransition checks that the journal alone shows
+// every transition of a cell: a retried attempt, a quarantine after the
+// last retry, and, on resume, the cells kept from the earlier run. Kept
+// cells keep their wall_ms but lose their timing, which belonged to the
+// earlier run's clock.
+func TestJournalRecordsEveryTransition(t *testing.T) {
+	dir := t.TempDir()
+	flaky := errors.New("transient")
+	exps := []Experiment{
+		{Name: "good", Run: func(int) ([]Artifact, error) {
+			time.Sleep(2 * time.Millisecond) // make the duration visibly non-zero
+			return []Artifact{{Name: "good.txt", Body: []byte("ok\n")}}, nil
+		}},
+		{Name: "flaky", Run: func(attempt int) ([]Artifact, error) {
+			if attempt == 0 {
+				return nil, flaky
+			}
+			return []Artifact{{Name: "flaky.txt", Body: []byte("eventually\n")}}, nil
+		}},
+		{Name: "doomed", Run: func(int) ([]Artifact, error) { return nil, flaky }},
+	}
+	opts := Options{
+		OutDir:      dir,
+		Retries:     1,
+		ShouldRetry: func(err error) bool { return errors.Is(err, flaky) },
+		Fingerprint: "transition-test",
+	}
+	res, err := Run(exps, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ran != 3 || res.Quarantined != 1 {
+		t.Fatalf("result: %+v", res)
+	}
+	_, recs, _, err := LoadJournal(filepath.Join(dir, JournalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]string{}
+	for _, r := range recs {
+		tries := -1
+		if r.Timing != nil {
+			tries = len(r.Timing.Tries)
+		}
+		got[r.Experiment] = fmt.Sprintf("%s attempts=%d tries=%d wall>0=%t", r.Status, r.Attempts, tries, r.WallMS > 0)
+	}
+	want := map[string]string{
+		"good":   "ok attempts=1 tries=1 wall>0=true",
+		"flaky":  "ok attempts=2 tries=2 wall>0=true",
+		"doomed": "quarantined attempts=2 tries=2 wall>0=true",
+	}
+	for cell, w := range want {
+		if got[cell] != w {
+			t.Errorf("%s: journal shows %q, want %q", cell, got[cell], w)
+		}
+	}
+
+	opts.Resume = true
+	res, err = Run(exps, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Skipped != 2 || res.Ran != 1 || res.Workers != 1 {
+		t.Fatalf("resume result: %+v", res)
+	}
+	walls := map[string]float64{}
+	for _, cw := range res.CellWalls {
+		walls[cw.Experiment] = cw.WallMS
+	}
+	if walls["good"] <= 0 || walls["flaky"] <= 0 {
+		t.Errorf("resumed run lost completed cells' wall durations: %+v", res.CellWalls)
+	}
+	_, recs, _, err = LoadJournal(filepath.Join(dir, JournalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range recs {
+		if kept := r.Experiment != "doomed"; kept != (r.Timing == nil) || r.WallMS <= 0 {
+			t.Errorf("after resume: %s has timing %+v, wall %v ms", r.Experiment, r.Timing, r.WallMS)
+		}
 	}
 }

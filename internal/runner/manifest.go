@@ -40,9 +40,11 @@ type ArtifactRecord struct {
 }
 
 // Record is the journal/manifest entry of one experiment. WallMS is
-// the cell's wall-clock duration across all attempts; it is journaled
-// (so a resumed run can still say how long its completed cells took)
-// but stripped before the record enters the manifest, which must stay
+// the cell's wall-clock duration across all attempts and Timing places
+// those attempts on the wall clock of the run that executed them. Both
+// are journaled — the journal is a sweep's one wall-clock record, and
+// a resumed run keeps WallMS of the cells it skips — but stripped
+// before the record enters the manifest, which must stay
 // byte-identical across runs and Jobs values.
 type Record struct {
 	Experiment string           `json:"experiment"`
@@ -50,7 +52,26 @@ type Record struct {
 	Error      string           `json:"error,omitempty"`
 	Attempts   int              `json:"attempts"`
 	WallMS     float64          `json:"wall_ms,omitempty"`
+	Timing     *Timing          `json:"timing,omitempty"`
 	Artifacts  []ArtifactRecord `json:"artifacts,omitempty"`
+}
+
+// Timing records where and when this run executed a cell: the pool
+// worker, and one Try per attempt. The first try starts the cell and
+// WallMS runs from there to the end of the last try (or, when the run
+// deadline cut a retry backoff short, to that cut); the gaps between
+// tries are backoff waits. A record without Timing was kept from an
+// earlier run by Resume.
+type Timing struct {
+	Worker int   `json:"worker"`
+	Tries  []Try `json:"tries"`
+}
+
+// Try is one attempt: its start, in milliseconds since the run's
+// worker pool started, and its wall time, artifact writes included.
+type Try struct {
+	StartMS float64 `json:"start_ms"`
+	WallMS  float64 `json:"wall_ms"`
 }
 
 // Manifest is the checkpoint a sweep maintains: one record per

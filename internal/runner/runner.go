@@ -1,12 +1,14 @@
 package runner
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"runtime/debug"
+	"runtime/pprof"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -77,11 +79,6 @@ type Options struct {
 	Fingerprint string
 	// Log receives one line per experiment (nil discards).
 	Log io.Writer
-	// Observer receives wall-clock state transitions (cell start,
-	// attempt errors, retry waits, finish, resume skips, run-deadline
-	// cutoffs, pool shrinks) for telemetry. Nil means no observation;
-	// an Observer never changes execution or output bytes.
-	Observer Observer
 	// WriteArtifact overrides artifact IO (nil = WriteFileAtomic). The
 	// chaos harness injects torn writes and ENOSPC here.
 	WriteArtifact func(path string, data []byte, perm os.FileMode) error
@@ -98,8 +95,10 @@ type Result struct {
 	// cells the run deadline cut off before they started.
 	Failed, Quarantined, Unfinished int
 	ArtifactsWritten                int
-	// WorkersShrunk counts pool workers retired by repeated panics.
-	WorkersShrunk int
+	// Workers is the width the pool started with: Jobs, capped at the
+	// number of cells left to run (0 when none was). WorkersShrunk
+	// counts pool workers retired by repeated panics.
+	Workers, WorkersShrunk int
 	// CellWalls records the wall-clock duration of every completed
 	// cell, including cells a resumed run skipped (their durations come
 	// from the journal). Durations are operator-facing only: they are
@@ -111,6 +110,16 @@ type Result struct {
 	FailedExperiments      []string
 	QuarantinedExperiments []string
 	UnfinishedExperiments  []string
+}
+
+// CellWall pairs a cell with its recorded wall-clock duration, for
+// operator-facing summaries. Wall durations live in the journal (a
+// completion-order log outside the determinism surface) and in these
+// summaries — never in the manifest, whose bytes must not vary run to
+// run.
+type CellWall struct {
+	Experiment string
+	WallMS     float64
 }
 
 // Err returns a non-nil error when any experiment failed, was
@@ -162,9 +171,6 @@ func Run(experiments []Experiment, o Options) (Result, error) {
 			logMu.Unlock()
 		}
 	}
-	if o.Observer == nil {
-		o.Observer = NopObserver{}
-	}
 
 	manifestPath := filepath.Join(o.OutDir, ManifestName)
 	journalPath := filepath.Join(o.OutDir, JournalName)
@@ -183,7 +189,6 @@ func Run(experiments []Experiment, o Options) (Result, error) {
 		if o.Resume && completedRecord(prior[exp.Name], o.OutDir) {
 			skipped[exp.Name] = true
 			res.Skipped++
-			o.Observer.CellResumeSkip(exp.Name)
 			logf("skip %s (resume: complete)", exp.Name)
 			continue
 		}
@@ -192,11 +197,14 @@ func Run(experiments []Experiment, o Options) (Result, error) {
 
 	// The journal is rewritten atomically at the start of every run:
 	// header plus every record kept from a resumed run, then one
-	// appended record per completed cell.
+	// appended record per completed cell. Kept records lose their
+	// Timing, which placed them on an earlier run's clock.
 	var kept []Record
 	for _, exp := range experiments {
 		if skipped[exp.Name] {
-			kept = append(kept, prior[exp.Name])
+			rec := prior[exp.Name]
+			rec.Timing = nil
+			kept = append(kept, rec)
 		}
 	}
 	j, err := startJournal(journalPath, o.Fingerprint, kept)
@@ -211,9 +219,10 @@ func Run(experiments []Experiment, o Options) (Result, error) {
 	// full artifact directory) is byte-identical at any Jobs value.
 	manifest := Manifest{Version: manifestVersion, Fingerprint: o.Fingerprint}
 	// Wall durations are collected for the operator summary and then
-	// stripped from the records entering the manifest: the manifest is
-	// a determinism surface (byte-identical at any Jobs value, across
-	// runs and machines), and wall time is not.
+	// stripped, with the timing, from the records entering the
+	// manifest: the manifest is a determinism surface (byte-identical
+	// at any Jobs value, across runs and machines), and wall time is
+	// not.
 	ri := 0
 	for _, exp := range experiments {
 		var rec Record
@@ -242,8 +251,8 @@ func Run(experiments []Experiment, o Options) (Result, error) {
 		}
 		if rec.WallMS > 0 {
 			res.CellWalls = append(res.CellWalls, CellWall{Experiment: rec.Experiment, WallMS: rec.WallMS})
-			rec.WallMS = 0
 		}
+		rec.WallMS, rec.Timing = 0, nil
 		manifest.Upsert(rec)
 	}
 	if err := manifest.Save(manifestPath); err != nil {
@@ -302,9 +311,12 @@ func runPool(pending []Experiment, o Options, j *journal, logf func(string, ...a
 	if jobs > len(pending) {
 		jobs = len(pending)
 	}
+	res.Workers = jobs
+	// t0 is the origin of every Timing offset this run journals.
+	t0 := time.Now()
 	var deadline time.Time
 	if o.RunTimeout > 0 {
-		deadline = time.Now().Add(o.RunTimeout)
+		deadline = t0.Add(o.RunTimeout)
 	}
 
 	var next int64
@@ -324,11 +336,10 @@ func runPool(pending []Experiment, o Options, j *journal, logf func(string, ...a
 				if !deadline.IsZero() && !time.Now().Before(deadline) {
 					// Leave the cell unstarted (results[i] stays nil) so a
 					// later Resume runs exactly the missing work.
-					o.Observer.CellCutoff(pending[i].Name)
 					logf("SKIP %s: %v", pending[i].Name, ErrRunDeadline)
 					continue
 				}
-				rec, runErr := runCell(pending[i], o, deadline, worker)
+				rec, runErr := runCell(pending[i], o, t0, deadline, worker)
 				results[i] = &rec
 				if err := j.Append(rec); err != nil {
 					logf("journal: %v", err)
@@ -356,7 +367,6 @@ func runPool(pending []Experiment, o Options, j *journal, logf func(string, ...a
 						res.WorkersShrunk++ // res is only read after wg.Wait
 						remaining := workers
 						poolMu.Unlock()
-						o.Observer.PoolShrink(remaining)
 						logf("pool: retiring a worker after repeated panics (%d remain)", remaining)
 						return
 					}
@@ -374,25 +384,34 @@ func runPool(pending []Experiment, o Options, j *journal, logf func(string, ...a
 // runCell executes one cell: retries with backoff, panic isolation,
 // the per-cell deadline, and atomic artifact writes. The returned
 // error is the cell's final error (nil on success) — the record is
-// what lands in the journal, wall duration included (the journal logs
-// completion order and is not a determinism surface; the manifest
-// strips the duration).
-func runCell(exp Experiment, o Options, deadline time.Time, worker int) (Record, error) {
+// what lands in the journal, wall duration and timing included (the
+// journal logs completion order and is not a determinism surface; the
+// manifest strips both). Each attempt runs under a pprof label
+// cell=<name>, so a CPU profile of the sweep splits by cell.
+func runCell(exp Experiment, o Options, t0, deadline time.Time, worker int) (Record, error) {
 	writeArtifact := o.WriteArtifact
 	if writeArtifact == nil {
 		writeArtifact = WriteFileAtomic
 	}
-	start := time.Now()
-	rec := Record{Experiment: exp.Name, Status: StatusOK}
-	finish := func(err error) (Record, error) {
-		rec.WallMS = float64(time.Since(start)) / float64(time.Millisecond)
-		o.Observer.CellFinish(exp.Name, worker, rec)
+	ms := func(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+	rec := Record{Experiment: exp.Name, Status: StatusOK, Timing: &Timing{Worker: worker}}
+	labels := pprof.Labels("cell", exp.Name)
+	var start time.Time
+	finish := func(end time.Time, err error) (Record, error) {
+		rec.WallMS = ms(end.Sub(start))
 		return rec, err
 	}
 	for attempt := 0; ; attempt++ {
 		rec.Attempts = attempt + 1
-		o.Observer.CellStart(exp.Name, worker, attempt)
-		artifacts, err := callGuarded(exp, attempt, o.Timeout)
+		begin := time.Now()
+		if attempt == 0 {
+			start = begin
+		}
+		var artifacts []Artifact
+		var err error
+		pprof.Do(context.TODO(), labels, func(context.Context) {
+			artifacts, err = callGuarded(exp, attempt, o.Timeout)
+		})
 		if err == nil {
 			// Artifact IO is part of the attempt: a torn write or ENOSPC
 			// is retried like a poisoned measurement, and every write is
@@ -407,14 +426,17 @@ func runCell(exp Experiment, o Options, deadline time.Time, worker int) (Record,
 			}
 			if err == nil {
 				rec.Artifacts = arecs
-				return finish(nil)
 			}
 		}
-		o.Observer.CellAttemptError(exp.Name, worker, attempt, err)
+		end := time.Now()
+		rec.Timing.Tries = append(rec.Timing.Tries, Try{StartMS: ms(begin.Sub(t0)), WallMS: ms(end.Sub(begin))})
+		if err == nil {
+			return finish(end, nil)
+		}
 		retryable := o.ShouldRetry != nil && o.ShouldRetry(err) && !errors.Is(err, ErrDeadline)
 		if !retryable {
 			rec.Status, rec.Error = StatusFailed, err.Error()
-			return finish(err)
+			return finish(end, err)
 		}
 		if attempt >= o.Retries {
 			// Retry budget exhausted on a retryable error: quarantine the
@@ -425,14 +447,12 @@ func runCell(exp Experiment, o Options, deadline time.Time, worker int) (Record,
 			} else {
 				rec.Status, rec.Error = StatusFailed, err.Error()
 			}
-			return finish(err)
+			return finish(end, err)
 		}
-		wait := o.Backoff.delay(exp.Name, attempt)
-		o.Observer.CellRetryWait(exp.Name, worker, attempt, wait)
-		if !sleepBackoff(wait, deadline) {
+		if !sleepBackoff(o.Backoff.delay(exp.Name, attempt), deadline) {
 			rec.Status = StatusFailed
 			rec.Error = fmt.Sprintf("%v during retry backoff (last error: %v)", ErrRunDeadline, err)
-			return finish(ErrRunDeadline)
+			return finish(time.Now(), ErrRunDeadline)
 		}
 	}
 }

@@ -5,17 +5,19 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
 	"fairbench/internal/runner"
 	"fairbench/internal/runner/chaos"
 )
 
 // The acceptance test for the observability layer: a chaos-injected
-// parallel sweep must produce a telemetry stream that accounts for
-// every cell — no lost or duplicate cell IDs, retries and quarantines
-// visible — while the deterministic output surface (manifest and
-// artifacts) stays byte-identical to an unobserved run.
+// parallel sweep must produce a summary that accounts for every cell
+// exactly once — retries, quarantines, cut-offs, resume-skips and pool
+// shrinks visible — while the deterministic output surface (manifest
+// and artifacts) stays byte-identical to a run nobody summarized.
 
 func chaosCells(n int) []runner.Experiment {
 	cells := make([]runner.Experiment, n)
@@ -31,23 +33,16 @@ func chaosCells(n int) []runner.Experiment {
 	return cells
 }
 
-func runChaosSweep(t *testing.T, outDir string, jobs int, spec chaos.Spec, rec *Recorder) runner.Result {
+func runChaosSweep(t *testing.T, cells []runner.Experiment, opts runner.Options, spec chaos.Spec) runner.Result {
 	t.Helper()
 	inj := chaos.New(spec)
-	opts := runner.Options{
-		OutDir:      outDir,
-		Jobs:        jobs,
-		Retries:     2,
-		ShouldRetry: chaos.Retryable,
-		Fingerprint: "telemetry-chaos-v1",
-	}
+	opts.Retries = 2
+	opts.ShouldRetry = chaos.Retryable
+	opts.Fingerprint = "telemetry-chaos-v1"
 	if spec.TornWriteProb > 0 || spec.ENOSPCProb > 0 {
 		opts.WriteArtifact = inj.ArtifactWriter()
 	}
-	if rec != nil {
-		opts.Observer = rec.RunnerObserver()
-	}
-	res, err := runner.Run(inj.WrapCells(chaosCells(24)), opts)
+	res, err := runner.Run(inj.WrapCells(cells), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,119 +51,98 @@ func runChaosSweep(t *testing.T, outDir string, jobs int, spec chaos.Spec, rec *
 
 func TestChaosSweepTelemetryAccountsForEveryCell(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, FileName)
-	rec, err := Create(path, Options{Label: "chaos sweep", Fingerprint: "telemetry-chaos-v1", Jobs: 4, Cells: 24})
+	cells := chaosCells(24)
+	// Cells 12-17 panic on every attempt: each is retried, then
+	// quarantined, and the first three panicking cells in a row retire
+	// one of the two workers. Cell 18 outlasts the run deadline, so the
+	// cells queued behind it are cut off.
+	for i := 12; i <= 17; i++ {
+		name := cells[i].Name
+		cells[i].Run = func(int) ([]runner.Artifact, error) {
+			panic(fmt.Sprintf("%v: %s always panics", chaos.ErrInjected, name))
+		}
+	}
+	slow := cells[18].Run
+	cells[18].Run = func(attempt int) ([]runner.Artifact, error) {
+		time.Sleep(400 * time.Millisecond)
+		return slow(attempt)
+	}
+
+	// An earlier run completed cells 0-11; this one resumes them.
+	runChaosSweep(t, cells[:12], runner.Options{OutDir: dir, Jobs: 2}, chaos.Spec{Seed: 7})
+	res := runChaosSweep(t, cells, runner.Options{OutDir: dir, Jobs: 2, Resume: true, RunTimeout: 200 * time.Millisecond},
+		chaos.Spec{Seed: 7, TornWriteProb: 0.2})
+
+	s, err := Summarize(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	stopSampler := rec.StartSampler()
-	res := runChaosSweep(t, dir, 4, chaos.Spec{Seed: 7, PanicProb: 0.3, TornWriteProb: 0.2}, rec)
-	stopSampler()
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
+	seen := map[string]int{}
+	for _, c := range s.Cells {
+		seen[c.Cell]++
+	}
+	for _, c := range cells {
+		if seen[c.Name] != 1 {
+			t.Errorf("cell %s appears %d times in the summary, want exactly 1", c.Name, seen[c.Name])
+		}
+	}
+	if len(s.Cells) != len(cells) {
+		t.Errorf("summary has %d cells, want %d", len(s.Cells), len(cells))
+	}
+	if s.OK+s.Failed+s.Quarantined+s.ResumeSkips+s.Cutoffs != len(cells) {
+		t.Errorf("outcomes do not add up to %d cells: %+v", len(cells), s)
+	}
+	// The summary agrees with the runner's own accounting.
+	if s.ResumeSkips != 12 || s.ResumeSkips != res.Skipped {
+		t.Errorf("resume-skips = %d, runner skipped %d, want 12", s.ResumeSkips, res.Skipped)
+	}
+	if s.Quarantined != 6 || s.Quarantined != res.Quarantined {
+		t.Errorf("quarantined = %d, runner quarantined %d, want 6", s.Quarantined, res.Quarantined)
+	}
+	if s.Cutoffs == 0 || s.Cutoffs != res.Unfinished {
+		t.Errorf("cutoffs = %d, runner left %d unfinished", s.Cutoffs, res.Unfinished)
+	}
+	if s.OK != res.Ran-res.Failed-res.Quarantined || s.Failed != res.Failed {
+		t.Errorf("ok %d failed %d, runner ran %d with %d failed", s.OK, s.Failed, res.Ran, res.Failed)
+	}
+	if s.Workers != 2 {
+		t.Errorf("summary pool width = %d, want 2", s.Workers)
+	}
+	if s.PoolShrinks != 1 || s.PoolShrinks != res.WorkersShrunk {
+		t.Errorf("pool shrinks = %d, runner shrank %d, want 1", s.PoolShrinks, res.WorkersShrunk)
+	}
+	if s.Retries < 12 {
+		t.Errorf("retries = %d, want at least 2 per quarantined cell", s.Retries)
+	}
+	for _, c := range s.Cells {
+		ran := c.Status != "resume-skip" && c.Status != "cutoff"
+		if ran != (len(c.Tries) == c.Attempts && c.Attempts > 0 && c.Worker >= 0) {
+			t.Errorf("cell %s (%s): worker %d, %d tries for %d attempts", c.Cell, c.Status, c.Worker, len(c.Tries), c.Attempts)
+		}
+		if c.Status == "quarantined" && !strings.Contains(c.Error, "always panics") {
+			t.Errorf("cell %s: final error %q", c.Cell, c.Error)
+		}
 	}
 
-	log, err := ParseFile(path)
+	// The summary and Gantt render from the chaotic run, with one lane
+	// per worker that ran a cell and none for the cells that did not run.
+	if err := s.WriteArtifacts(dir); err != nil {
+		t.Fatal(err)
+	}
+	gantt, err := os.ReadFile(filepath.Join(dir, GanttName))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Every cell appears exactly once in a terminal state, and every
-	// started cell reaches one — no lost, no duplicated IDs.
-	terminal := map[string]int{}
-	started := map[string]bool{}
-	for _, ev := range log.Events {
-		switch ev.Ev {
-		case EvCellStart:
-			started[ev.Cell] = true
-		case EvCellFinish, EvResumeSkip, EvCutoff:
-			terminal[ev.Cell]++
-		}
-	}
-	for i := 0; i < 24; i++ {
-		name := fmt.Sprintf("cell-%02d", i)
-		if terminal[name] != 1 {
-			t.Errorf("cell %s has %d terminal events, want exactly 1", name, terminal[name])
-		}
-		if !started[name] {
-			t.Errorf("cell %s never started", name)
-		}
-	}
-	if len(terminal) != 24 {
-		t.Errorf("terminal events for %d distinct cells, want 24", len(terminal))
-	}
-
-	// The chaos schedule at this seed injects retryable faults; the
-	// stream must show them as retries (attempt > 0 starts preceded by
-	// cell-error events) and agree with the runner's own accounting.
-	s := Summarize(log)
-	if s.Retries == 0 {
-		t.Error("chaos schedule produced no visible retries — raise PanicProb or the stream is lossy")
-	}
-	if s.OK != 24-res.Failed-res.Quarantined || s.Failed != res.Failed || s.Quarantined != res.Quarantined {
-		t.Errorf("stream outcomes (ok %d failed %d quarantined %d) disagree with runner result (%d/%d/%d)",
-			s.OK, s.Failed, s.Quarantined, 24-res.Failed-res.Quarantined, res.Failed, res.Quarantined)
-	}
-	errored := 0
-	for _, ev := range log.Events {
-		if ev.Ev == EvCellError {
-			errored++
-			if ev.Kind != "panic" && ev.Kind != "error" {
-				t.Errorf("unexpected error kind %q: %+v", ev.Kind, ev)
-			}
-		}
-	}
-	if errored == 0 {
-		t.Error("no cell-error events despite injected faults")
-	}
-	if s.Samples == 0 {
-		t.Error("sampler produced no samples")
-	}
-	for _, ev := range log.Events {
-		if ev.Ev == EvSample && ev.Goroutines <= 0 {
-			t.Errorf("sample without goroutine count: %+v", ev)
-		}
-	}
-
-	// Wall durations land in the journal, never in the manifest.
-	_, recs, found, err := runner.LoadJournal(filepath.Join(dir, runner.JournalName))
-	if err != nil || !found {
-		t.Fatalf("journal: %v found=%v", err, found)
-	}
-	withWall := 0
-	for _, r := range recs {
-		if r.WallMS > 0 {
-			withWall++
-		}
-	}
-	if withWall == 0 {
-		t.Error("journal records carry no wall durations")
-	}
-	manifestBytes, err := os.ReadFile(filepath.Join(dir, runner.ManifestName))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(manifestBytes, []byte("wall_ms")) {
-		t.Error("manifest carries wall_ms — wall time leaked into the determinism surface")
-	}
-
-	// The summary and Gantt render from the chaotic stream.
-	sum, err := WriteArtifacts(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sum.OK == 0 {
-		t.Errorf("rendered summary: %+v", sum)
-	}
-	if _, err := os.Stat(filepath.Join(dir, GanttName)); err != nil {
-		t.Errorf("gantt artifact: %v", err)
+	if !bytes.Contains(gantt, []byte("worker 0")) || !bytes.Contains(gantt, []byte("worker 1")) ||
+		bytes.Count(gantt, []byte(`stroke="#ddd"`)) != 2 {
+		t.Errorf("gantt lanes are not the two pool workers")
 	}
 }
 
 // TestTelemetryNeverChangesOutputBytes pins the determinism contract:
 // the artifact directory (journal and telemetry files excluded) is
-// byte-identical with telemetry attached vs detached and at jobs=1 vs
-// jobs=8, under the same chaos schedule.
+// byte-identical with the telemetry rendered and without, and at
+// jobs=1 vs jobs=8, under the same chaos schedule.
 func TestTelemetryNeverChangesOutputBytes(t *testing.T) {
 	// Execution faults only: panic decisions are keyed by (cell,
 	// attempt), so both directories see the identical chaos schedule.
@@ -176,18 +150,15 @@ func TestTelemetryNeverChangesOutputBytes(t *testing.T) {
 	// legitimately diverge across temp dirs.)
 	spec := chaos.Spec{Seed: 11, PanicProb: 0.3}
 	baseline := t.TempDir()
-	runChaosSweep(t, baseline, 1, spec, nil)
+	runChaosSweep(t, chaosCells(24), runner.Options{OutDir: baseline, Jobs: 1}, spec)
 
 	observed := t.TempDir()
-	rec, err := Create(filepath.Join(observed, FileName), Options{Jobs: 8, Cells: 24})
+	res := runChaosSweep(t, chaosCells(24), runner.Options{OutDir: observed, Jobs: 8}, spec)
+	s, err := Summarize(res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runChaosSweep(t, observed, 8, spec, rec)
-	if err := rec.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := WriteArtifacts(filepath.Join(observed, FileName)); err != nil {
+	if err := s.WriteArtifacts(observed); err != nil {
 		t.Fatal(err)
 	}
 
@@ -214,7 +185,7 @@ func TestTelemetryNeverChangesOutputBytes(t *testing.T) {
 	}
 	// And the observed run produced the telemetry files next to the
 	// untouched artifacts.
-	for _, name := range []string{FileName, SummaryName, GanttName} {
+	for _, name := range []string{SummaryName, GanttName} {
 		if _, err := os.Stat(filepath.Join(observed, name)); err != nil {
 			t.Errorf("missing %s: %v", name, err)
 		}

@@ -278,9 +278,10 @@ func (d *Deployment) armObs(horizon sim.Time) {
 	d.tr.Emit(obs.Event{T: d.s.Now().Seconds(), Kind: "run", Device: d.cfg.Name})
 	d.s.SetTrace(obs.KernelHook(d.tr))
 	if d.sampleEvery > 0 {
-		// Scheduling the first tick can only fail for an invalid
-		// period, which the Sampler reports; surface it as a trace
-		// error rather than failing the measurement.
+		// The period is positive, so scheduling the first tick fails
+		// only if the kernel's clock is already past it or it is not
+		// finite; sampling is diagnostic and must not fail the
+		// measurement, so that error is dropped.
 		sampler := obs.NewSampler(d.tr, d.sampleEvery, d.obsSources()...)
 		_ = sampler.Arm(d.s, horizon.Seconds())
 	}
